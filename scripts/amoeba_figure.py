@@ -12,7 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tropdyn import serialize, svgplot
-from tropdyn.cli import _spine_segments
+from tropdyn.cli import spine_segments
 from tropdyn.dynamics import GridSpec, amoeba_sample, clip_to_box
 from tropdyn.tropical import ComplexPolynomial, tropical_hypersurface, tropicalize_poly
 
@@ -29,7 +29,7 @@ def main():
     box = ((-3.0, 3.0), (-3.0, 3.0))
     grid = GridSpec(box=box, resolution=(args.res, args.res))
     cloud = clip_to_box(amoeba_sample(f, grid, args.m), box)
-    spine = _spine_segments(tropical_hypersurface(tropicalize_poly(f)), box)
+    spine = spine_segments(tropical_hypersurface(tropicalize_poly(f)), box)
     out = Path(args.out.format(m=args.m))
     out.write_text(
         svgplot.scatter_with_segments(

@@ -23,7 +23,6 @@ from .dynamics import (
 from .lattice import (
     QuotientLattice,
     SmithDecomposition,
-    outward_generator,
     primitive,
     saturate_and_complete,
     smith_normal_form,
@@ -37,7 +36,6 @@ from .polyhedra import (
     add_cycles,
     check_balancing,
     common_refinement,
-    dual_description,
     is_complete,
     is_unimodular,
 )

@@ -13,9 +13,11 @@ from pathlib import Path
 
 from . import serialize, svgplot
 from .dynamics import (
+    EXPERIMENTS,
     DynamicsError,
     GridSpec,
     amoeba_sample,
+    box_constraints,
     clip_to_box,
     convergence_report,
     dequantization_error,
@@ -116,13 +118,12 @@ def _suffixed(path, m, many):
     return str(p.with_name(f"{p.stem}_m{m}{p.suffix}"))
 
 
-def _spine_segments(cycle, box):
+def spine_segments(cycle, box):
+    """End points of the one-dimensional cells of a plane cycle, clipped to the box."""
     segs = []
-    from .dynamics import _box_constraints
-
     for cell, _ in cycle.cells:
         clipped = Polyhedron.from_constraints(
-            cell.ambient_dim, eqs=cell.eqs, ineqs=tuple(cell.ineqs) + tuple(_box_constraints(box))
+            cell.ambient_dim, eqs=cell.eqs, ineqs=tuple(cell.ineqs) + tuple(box_constraints(box))
         )
         if clipped.is_empty or clipped.dim != 1 or len(clipped.vertices) != 2:
             continue
@@ -194,7 +195,7 @@ def cmd_amoeba(args):
         if args.svg:
             cycle = tropical_hypersurface(tropicalize_poly(f))
             svg = svgplot.scatter_with_segments(
-                cloud.points, _spine_segments(cycle, box), box, title=f"scaled amoeba, m={m}"
+                cloud.points, spine_segments(cycle, box), box, title=f"scaled amoeba, m={m}"
             )
             _write_text(_suffixed(args.svg, m, many), svg)
     return 0
@@ -260,54 +261,52 @@ def cmd_add(args):
     return 0
 
 
+# argparse spec of every flag; each subcommand gets only the flags it reads
+FLAGS = {
+    "-i": dict(dest="inputs", action="append", metavar="PATH", help="input JSON"),
+    "-o": dict(dest="output", metavar="PATH", help="output artifact"),
+    "--ms": dict(type=_parse_ints, required=True),
+    "--box": dict(default="-3,3"),
+    "--res": dict(default="61"),
+    "--delta": dict(type=float, default=0.2),
+    "--density": dict(type=float, default=40.0),
+    "--seed": dict(type=int, default=0),
+    "--svg": dict(metavar="PATH"),
+    "--p": dict(type=int, required=True),
+    "--n": dict(type=int, required=True),
+    "--experiment": dict(required=True, choices=EXPERIMENTS),
+}
+IO = ("-i", "-o")
+SUBCOMMANDS = (
+    ("tropicalize", cmd_tropicalize, IO),
+    ("hypersurface", cmd_hypersurface, IO),
+    ("balance", cmd_balance, IO),
+    ("orbits", cmd_orbits, IO),
+    ("amoeba", cmd_amoeba, IO + ("--ms", "--box", "--res", "--seed", "--svg")),
+    ("dequantize", cmd_dequantize, IO + ("--ms", "--box", "--res", "--delta", "--seed")),
+    ("equidist", cmd_equidist, ("-o", "--ms", "--seed")),
+    ("refine", cmd_refine, IO),
+    ("add", cmd_add, IO),
+    ("bergman", cmd_bergman, ("-o", "--p", "--n")),
+    (
+        "converge",
+        cmd_converge,
+        IO + ("--experiment", "--ms", "--box", "--res", "--delta", "--density", "--seed", "--svg"),
+    ),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tropdyn",
         description="tropical geometry engine and powering-map dynamics harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, ms=False):
-        p.add_argument("-i", dest="inputs", action="append", metavar="PATH", help="input JSON")
-        p.add_argument("-o", dest="output", metavar="PATH", help="output artifact")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--box", default="-3,3")
-        p.add_argument("--res", default="61")
-        p.add_argument("--delta", type=float, default=0.2)
-        p.add_argument("--density", type=float, default=40.0)
-        p.add_argument("--svg", metavar="PATH")
-        if ms:
-            p.add_argument("--ms", type=_parse_ints, required=True)
-
-    for name, fn, ms in (
-        ("tropicalize", cmd_tropicalize, False),
-        ("hypersurface", cmd_hypersurface, False),
-        ("balance", cmd_balance, False),
-        ("orbits", cmd_orbits, False),
-        ("amoeba", cmd_amoeba, True),
-        ("dequantize", cmd_dequantize, True),
-        ("equidist", cmd_equidist, True),
-        ("refine", cmd_refine, False),
-        ("add", cmd_add, False),
-    ):
+    for name, fn, flags in SUBCOMMANDS:
         p = sub.add_parser(name)
-        common(p, ms=ms)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("bergman")
-    common(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_bergman)
-
-    p = sub.add_parser("converge")
-    common(p, ms=True)
-    p.add_argument(
-        "--experiment",
-        required=True,
-        choices=["hausdorff-to-tropical", "dequantization", "equidistribution-discrepancy"],
-    )
-    p.set_defaults(fn=cmd_converge)
     return parser
 
 

@@ -339,7 +339,8 @@ def amoeba_sample(
 # tropical support sampling and Hausdorff distances
 
 
-def _box_constraints(box):
+def box_constraints(box):
+    """The box as inequalities (a, b) meaning a.x >= b, exact in the bounds."""
     out = []
     for i, (lo, hi) in enumerate(box):
         e = tuple(1 if j == i else 0 for j in range(len(box)))
@@ -359,7 +360,7 @@ def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointClo
     n = C.ambient_dim
     if len(box) != n:
         raise DynamicsError("box dimension mismatch")
-    box_ineqs = _box_constraints(box)
+    box_ineqs = box_constraints(box)
     pts = []
     for cell, _ in C.cells:
         clipped = Polyhedron.from_constraints(
@@ -394,19 +395,27 @@ def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointClo
     return PointCloud(n, arr)
 
 
+def _nearest_distances(P, Q, chunk=256) -> np.ndarray:
+    """Euclidean distance from each row of P to the nearest row of Q.
+
+    Brute force over all pairs, chunk rows of P at a time, so memory stays
+    at chunk * len(Q) squared distances.
+    """
+    out = np.empty(len(P))
+    for start in range(0, len(P), chunk):
+        block = P[start:start + chunk]
+        d2 = np.sum((block[:, None, :] - Q[None, :, :]) ** 2, axis=2)
+        out[start:start + chunk] = np.sqrt(np.min(d2, axis=1))
+    return out
+
+
 def directed_hausdorff(A: PointCloud, B: PointCloud) -> float:
     """sup over a in A of the Euclidean distance from a to B."""
     if A.dim != B.dim:
         raise DynamicsError("dimension mismatch")
     if len(A) == 0 or len(B) == 0:
         raise DynamicsError("empty cloud")
-    worst = 0.0
-    pb = B.points
-    for start in range(0, len(A), 256):
-        chunk = A.points[start:start + 256]
-        d2 = np.sum((chunk[:, None, :] - pb[None, :, :]) ** 2, axis=2)
-        worst = max(worst, float(np.sqrt(np.max(np.min(d2, axis=1)))))
-    return worst
+    return float(np.max(_nearest_distances(A.points, B.points)))
 
 
 def hausdorff(A: PointCloud, B: PointCloud) -> float:
@@ -444,10 +453,11 @@ def dequantization_error(
 ) -> tuple[float, float]:
     """(sup, mean) of |(1/m) log|f(z^m)| - trop(f)(x)| over the admissible grid.
 
-    z_j = exp(-x_j + i theta_j) with seeded random phases; grid points within
-    the exclusion radius of the tropical hypersurface are skipped (the grid's
-    delta must be positive since trop(f) o Log is non-smooth on the set).
-    Near-zeros of f(z^m) are re-phased up to max_retries.
+    z_j = exp(-x_j + i theta_j) with seeded random phases.  The tropical
+    hypersurface is sampled at pitch delta/8, and grid points closer than
+    delta + delta/8 to that sample are skipped (the grid's delta must be
+    positive since trop(f) o Log is non-smooth on the set).  Near-zeros of
+    f(z^m) are re-phased up to max_retries.
     """
     if grid.delta <= 0:
         raise DynamicsError("dequantization grids need a positive exclusion radius")
@@ -461,13 +471,7 @@ def dequantization_error(
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     if len(support) > 0:
-        keep = np.ones(len(pts), dtype=bool)
-        sp = support.points
-        for start in range(0, len(pts), 256):
-            chunk = pts[start:start + 256]
-            d2 = np.sum((chunk[:, None, :] - sp[None, :, :]) ** 2, axis=2)
-            keep[start:start + 256] = np.sqrt(np.min(d2, axis=1)) >= grid.delta + pitch
-        pts = pts[keep]
+        pts = pts[_nearest_distances(pts, support.points) >= grid.delta + pitch]
     if len(pts) == 0:
         raise DynamicsError("no grid points outside the exclusion zone")
     rng = np.random.default_rng(seed)

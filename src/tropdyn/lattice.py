@@ -358,24 +358,3 @@ def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntV
     if (dot(ell, u) > 0) != (side > 0):
         u = vec_neg(u)
     return u
-
-
-def outward_generator(tau, sigma) -> IntVector:
-    """Outward generator u_{sigma/tau} for a codimension-one face tau of sigma.
-
-    ``tau`` and ``sigma`` are cones (any objects exposing ``rays``,
-    ``lineality``, ``dim``, ``relint_point()`` and ``facet_keys()``/``key`` as
-    the polyhedra module's Cone does).  The class of the returned integer
-    vector generates (Z^n cap H_sigma)/(Z^n cap H_tau) and points from H_tau
-    into sigma.
-    """
-    if tau.dim != sigma.dim - 1:
-        raise LatticeError("tau is not a codimension-one face of sigma")
-    if tau.key not in sigma.facet_keys():
-        raise LatticeError("tau is not a face of sigma")
-    sigma_dirs = list(sigma.rays) + list(sigma.lineality)
-    tau_dirs = list(tau.rays) + list(tau.lineality)
-    sigma_basis = saturate_and_complete(sigma_dirs).sublattice_basis
-    tau_basis = saturate_and_complete(tau_dirs).sublattice_basis if tau_dirs else ()
-    sample = vec_sub(sigma.relint_point(), tau.relint_point())
-    return quotient_outward_generator(tau_basis, sigma_basis, sample)

@@ -1,16 +1,18 @@
-"""Exact rational polyhedral geometry: cones, fans, cells, weighted complexes.
+"""Exact rational polyhedral geometry: polyhedra, cones, fans, weighted complexes.
 
 All combinatorics run over exact arithmetic (Python ints plus Fractions for
-vertices), so tie decisions never depend on rounding.  V- and H-descriptions
-are kept canonical: extreme rays are primitive and reduced modulo the
-lineality space by orthogonal projection, lineality lattices are stored in
-Hermite normal form, vertices are sorted Fractions.  Equal sets therefore
-compare equal as tuples.
+vertices), so tie decisions never depend on rounding.  There is one polyhedron
+type: a `Cone` is the `Polyhedron` whose only vertex is the origin.  V- and
+H-descriptions are kept canonical: extreme rays are primitive and reduced
+modulo the lineality space by orthogonal projection, lineality lattices are
+stored in Hermite normal form, vertices are sorted Fractions.  Equal sets
+therefore compare equal as tuples.
 
 Conversions between descriptions use brute-force extreme-ray enumeration
 (kernels of row subsets via signed maximal minors), exact and comfortably
-fast for the ambient dimensions this engine supports (<= MAX_AMBIENT_DIM;
-affine cells are homogenised one dimension higher internally).
+fast for the ambient dimensions this engine supports (<= MAX_AMBIENT_DIM).
+Cones are converted in their ambient dimension; other polyhedra are
+homogenised one dimension higher.
 """
 
 from __future__ import annotations
@@ -132,12 +134,21 @@ def _project_off(v, lin):
     )
 
 
+def _integral(v):
+    """A rational vector times the lcm of its denominators: an integer vector."""
+    v = [Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(int(x * den) for x in v)
+
+
 def _frac_primitive(v):
     """Primitive integer vector with the direction of a rational vector."""
-    den = 1
-    for x in v:
-        den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
-    return primitive(tuple(int(Fraction(x) * den) for x in v))[0]
+    return primitive(_integral(v))[0]
+
+
+def _signed(vectors, both_signs):
+    """The vectors, then each of both_signs (equations, lineality) with both signs."""
+    return list(vectors) + list(both_signs) + [vec_neg(v) for v in both_signs]
 
 
 def _pointed_extreme_rays(rows, d):
@@ -201,6 +212,20 @@ def _h_cone_generators(normals, dim):
     return tuple(sorted(set(rays))), lin
 
 
+def _canonical(rows, d, is_empty=None):
+    """Both canonical descriptions of the cone {x in R^d : r . x >= 0 for r in rows}.
+
+    H -> V, then V -> H from the canonical generators: returns
+    ((rays, lineality), (normals, equation normals)).  By duality, rows that
+    are generators instead of normals give the H-description first.  When
+    is_empty accepts the rays, None comes back before the second conversion.
+    """
+    rays, lin = _h_cone_generators(rows, d)
+    if is_empty is not None and is_empty(rays):
+        return None
+    return (rays, lin), _h_cone_generators(_signed(rays, lin), d)
+
+
 def _vrep_dim(vertices, rays, lineality):
     if not vertices and not rays and not lineality:
         return -1
@@ -241,133 +266,267 @@ def _vrep_direction_basis(vertices, rays, lineality):
     return saturate_and_complete(vecs).sublattice_basis
 
 
+def _face_data_of(vertices, rays, lineality, parent_ineqs):
+    """Codim-one faces of a face given by active V-data, cut by the parent's inequalities.
+
+    Returns the V-data keys (vertices, rays, lineality) of those faces.  The
+    V-data of a face is a subset of the parent's canonical generators, so it
+    is canonical too.
+    """
+    out = {}
+    p = _vrep_dim(vertices, rays, lineality)
+    for a, b in parent_ineqs:
+        verts = tuple(v for v in vertices if dot(a, v) == b)
+        rs = tuple(r for r in rays if dot(a, r) == 0)
+        if not verts or (verts, rs) == (vertices, rays):
+            continue
+        if _vrep_dim(verts, rs, lineality) != p - 1:
+            continue
+        out[(verts, rs, lineality)] = True
+    return list(out)
+
+
 # ---------------------------------------------------------------------------
-# cones and fans
+# rational polyhedra and cones
 
 
-class Cone:
-    """Rational polyhedral cone with canonical generator and facet data."""
+class Polyhedron:
+    """Rational polyhedron with canonical H- and V-descriptions.
 
-    def __init__(self, ambient_dim, rays, lineality, ineq_normals, eq_normals):
+    eqs and ineqs are (normal, rhs) pairs of integers meaning a.x = b and
+    a.x >= b.  vertices are Fraction tuples; rays and lineality are primitive
+    integer tuples, rays reduced modulo the lineality space.
+    """
+
+    def __init__(self, ambient_dim, eqs, ineqs, vertices, rays, lineality):
         self.ambient_dim = ambient_dim
+        self.eqs = eqs
+        self.ineqs = ineqs
+        self.vertices = vertices
         self.rays = rays
         self.lineality = lineality
-        self.ineq_normals = ineq_normals
-        self.eq_normals = eq_normals
-        self.key = (ambient_dim, rays, lineality)
+        self.key = (ambient_dim, vertices, rays, lineality)
         self._dim = None
-        self._facets = None
+        self._dirs = None
+        self._faces = None
+
+    # -- construction
 
     @classmethod
-    def from_generators(cls, generators, ambient_dim=None, lineality=()):
-        gens = []
-        for g in generators:
-            g = tuple(int(x) for x in g)
-            if not is_zero_vector(g):
-                gens.append(primitive(g)[0])
-        for l in lineality:
-            l = tuple(int(x) for x in l)
-            if not is_zero_vector(l):
-                gens.append(primitive(l)[0])
-                gens.append(primitive(vec_neg(l))[0])
-        if ambient_dim is None:
-            if not gens:
-                raise PolyhedralError("ambient dimension required for the zero cone")
-            ambient_dim = len(gens[0])
-        if any(len(g) != ambient_dim for g in gens):
-            raise PolyhedralError("mixed ambient dimensions")
-        ineqs, eqs = _h_cone_generators(gens, ambient_dim)
-        normals = list(ineqs) + list(eqs) + [vec_neg(e) for e in eqs]
-        rays, lin = _h_cone_generators(normals, ambient_dim)
-        return cls(ambient_dim, rays, lin, ineqs, eqs)
+    def from_constraints(cls, ambient_dim, eqs=(), ineqs=()):
+        if ambient_dim > MAX_AMBIENT_DIM:
+            raise PolyhedralError("ambient dimension unsupported")
+        n = ambient_dim
+        rows = [_frac_primitive((*a, -Fraction(b))) for a, b in ineqs]
+        rows.append(tuple([0] * n + [1]))  # t >= 0
+        eq_rows = [_frac_primitive((*a, -Fraction(b))) for a, b in eqs]
+        canon = _canonical(
+            _signed(rows, eq_rows), n + 1, is_empty=lambda rays: all(r[n] == 0 for r in rays)
+        )
+        if canon is None:
+            return cls._empty(n)
+        vrep, hrep = canon
+        return cls._dehomogenise(n, vrep, hrep)
 
     @classmethod
-    def from_constraints(cls, ineq_normals, eq_normals, ambient_dim):
-        normals = list(ineq_normals) + list(eq_normals) + [vec_neg(e) for e in eq_normals]
-        rays, lin = _h_cone_generators(normals, ambient_dim)
-        return cls.from_generators(rays, ambient_dim, lineality=lin)
+    def from_generators(cls, ambient_dim, vertices=(), rays=(), lineality=()):
+        if ambient_dim > MAX_AMBIENT_DIM:
+            raise PolyhedralError("ambient dimension unsupported")
+        if not vertices:
+            return cls._empty(ambient_dim)
+        gens = [_integral((*v, 1)) for v in vertices]
+        gens += [tuple(int(x) for x in r) + (0,) for r in rays]
+        lin = [tuple(int(x) for x in l) + (0,) for l in lineality]
+        hrep, vrep = _canonical(_signed(gens, lin), ambient_dim + 1)
+        return cls._dehomogenise(ambient_dim, vrep, hrep)
+
+    @classmethod
+    def _empty(cls, ambient_dim):
+        zero = tuple([0] * ambient_dim)
+        return cls(ambient_dim, ((zero, 1),), (), (), (), ())
+
+    @classmethod
+    def _dehomogenise(cls, n, vrep, hrep):
+        """P from the canonical descriptions of its homogenisation (last coordinate t)."""
+        (rays_h, lin_h), (ineq_h, eq_h) = vrep, hrep
+        if any(l[n] != 0 for l in lin_h):
+            raise PolyhedralError("unbounded homogenising coordinate")
+        vertices = tuple(
+            sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays_h if r[n] > 0)
+        )
+        rec_rays = tuple(sorted(r[:n] for r in rays_h if r[n] == 0))
+        lineality = tuple(l[:n] for l in lin_h)
+        ineqs = [(a[:n], -a[n]) for a in ineq_h if not is_zero_vector(a[:n])]  # drops t >= 0
+        eqs = []
+        for a in eq_h:
+            if is_zero_vector(a[:n]):
+                if a[n] != 0:
+                    raise PolyhedralError("inconsistent homogenisation")
+                continue
+            eqs.append((a[:n], -a[n]))
+        return cls(n, tuple(sorted(eqs)), tuple(sorted(ineqs)), vertices, rec_rays, lineality)
+
+    # -- queries
+
+    @property
+    def is_empty(self):
+        return not self.vertices
 
     @property
     def dim(self):
         if self._dim is None:
-            vecs = list(self.rays) + list(self.lineality)
-            self._dim = rank_int(vecs) if vecs else 0
+            self._dim = _vrep_dim(self.vertices, self.rays, self.lineality)
         return self._dim
 
-    @property
-    def is_pointed(self):
-        return not self.lineality
-
-    def contains(self, v):
-        return all(dot(e, v) == 0 for e in self.eq_normals) and all(
-            dot(a, v) >= 0 for a in self.ineq_normals
-        )
+    def direction_basis(self):
+        """Saturated integer basis of the linear space parallel to aff(P)."""
+        if self._dirs is None:
+            self._dirs = _vrep_direction_basis(self.vertices, self.rays, self.lineality)
+        return self._dirs
 
     def relint_point(self):
-        n = self.ambient_dim
-        pt = [0] * n
-        for r in self.rays:
-            for i in range(n):
-                pt[i] += r[i]
-        return tuple(pt)
+        if self.is_empty:
+            raise PolyhedralError("empty polyhedron has no relative interior")
+        return _vrep_relint(self.vertices, self.rays)
+
+    def contains(self, x):
+        return all(dot(a, x) == b for a, b in self.eqs) and all(
+            dot(a, x) >= b for a, b in self.ineqs
+        )
+
+    def vkey(self):
+        return (self.vertices, self.rays, self.lineality)
+
+    def face_vkeys(self):
+        """V-data keys of all faces (the polyhedron itself included)."""
+        if self._faces is None:
+            seen = {self.vkey()}
+            frontier = [self.vkey()]
+            while frontier:
+                nxt = []
+                for k in frontier:
+                    for sub in _face_data_of(*k, self.ineqs):
+                        if sub not in seen:
+                            seen.add(sub)
+                            nxt.append(sub)
+                frontier = nxt
+            self._faces = seen
+        return self._faces
+
+    def _face(self, vertices, rays):
+        """The face with these canonical generators, as the same kind of object."""
+        return Polyhedron.from_generators(
+            self.ambient_dim, vertices=vertices, rays=rays, lineality=self.lineality
+        )
 
     def facets(self):
-        """Codimension-one faces; the rays of a facet are the inactive rays dropped."""
-        if self._facets is None:
-            out = {}
-            for a in self.ineq_normals:
-                sub = [r for r in self.rays if dot(a, r) == 0]
-                f = Cone.from_generators(sub, self.ambient_dim, lineality=self.lineality)
-                if f.dim == self.dim - 1:
-                    out[f.key] = f
-            self._facets = tuple(out.values())
-        return self._facets
-
-    def facet_keys(self):
-        return {f.key for f in self.facets()}
+        return [self._face(v, r) for v, r, _ in _face_data_of(*self.vkey(), self.ineqs)]
 
     def faces(self):
-        """All faces including the cone itself (and its minimal face)."""
-        seen = {self.key: self}
-        frontier = [self]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for f in c.facets():
-                    if f.key not in seen:
-                        seen[f.key] = f
-                        nxt.append(f)
-            frontier = nxt
-        return sorted(seen.values(), key=lambda c: (-c.dim, c.key))
+        """All faces, the polyhedron itself included, by decreasing dimension then key."""
+        return _faces_of([self])
 
-    def contains_cone(self, other):
-        gens = list(other.rays) + list(other.lineality) + [vec_neg(l) for l in other.lineality]
-        return all(self.contains(g) for g in gens)
+    def intersect(self, other):
+        if self.ambient_dim != other.ambient_dim:
+            raise PolyhedralError("mixed ambient dimensions")
+        if isinstance(self, Cone) and isinstance(other, Cone):  # stays in dimension n
+            return Cone.from_constraints(
+                self.ineq_normals + other.ineq_normals,
+                self.eq_normals + other.eq_normals,
+                self.ambient_dim,
+            )
+        return Polyhedron.from_constraints(
+            self.ambient_dim, eqs=self.eqs + other.eqs, ineqs=self.ineqs + other.ineqs
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Cone) and self.key == other.key
+        return isinstance(other, Polyhedron) and self.key == other.key
 
     def __hash__(self):
         return hash(self.key)
 
     def __repr__(self):
-        return f"Cone(rays={list(self.rays)}, lineality={list(self.lineality)})"
+        if self.is_empty:
+            return "Polyhedron(empty)"
+        return (
+            f"{type(self).__name__}(vertices={list(self.vertices)}, rays={list(self.rays)},"
+            f" lineality={list(self.lineality)})"
+        )
 
 
-def dual_description(generators, ambient_dim=None) -> Cone:
-    """Cone spanned by the generators, with both descriptions computed.
+class Cone(Polyhedron):
+    """Rational polyhedral cone: the Polyhedron whose only vertex is the origin.
 
-    The inequality description has primitive integer normals; a line among the
-    generators shows up as lineality plus an equation pair.
+    Its descriptions are computed in the ambient dimension itself, without
+    homogenising; every equation and inequality has right-hand side 0.
     """
-    gens = [tuple(int(x) for x in g) for g in generators]
-    if ambient_dim is None:
-        if not gens:
-            raise PolyhedralError("ambient dimension required")
-        ambient_dim = len(gens[0])
-    if ambient_dim > MAX_AMBIENT_DIM:
-        raise PolyhedralError("ambient dimension unsupported")
-    return Cone.from_generators(gens, ambient_dim)
+
+    @classmethod
+    def from_generators(cls, generators, ambient_dim=None, lineality=()):
+        gens = [primitive(g)[0] for g in generators if not is_zero_vector(g)]
+        lin = [primitive(l)[0] for l in lineality if not is_zero_vector(l)]
+        if ambient_dim is None:
+            if not gens and not lin:
+                raise PolyhedralError("ambient dimension required for the zero cone")
+            ambient_dim = len((gens + lin)[0])
+        if ambient_dim > MAX_AMBIENT_DIM:
+            raise PolyhedralError("ambient dimension unsupported")
+        if any(len(g) != ambient_dim for g in gens + lin):
+            raise PolyhedralError("mixed ambient dimensions")
+        hrep, vrep = _canonical(_signed(gens, lin), ambient_dim)
+        return cls._through_origin(ambient_dim, vrep, hrep)
+
+    @classmethod
+    def from_constraints(cls, ineq_normals, eq_normals, ambient_dim):
+        vrep, hrep = _canonical(_signed(ineq_normals, eq_normals), ambient_dim)
+        return cls._through_origin(ambient_dim, vrep, hrep)
+
+    @classmethod
+    def _through_origin(cls, n, vrep, hrep):
+        (rays, lin), (normals, eq_normals) = vrep, hrep
+        eqs = tuple(sorted((a, 0) for a in eq_normals))
+        ineqs = tuple(sorted((a, 0) for a in normals))
+        return cls(n, eqs, ineqs, (tuple([Fraction(0)] * n),), rays, lin)
+
+    @property
+    def ineq_normals(self):
+        return tuple(a for a, _ in self.ineqs)
+
+    @property
+    def eq_normals(self):
+        return tuple(a for a, _ in self.eqs)
+
+    @property
+    def is_pointed(self):
+        return not self.lineality
+
+    def _face(self, vertices, rays):
+        return Cone.from_generators(rays, self.ambient_dim, lineality=self.lineality)
+
+
+def _faces_of(members):
+    """Every face of the members, each built once, by decreasing dimension then key."""
+    owners = {}
+    for P in members:
+        for k in P.face_vkeys():
+            owners.setdefault(k, P)
+    faces = [P if k == P.vkey() else P._face(*k[:2]) for k, P in owners.items()]
+    return sorted(faces, key=lambda f: (-f.dim, f.key))
+
+
+def _check_common_faces(members, kind):
+    """Raise unless every two members are disjoint or meet in a common face."""
+    for P, Q in itertools.combinations(members, 2):
+        inter = P.intersect(Q)
+        if inter.is_empty:
+            continue
+        k = inter.vkey()
+        if k not in P.face_vkeys() or k not in Q.face_vkeys():
+            raise PolyhedralError(f"{kind} do not intersect in a common face")
+
+
+# ---------------------------------------------------------------------------
+# fans
 
 
 class Fan:
@@ -380,7 +539,7 @@ class Fan:
         self.ambient_dim = ambient_dim
         self.maximal_cones = tuple(sorted(maximal_cones, key=lambda c: c.key))
         if validate:
-            self._validate()
+            _check_common_faces(self.maximal_cones, "cones")
 
     @classmethod
     def from_cones(cls, cones, ambient_dim=None, validate=True):
@@ -391,34 +550,17 @@ class Fan:
             ambient_dim = cones[0].ambient_dim
         if any(c.ambient_dim != ambient_dim for c in cones):
             raise PolyhedralError("mixed ambient dimensions")
-        dedup = {c.key: c for c in cones}
-        cones = list(dedup.values())
-        maximal = [
-            c
-            for c in cones
-            if not any(o is not c and o.contains_cone(c) for o in cones)
-        ]
-        return cls(maximal, ambient_dim, validate=validate)
+        cones = list({c.key: c for c in cones}.values())
 
-    def _validate(self):
-        for c1, c2 in itertools.combinations(self.maximal_cones, 2):
-            inter = Cone.from_constraints(
-                tuple(c1.ineq_normals) + tuple(c2.ineq_normals),
-                tuple(c1.eq_normals) + tuple(c2.eq_normals),
-                self.ambient_dim,
-            )
-            keys1 = {f.key for f in c1.faces()}
-            keys2 = {f.key for f in c2.faces()}
-            if inter.key not in keys1 or inter.key not in keys2:
-                raise PolyhedralError("cones do not intersect in a common face")
+        def inside(c, o):
+            return all(o.contains(g) for g in _signed(c.rays, c.lineality))
+
+        maximal = [c for c in cones if not any(o is not c and inside(c, o) for o in cones)]
+        return cls(maximal, ambient_dim, validate=validate)
 
     def all_cones(self):
         """Face closure, sorted by decreasing dimension then key."""
-        seen = {}
-        for c in self.maximal_cones:
-            for f in c.faces():
-                seen[f.key] = f
-        return sorted(seen.values(), key=lambda c: (-c.dim, c.key))
+        return _faces_of(self.maximal_cones)
 
     def cones_of_dim(self, d):
         return [c for c in self.all_cones() if c.dim == d]
@@ -443,16 +585,7 @@ def common_refinement(A: Fan, B: Fan) -> Fan:
         raise PolyhedralError("mismatched ambient dimensions")
     if A.ambient_dim > MAX_AMBIENT_DIM:
         raise PolyhedralError("ambient dimension unsupported")
-    pieces = []
-    for c1 in A.maximal_cones:
-        for c2 in B.maximal_cones:
-            pieces.append(
-                Cone.from_constraints(
-                    tuple(c1.ineq_normals) + tuple(c2.ineq_normals),
-                    tuple(c1.eq_normals) + tuple(c2.eq_normals),
-                    A.ambient_dim,
-                )
-            )
+    pieces = [c1.intersect(c2) for c1 in A.maximal_cones for c2 in B.maximal_cones]
     return Fan.from_cones(pieces, A.ambient_dim, validate=False)
 
 
@@ -486,11 +619,11 @@ def is_complete(F: Fan) -> bool:
         return False
     owners = {}
     for idx, c in enumerate(full):
-        for f in c.facets():
-            owners.setdefault(f.key, []).append(idx)
-    for c in F.all_cones():
-        if c.dim == n - 1 and len(owners.get(c.key, ())) != 2:
-            return False
+        for k in _face_data_of(*c.vkey(), c.ineqs):
+            owners.setdefault(k, []).append(idx)
+    ridges = {k for c in F.maximal_cones for k in c.face_vkeys() if _vrep_dim(*k) == n - 1}
+    if any(len(owners.get(k, ())) != 2 for k in ridges):
+        return False
     if any(len(v) != 2 for v in owners.values()):
         return False
     # facet connectivity
@@ -509,255 +642,6 @@ def is_complete(F: Fan) -> bool:
                     nxt.append(j)
         frontier = nxt
     return len(seen) == len(full)
-
-
-# ---------------------------------------------------------------------------
-# general rational polyhedra (cells of weighted complexes)
-
-
-class Polyhedron:
-    """Rational polyhedron with canonical H- and V-descriptions.
-
-    eqs and ineqs are (normal, rhs) pairs of integers meaning a.x = b and
-    a.x >= b.  vertices are Fraction tuples; rays and lineality are primitive
-    integer tuples, rays reduced modulo the lineality space.
-    """
-
-    def __init__(self, ambient_dim, eqs, ineqs, vertices, rays, lineality):
-        self.ambient_dim = ambient_dim
-        self.eqs = eqs
-        self.ineqs = ineqs
-        self.vertices = vertices
-        self.rays = rays
-        self.lineality = lineality
-        self.key = (ambient_dim, vertices, rays, lineality)
-        self._dim = None
-        self._dirs = None
-        self._faces = None
-
-    # -- construction
-
-    @staticmethod
-    def _homogenize(a, b):
-        """(a, b) with rational entries -> primitive integer row (a | -b)."""
-
-        row = [Fraction(x) for x in a] + [-Fraction(b)]
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        return primitive(tuple(int(x * den) for x in row))[0]
-
-    @classmethod
-    def from_constraints(cls, ambient_dim, eqs=(), ineqs=()):
-        if ambient_dim > MAX_AMBIENT_DIM:
-            raise PolyhedralError("ambient dimension unsupported")
-        rows = []
-        for a, b in eqs:
-            r = cls._homogenize(a, b)
-            rows.append(r)
-            rows.append(vec_neg(r))
-        for a, b in ineqs:
-            rows.append(cls._homogenize(a, b))
-        return cls._from_hrows(ambient_dim, rows)
-
-    @classmethod
-    def from_generators(cls, ambient_dim, vertices=(), rays=(), lineality=()):
-        if ambient_dim > MAX_AMBIENT_DIM:
-            raise PolyhedralError("ambient dimension unsupported")
-
-        gens = []
-        for v in vertices:
-            row = [Fraction(x) for x in v] + [Fraction(1)]
-            den = 1
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-            gens.append(tuple(int(x * den) for x in row))
-        for r in rays:
-            gens.append(tuple(int(x) for x in r) + (0,))
-        for l in lineality:
-            row = tuple(int(x) for x in l) + (0,)
-            gens.append(row)
-            gens.append(vec_neg(row))
-        if not gens:
-            return cls._empty(ambient_dim)
-        ineq_h, eq_h = _h_cone_generators(gens, ambient_dim + 1)
-        rows = list(ineq_h) + list(eq_h) + [vec_neg(e) for e in eq_h]
-        return cls._from_hrows(ambient_dim, rows)
-
-    @classmethod
-    def _empty(cls, ambient_dim):
-        zero = tuple([0] * ambient_dim)
-        return cls(ambient_dim, ((zero, 1),), (), (), (), ())
-
-    @classmethod
-    def _from_hrows(cls, n, rows):
-        t_row = tuple([0] * n + [1])
-        rays_h, lin_h = _h_cone_generators(list(rows) + [t_row], n + 1)
-        vertices = []
-        rec_rays = []
-        for r in rays_h:
-            if r[n] > 0:
-                vertices.append(tuple(Fraction(x, r[n]) for x in r[:n]))
-            elif r[n] == 0:
-                rec_rays.append(r[:n])
-            else:  # pragma: no cover - t >= 0 is enforced above
-                raise PolyhedralError("negative homogenising coordinate")
-        if not vertices:
-            return cls._empty(n)
-        lineality = []
-        for l in lin_h:
-            if l[n] != 0:
-                raise PolyhedralError("unbounded homogenising coordinate")
-            lineality.append(l[:n])
-        lineality = hnf_basis(lineality)
-        vertices = tuple(sorted(vertices))
-        rec_rays = tuple(sorted(rec_rays))
-        # canonical H-description from the canonical generators
-
-        gens = []
-        for v in vertices:
-            row = list(v) + [Fraction(1)]
-            den = 1
-            for x in row:
-                den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
-            gens.append(tuple(int(Fraction(x) * den) for x in row))
-        for r in rec_rays:
-            gens.append(tuple(r) + (0,))
-        for l in lineality:
-            gens.append(tuple(l) + (0,))
-            gens.append(vec_neg(tuple(l) + (0,)))
-        ineq_h, eq_h = _h_cone_generators(gens, n + 1)
-        eqs = []
-        ineqs = []
-        for a in ineq_h:
-            head, c = a[:n], a[n]
-            if is_zero_vector(head):
-                continue  # the t >= 0 facet
-            ineqs.append((head, -c))
-        for a in eq_h:
-            head, c = a[:n], a[n]
-            if is_zero_vector(head):
-                if c != 0:
-                    raise PolyhedralError("inconsistent homogenisation")
-                continue
-            eqs.append((head, -c))
-        return cls(n, tuple(sorted(eqs)), tuple(sorted(ineqs)), vertices, rec_rays, lineality)
-
-    @classmethod
-    def cone_cell(cls, rays, ambient_dim, lineality=()):
-        """Cone through the origin as a cell (single zero vertex)."""
-        zero = tuple([Fraction(0)] * ambient_dim)
-        return cls.from_generators(ambient_dim, vertices=(zero,), rays=rays, lineality=lineality)
-
-    @classmethod
-    def from_cone(cls, cone: Cone):
-        return cls.cone_cell(cone.rays, cone.ambient_dim, lineality=cone.lineality)
-
-    # -- queries
-
-    @property
-    def is_empty(self):
-        return not self.vertices
-
-    @property
-    def dim(self):
-        if self._dim is None:
-            self._dim = _vrep_dim(self.vertices, self.rays, self.lineality)
-        return self._dim
-
-    def direction_basis(self):
-        """Saturated integer basis of the linear space parallel to aff(P)."""
-        if self._dirs is None:
-            self._dirs = _vrep_direction_basis(self.vertices, self.rays, self.lineality)
-        return self._dirs
-
-    def relint_point(self):
-        if self.is_empty:
-            raise PolyhedralError("empty polyhedron has no relative interior")
-        return _vrep_relint(self.vertices, self.rays)
-
-    def contains(self, x):
-        return all(dot(a, x) == b for a, b in self.eqs) and all(
-            dot(a, x) >= b for a, b in self.ineqs
-        )
-
-    def facet_data(self):
-        """V-data (vertices, rays) of each codimension-one face, without building it."""
-        out = {}
-        p = self.dim
-        for a, b in self.ineqs:
-            verts = tuple(v for v in self.vertices if dot(a, v) == b)
-            rays = tuple(r for r in self.rays if dot(a, r) == 0)
-            if not verts:
-                continue
-            if _vrep_dim(verts, rays, self.lineality) != p - 1:
-                continue
-            out[(verts, rays, self.lineality)] = (verts, rays)
-        return out
-
-    def facets(self):
-        return [
-            Polyhedron.from_generators(self.ambient_dim, vertices=v, rays=r, lineality=self.lineality)
-            for v, r in self.facet_data().values()
-        ]
-
-    def face_vkeys(self):
-        """V-data keys of all faces (the polyhedron itself included)."""
-        if self._faces is None:
-            seen = {(self.vertices, self.rays, self.lineality)}
-            frontier = [(self.vertices, self.rays)]
-            while frontier:
-                nxt = []
-                for verts, rays in frontier:
-                    sub = _face_data_of(verts, rays, self.lineality, self.ineqs)
-                    for k, vr in sub.items():
-                        if k not in seen:
-                            seen.add(k)
-                            nxt.append(vr)
-                frontier = nxt
-            self._faces = seen
-        return self._faces
-
-    def vkey(self):
-        return (self.vertices, self.rays, self.lineality)
-
-    def intersect(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise PolyhedralError("mixed ambient dimensions")
-        return Polyhedron.from_constraints(
-            self.ambient_dim,
-            eqs=tuple(self.eqs) + tuple(other.eqs),
-            ineqs=tuple(self.ineqs) + tuple(other.ineqs),
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Polyhedron) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        if self.is_empty:
-            return "Polyhedron(empty)"
-        return (
-            f"Polyhedron(vertices={list(self.vertices)}, rays={list(self.rays)},"
-            f" lineality={list(self.lineality)})"
-        )
-
-
-def _face_data_of(vertices, rays, lineality, parent_ineqs):
-    """Codim-one faces of a face given by active V-data, cut by the parent's inequalities."""
-    out = {}
-    p = _vrep_dim(vertices, rays, lineality)
-    for a, b in parent_ineqs:
-        verts = tuple(v for v in vertices if dot(a, v) == b)
-        rs = tuple(r for r in rays if dot(a, r) == 0)
-        if not verts or (verts, rs) == (vertices, rays):
-            continue
-        if _vrep_dim(verts, rs, lineality) != p - 1:
-            continue
-        out[(verts, rs, lineality)] = (verts, rs)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -787,23 +671,12 @@ class WeightedComplex:
         self.dim = dim
         self.cells = tuple(kept)
         if validate:
-            self._validate()
+            _check_common_faces([c for c, _ in self.cells], "cells")
 
     @classmethod
     def from_cone_cells(cls, ambient_dim, dim, ray_weight_pairs, validate=True):
-        cells = [
-            (Polyhedron.cone_cell(rays, ambient_dim), w) for rays, w in ray_weight_pairs
-        ]
+        cells = [(Cone.from_generators(rays, ambient_dim), w) for rays, w in ray_weight_pairs]
         return cls(ambient_dim, dim, cells, validate=validate)
-
-    def _validate(self):
-        for (c1, _), (c2, _) in itertools.combinations(self.cells, 2):
-            inter = c1.intersect(c2)
-            if inter.is_empty:
-                continue
-            k = inter.vkey()
-            if k not in c1.face_vkeys() or k not in c2.face_vkeys():
-                raise PolyhedralError("cells do not intersect in a common face")
 
     @property
     def is_empty(self):
@@ -853,15 +726,15 @@ def check_balancing(C: WeightedComplex) -> BalancingReport:
         raise PolyhedralError("expected a WeightedComplex")
     groups = {}
     for cell, w in C.cells:
-        for k, (verts, rays) in cell.facet_data().items():
-            groups.setdefault(k, []).append((cell, w, verts, rays))
+        for k in _face_data_of(*cell.vkey(), cell.ineqs):
+            groups.setdefault(k, []).append((cell, w))
     violations = []
     n = C.ambient_dim
     for (verts, rays, lin), incident in sorted(groups.items()):
         tau_dirs = _vrep_direction_basis(verts, rays, lin)
         tau_pt = _vrep_relint(verts, rays)
         total = [0] * n
-        for cell, w, _, _ in incident:
+        for cell, w in incident:
             sample = vec_sub(cell.relint_point(), tau_pt)
             u = quotient_outward_generator(tau_dirs, cell.direction_basis(), sample)
             for i in range(n):

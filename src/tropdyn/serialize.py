@@ -33,6 +33,13 @@ def _frac_parse(s) -> Fraction:
     return Fraction(s)
 
 
+def _field(obj, key, what):
+    """obj[key], or a SchemaError naming the missing key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SchemaError(f"{what} needs a '{key}' field")
+    return obj[key]
+
+
 # -- cones and fans
 
 
@@ -44,9 +51,7 @@ def cone_to_json(c: Cone) -> dict:
 
 
 def cone_from_json(obj, ambient_dim=None) -> Cone:
-    if "rays" not in obj:
-        raise SchemaError("cone object needs a 'rays' field")
-    rays = [tuple(int(x) for x in r) for r in obj["rays"]]
+    rays = [tuple(int(x) for x in r) for r in _field(obj, "rays", "cone object")]
     lineality = [tuple(int(x) for x in l) for l in obj.get("lineality", [])]
     if ambient_dim is None:
         if rays:
@@ -91,6 +96,7 @@ def _cell_to_json(cell: Polyhedron, weight: int) -> dict:
 
 
 def _cell_from_json(obj, ambient_dim) -> tuple[Polyhedron, int]:
+    weight = int(_field(obj, "weight", "cycle cell"))
     rays = [tuple(int(x) for x in r) for r in obj.get("rays", [])]
     lineality = [tuple(int(x) for x in l) for l in obj.get("lineality", [])]
     if "vertices" in obj:
@@ -100,7 +106,7 @@ def _cell_from_json(obj, ambient_dim) -> tuple[Polyhedron, int]:
     cell = Polyhedron.from_generators(
         ambient_dim, vertices=vertices, rays=rays, lineality=lineality
     )
-    return cell, int(obj["weight"])
+    return cell, weight
 
 
 def cycle_to_json(C: WeightedComplex, extra: dict | None = None) -> dict:
@@ -115,12 +121,9 @@ def cycle_to_json(C: WeightedComplex, extra: dict | None = None) -> dict:
 
 
 def cycle_from_json(obj) -> WeightedComplex:
-    for field in ("ambient_dim", "dim", "cells"):
-        if field not in obj:
-            raise SchemaError(f"weighted complex needs a '{field}' field")
-    n = int(obj["ambient_dim"])
-    cells = [_cell_from_json(c, n) for c in obj["cells"]]
-    return WeightedComplex(n, int(obj["dim"]), cells)
+    n, dim, cells = (_field(obj, f, "weighted complex") for f in ("ambient_dim", "dim", "cells"))
+    n = int(n)
+    return WeightedComplex(n, int(dim), [_cell_from_json(c, n) for c in cells])
 
 
 # -- polynomials
@@ -139,7 +142,8 @@ def tropical_poly_from_json(obj) -> TropicalPolynomial:
         raise SchemaError("tropical polynomial needs a nonempty 'terms' list")
     terms = {}
     for t in obj["terms"]:
-        terms[tuple(int(x) for x in t["exp"])] = float(t["coeff"])
+        exp = _field(t, "exp", "tropical polynomial term")
+        terms[tuple(int(x) for x in exp)] = float(_field(t, "coeff", "tropical polynomial term"))
     return TropicalPolynomial(terms)
 
 
@@ -156,7 +160,9 @@ def complex_poly_from_json(obj) -> ComplexPolynomial:
         raise SchemaError("complex polynomial needs a nonempty 'terms' list")
     terms = {}
     for t in obj["terms"]:
-        terms[tuple(int(x) for x in t["exp"])] = complex(float(t["re"]), float(t.get("im", 0.0)))
+        exp = _field(t, "exp", "complex polynomial term")
+        re = float(_field(t, "re", "complex polynomial term"))
+        terms[tuple(int(x) for x in exp)] = complex(re, float(t.get("im", 0.0)))
     return ComplexPolynomial(terms)
 
 

@@ -224,6 +224,41 @@ def test_domain_error_exit_one(tmp_path, capsys):
     assert "tropdyn:" in capsys.readouterr().err
 
 
+MISSING_KEY_CASES = {
+    "weight": ("balance", {"ambient_dim": 2, "dim": 1, "cells": [{"rays": [[1, 0]]}]}),
+    "exp": ("hypersurface", {"terms": [{"coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}]}),
+    "coeff": ("hypersurface", {"terms": [{"exp": [1, 0], "coeff": 0.0}, {"exp": [0, 1]}]}),
+    "re": ("tropicalize", {"terms": [{"exp": [1, 0], "im": 1.0}]}),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISSING_KEY_CASES))
+def test_missing_key_exit_one(tmp_path, capsys, key):
+    command, obj = MISSING_KEY_CASES[key]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert run([command, "-i", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("tropdyn:")
+    assert f"'{key}'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hypersurface", "--density", "3"],
+        ["hypersurface", "--svg", "x.svg"],
+        ["orbits", "--seed", "1"],
+        ["equidist", "--ms", "8", "-i", "x.json"],
+        ["bergman", "--p", "1", "--n", "2", "--ms", "4"],
+        ["dequantize", "--ms", "4", "--svg", "x.svg"],
+        ["amoeba", "--ms", "4", "--delta", "0.1"],
+    ],
+)
+def test_unread_flags_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+
+
 def test_usage_error_exit_two(capsys):
     assert run(["hypersurface", "--definitely-not-a-flag"]) == 2
     assert run(["not-a-command"]) == 2

@@ -16,7 +16,6 @@ from tropdyn.polyhedra import (
     Polyhedron,
     check_balancing,
     common_refinement,
-    dual_description,
     is_complete,
     is_unimodular,
 )
@@ -40,7 +39,7 @@ def cube_fan_3d():
 
 
 def test_positive_orthant_r4():
-    c = dual_description([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    c = Cone.from_generators([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     assert len(c.ineq_normals) == 4
     assert c.dim == 4
     assert is_unimodular(c)
@@ -48,7 +47,7 @@ def test_positive_orthant_r4():
 
 def test_cone_over_cube_r4():
     rays = [signs + (1,) for signs in itertools.product((1, -1), repeat=3)]
-    c = dual_description(rays)
+    c = Cone.from_generators(rays)
     assert c.dim == 4
     assert len(c.rays) == 8
     assert len(c.ineq_normals) == 6  # one facet per cube face

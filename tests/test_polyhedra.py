@@ -12,7 +12,6 @@ from tropdyn.polyhedra import (
     add_cycles,
     check_balancing,
     common_refinement,
-    dual_description,
     is_complete,
     is_unimodular,
 )
@@ -44,11 +43,11 @@ def tropical_line_cycle(weight=1):
     )
 
 
-# -- dual description
+# -- dual description: Cone.from_generators computes both descriptions
 
 
 def test_dual_description_quadrant():
-    c = dual_description([(1, 0), (0, 1)])
+    c = Cone.from_generators([(1, 0), (0, 1)])
     assert c.rays == ((0, 1), (1, 0))
     assert set(c.ineq_normals) == {(1, 0), (0, 1)}
     assert c.eq_normals == ()
@@ -56,7 +55,7 @@ def test_dual_description_quadrant():
 
 
 def test_dual_description_skew():
-    c = dual_description([(1, 0), (1, 2)])
+    c = Cone.from_generators([(1, 0), (1, 2)])
     assert set(c.ineq_normals) == {(0, 1), (2, -1)}
     # both descriptions agree on sampled rational points
     rng = random.Random(0)
@@ -69,7 +68,7 @@ def test_dual_description_skew():
 
 
 def test_dual_description_line():
-    c = dual_description([(1, 1), (-1, -1)])
+    c = Cone.from_generators([(1, 1), (-1, -1)])
     assert c.rays == ()
     assert c.lineality == ((1, 1),)
     assert len(c.eq_normals) == 1
@@ -79,7 +78,17 @@ def test_dual_description_line():
 
 def test_dual_description_dim_cap():
     with pytest.raises(PolyhedralError):
-        dual_description([(1, 0, 0, 0, 0)])
+        Cone.from_generators([(1, 0, 0, 0, 0)])
+
+
+def test_cone_is_the_origin_vertex_polyhedron():
+    c = Cone.from_generators([(1, 0), (1, 2)])
+    cell = Polyhedron.from_generators(2, vertices=((0, 0),), rays=((1, 0), (1, 2)))
+    assert isinstance(c, Polyhedron) and c == cell
+    assert (c.eqs, c.ineqs) == (cell.eqs, cell.ineqs)
+    assert c.ineq_normals == tuple(a for a, b in c.ineqs) and all(b == 0 for _, b in c.ineqs)
+    assert {f.key for f in c.faces()} == {f.key for f in cell.faces()}
+    assert all(isinstance(f, Cone) for f in c.faces() + c.facets())
 
 
 def test_zero_cone():
@@ -194,7 +203,7 @@ def test_polyhedron_affine_line():
     assert len(p.vertices) == 1
     assert p.contains((1, Fraction(22, 7)))
     assert not p.contains((0, 0))
-    assert p.facet_data() == {}
+    assert p.facets() == []
 
 
 def test_polyhedron_roundtrip_generators():
@@ -247,8 +256,8 @@ def test_balancing_refinement_invariance():
         2, eqs=(((0, 1), 0),), ineqs=(((1, 0), 0), ((-1, 0), -1))
     )
     tail = Polyhedron.from_constraints(2, eqs=(((0, 1), 0),), ineqs=(((1, 0), 1),))
-    up = Polyhedron.cone_cell([(0, 1)], 2)
-    diag = Polyhedron.cone_cell([(-1, -1)], 2)
+    up = Cone.from_generators([(0, 1)])
+    diag = Cone.from_generators([(-1, -1)])
     refined = WeightedComplex(2, 1, [(seg, 1), (tail, 1), (up, 1), (diag, 1)])
     assert check_balancing(refined).balanced
     coarse = tropical_line_cycle()
@@ -256,8 +265,8 @@ def test_balancing_refinement_invariance():
 
 
 def test_non_pure_complex_rejected():
-    ray = Polyhedron.cone_cell([(1, 0)], 2)
-    quad = Polyhedron.cone_cell([(1, 0), (0, 1)], 2)
+    ray = Cone.from_generators([(1, 0)])
+    quad = Cone.from_generators([(1, 0), (0, 1)])
     with pytest.raises(PolyhedralError):
         WeightedComplex(2, 1, [(ray, 1), (quad, 1)])
 
