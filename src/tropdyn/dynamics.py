@@ -147,15 +147,6 @@ def weyl_sum(m: int, nu) -> complex:
     return complex(total)
 
 
-def weyl_sum_bruteforce(m: int, nu) -> complex:
-    """Direct summation over all root-of-unity tuples; the test oracle."""
-    nu = [int(x) for x in nu]
-    total = 1.0 + 0j
-    for nj in nu:
-        total *= sum(cmath.exp(2j * cmath.pi * l * nj / m) for l in range(m))
-    return total
-
-
 def empirical_fourier(cloud: PointCloud, nu) -> complex:
     """(1/N) sum exp(-i <nu, theta>) over the arguments of the cloud points."""
     if len(cloud) == 0:

@@ -27,16 +27,8 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(k, a):
-    return tuple(k * x for x in a)
 
 
 def vec_neg(a):
@@ -62,19 +54,22 @@ def primitive(v) -> tuple[IntVector, int]:
     return tuple(c // g for c in v), g
 
 
-def _identity(n) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def identity(n) -> IntMatrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0."""
+    """M * V = U_inv * D with V, U_inv unimodular and D diagonal, d_i | d_{i+1} >= 0.
 
-    U: IntMatrix
+    Only the transforms callers read are kept: the last n - rank columns of V
+    span the kernel of M, the first rank columns of U_inv the saturation of
+    its column span.
+    """
+
     D: IntMatrix
     V: IntMatrix
     U_inv: IntMatrix
-    V_inv: IntMatrix
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -90,48 +85,36 @@ def smith_normal_form(M) -> SmithDecomposition:
     """Smith normal form by elementary row/column reduction.
 
     Pivots on the minimal nonzero absolute value, which keeps intermediate
-    entries small for the n <= 8 matrices this engine sees.
+    entries small for the n <= 8 matrices this engine sees.  A row operation
+    on A is undone by the inverse column operation on U_inv, a column
+    operation is repeated on V.
     """
     A = [list(_as_int_vector(row)) for row in M]
     r = len(A)
     c = len(A[0]) if r else 0
     if any(len(row) != c for row in A):
         raise LatticeError("ragged matrix")
-    U, Ui = _identity(r), _identity(r)
-    V, Vi = _identity(c), _identity(c)
+    V = [list(row) for row in identity(c)]
+    Ui = [list(row) for row in identity(r)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
         for row in Ui:
             row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
-        for row in A:
+        for row in A + V:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def add_row(dst, src, k):
         # row dst += k * row src
         A[dst] = [x + k * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + k * y for x, y in zip(U[dst], U[src])]
         for row in Ui:
             row[src] -= k * row[dst]
 
     def add_col(dst, src, k):
-        for row in A:
+        for row in A + V:
             row[dst] += k * row[src]
-        for row in V:
-            row[dst] += k * row[src]
-        Vi[src] = [x - k * y for x, y in zip(Vi[src], Vi[dst])]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-        for row in Ui:
-            row[i] = -row[i]
 
     t = 0
     while t < min(r, c):
@@ -183,11 +166,13 @@ def smith_normal_form(M) -> SmithDecomposition:
                     break
                 add_row(t, bad, 1)
         if A[t][t] < 0:
-            negate_row(t)
+            A[t] = [-x for x in A[t]]
+            for row in Ui:
+                row[t] = -row[t]
         t += 1
 
     freeze = lambda m: tuple(tuple(row) for row in m)
-    return SmithDecomposition(freeze(U), freeze(A), freeze(V), freeze(Ui), freeze(Vi))
+    return SmithDecomposition(freeze(A), freeze(V), freeze(Ui))
 
 
 @dataclass(frozen=True)
@@ -236,8 +221,8 @@ def saturate_and_complete(spanning) -> QuotientLattice:
     n = len(vecs[0])
     if any(len(v) != n for v in vecs):
         raise LatticeError("mixed ambient dimensions")
-    # columns of M are the spanning vectors; U M V = D means M = U^-1 D V^-1,
-    # so the first rank columns of U^-1 span the saturation and the rest
+    # columns of M are the spanning vectors; M V = U_inv D with V unimodular,
+    # so the first rank columns of U_inv span the saturation and the rest
     # complete it to a Z-basis.
     M = [[v[i] for v in vecs] for i in range(n)]
     snf = smith_normal_form(M)
@@ -259,27 +244,34 @@ def integer_kernel(rows) -> tuple[IntVector, ...]:
     return tuple(tuple(snf.V[i][j] for i in range(n)) for j in range(rank, n))
 
 
-def rank_int(rows) -> int:
-    """Rank over Q of an integer (or Fraction) matrix, by exact elimination."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+def _gauss_jordan(mat, ncols) -> list[int]:
+    """Reduce Fraction rows in place on their first ncols columns; return the pivot columns.
+
+    Pivot rows come first and are not normalised; the elimination stops as
+    soon as every row holds a pivot.
+    """
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
         piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col]
+        p = mat[rank][col]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / inv
+                f = mat[i][col] / p
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def rank_int(rows) -> int:
+    """Rank over Q of an integer (or Fraction) matrix, by exact elimination."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
 
 
 def solve_rational(columns, target) -> tuple[Fraction, ...]:
@@ -288,30 +280,58 @@ def solve_rational(columns, target) -> tuple[Fraction, ...]:
     ``columns`` is given as a matrix whose rows are coordinates (column-major
     input: columns[i][j] = i-th coordinate of the j-th basis vector).
     """
-    nrows = len(columns)
-    ncols = len(columns[0]) if nrows else 0
-    aug = [[Fraction(columns[i][j]) for j in range(ncols)] + [Fraction(target[i])] for i in range(nrows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [a / inv for a in aug[rank]]
-        for i in range(nrows):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    if any(aug[i][ncols] != 0 for i in range(rank, nrows)):
+    ncols = len(columns[0]) if columns else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(columns, target)]
+    pivots = _gauss_jordan(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
         raise LatticeError("inconsistent linear system")
     sol = [Fraction(0)] * ncols
-    for row, col in enumerate(pivots):
-        sol[col] = aug[row][ncols]
+    for row, col in zip(aug, pivots):
+        sol[col] = row[ncols] / row[col]
     return tuple(sol)
+
+
+def hnf_basis(vectors) -> tuple[IntVector, ...]:
+    """Canonical (row-Hermite) basis of the integer lattice spanned by vectors."""
+    mat = [list(v) for v in vectors if not is_zero_vector(v)]
+    if not mat:
+        return ()
+    n = len(mat[0])
+    pivot_row = 0
+    for col in range(n):
+        while True:
+            nz = [i for i in range(pivot_row, len(mat)) if mat[i][col] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][col]))
+            mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
+            p = mat[pivot_row][col]
+            for i in range(pivot_row + 1, len(mat)):
+                if mat[i][col] != 0:
+                    q = mat[i][col] // p
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
+            if not any(mat[i][col] for i in range(pivot_row + 1, len(mat))):
+                break
+        if pivot_row < len(mat) and mat[pivot_row][col] != 0:
+            if mat[pivot_row][col] < 0:
+                mat[pivot_row] = [-a for a in mat[pivot_row]]
+            pivot_row += 1
+            if pivot_row == len(mat):
+                break
+    mat = [row for row in mat[:pivot_row]]
+    pivots = []
+    r = 0
+    for col in range(n):
+        if r < len(mat) and mat[r][col] != 0:
+            pivots.append((r, col))
+            r += 1
+    for r, col in pivots:
+        p = mat[r][col]
+        for i in range(r):
+            q = mat[i][col] // p
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+    return tuple(tuple(row) for row in mat)
 
 
 def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntVector:
@@ -348,7 +368,7 @@ def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntV
     if tau_basis:
         functionals = integer_kernel(tau_basis)
     else:
-        functionals = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        functionals = identity(n)
     ell = next((f for f in functionals if dot(f, u) != 0), None)
     if ell is None:
         raise LatticeError("degenerate quotient: u lies in H_tau")

@@ -3,10 +3,9 @@
 All combinatorics run over exact arithmetic (Python ints plus Fractions for
 vertices), so tie decisions never depend on rounding.  There is one polyhedron
 type: a `Cone` is the `Polyhedron` whose only vertex is the origin.  V- and
-H-descriptions are kept canonical: extreme rays are primitive and reduced
-modulo the lineality space by orthogonal projection, lineality lattices are
-stored in Hermite normal form, vertices are sorted Fractions.  Equal sets
-therefore compare equal as tuples.
+H-descriptions are kept canonical: extreme rays are primitive and orthogonal
+to the lineality space, lineality lattices are stored in Hermite normal form,
+vertices are sorted Fractions.  Equal sets therefore compare equal as tuples.
 
 Conversions between descriptions use brute-force extreme-ray enumeration
 (kernels of row subsets via signed maximal minors), exact and comfortably
@@ -22,16 +21,17 @@ import math
 from fractions import Fraction
 
 from .lattice import (
-    LatticeError,
     dot,
+    hnf_basis,
+    identity,
     integer_kernel,
     is_zero_vector,
     primitive,
+    quotient_outward_generator,
     rank_int,
     saturate_and_complete,
     smith_normal_form,
     solve_rational,
-    quotient_outward_generator,
     vec_neg,
     vec_sub,
 )
@@ -78,49 +78,6 @@ def _cross_kernel(rows, d):
     return primitive(v)[0]
 
 
-def hnf_basis(vectors):
-    """Canonical (row-Hermite) basis of the integer lattice spanned by vectors."""
-    mat = [list(v) for v in vectors if not is_zero_vector(v)]
-    if not mat:
-        return ()
-    n = len(mat[0])
-    pivot_row = 0
-    for col in range(n):
-        while True:
-            nz = [i for i in range(pivot_row, len(mat)) if mat[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][col]))
-            mat[pivot_row], mat[i0] = mat[i0], mat[pivot_row]
-            p = mat[pivot_row][col]
-            for i in range(pivot_row + 1, len(mat)):
-                if mat[i][col] != 0:
-                    q = mat[i][col] // p
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
-            if not any(mat[i][col] for i in range(pivot_row + 1, len(mat))):
-                break
-        if pivot_row < len(mat) and mat[pivot_row][col] != 0:
-            if mat[pivot_row][col] < 0:
-                mat[pivot_row] = [-a for a in mat[pivot_row]]
-            pivot_row += 1
-            if pivot_row == len(mat):
-                break
-    mat = [row for row in mat[:pivot_row]]
-    pivots = []
-    r = 0
-    for col in range(n):
-        if r < len(mat) and mat[r][col] != 0:
-            pivots.append((r, col))
-            r += 1
-    for r, col in pivots:
-        p = mat[r][col]
-        for i in range(r):
-            q = mat[i][col] // p
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-    return tuple(tuple(row) for row in mat)
-
-
 def _project_off(v, lin):
     """Orthogonal projection of v onto the rational complement of span(lin)."""
     if not lin:
@@ -151,21 +108,15 @@ def _signed(vectors, both_signs):
     return list(vectors) + list(both_signs) + [vec_neg(v) for v in both_signs]
 
 
-def _pointed_extreme_rays(rows, d):
-    """Extreme rays of the pointed cone {y in R^d : r . y >= 0 for r in rows}."""
-    if d == 0:
-        return []
-    if d == 1:
-        vals = [r[0] for r in rows]
-        out = []
-        if all(v >= 0 for v in vals):
-            out.append((1,))
-        if all(v <= 0 for v in vals):
-            out.append((-1,))
-        return out
+def _pointed_extreme_rays(rows, d, eqs=()):
+    """Extreme rays of the pointed cone {y in R^d : r . y >= 0, e . y = 0}.
+
+    r runs over rows and e over eqs; every ray spans the kernel of the
+    equations plus d - 1 - len(eqs) of the rows.
+    """
     found = {}
-    for S in itertools.combinations(range(len(rows)), d - 1):
-        v = _cross_kernel([rows[i] for i in S], d)
+    for S in itertools.combinations(rows, d - 1 - len(eqs)):
+        v = _cross_kernel(list(eqs) + list(S), d)
         if v is None or v in found or vec_neg(v) in found:
             continue
         prods = [dot(r, v) for r in rows]
@@ -180,36 +131,16 @@ def _h_cone_generators(normals, dim):
     """Canonical extreme rays and lineality of {x : a . x >= 0 for a in normals}.
 
     With no normals the whole space comes back as pure lineality.  Rays are
-    primitive and reduced modulo the lineality space; the lineality basis is
-    in Hermite normal form.
+    primitive and orthogonal to the lineality space L: they are the extreme
+    rays of the pointed cone cut by L . x = 0, which are the orthogonal
+    projections of the cone's rays.  The lineality basis is in Hermite normal
+    form.
     """
-    seen = {}
-    for a in normals:
-        if not is_zero_vector(a):
-            seen[primitive(a)[0]] = True
-    normals = list(seen)
+    normals = list(dict.fromkeys(primitive(a)[0] for a in normals if not is_zero_vector(a)))
     if not normals:
-        ident = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-        return (), ident
-    try:
-        lin = integer_kernel(normals)
-    except LatticeError:
-        lin = ()
-    lin = hnf_basis(lin)
-    if lin:
-        W = saturate_and_complete(lin).complement_basis
-    else:
-        W = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-    d2 = len(W)
-    if d2 == 0:
-        return (), lin
-    proj_rows = [tuple(dot(a, w) for w in W) for a in normals]
-    rays2 = _pointed_extreme_rays(proj_rows, d2)
-    rays = []
-    for y in rays2:
-        x = tuple(sum(y[j] * W[j][i] for j in range(d2)) for i in range(dim))
-        rays.append(_frac_primitive(_project_off(x, lin)))
-    return tuple(sorted(set(rays))), lin
+        return (), identity(dim)
+    lin = hnf_basis(integer_kernel(normals))
+    return tuple(_pointed_extreme_rays(normals, dim, eqs=lin)), lin
 
 
 def _canonical(rows, d, is_empty=None):
@@ -314,7 +245,7 @@ class Polyhedron:
 
     @classmethod
     def from_constraints(cls, ambient_dim, eqs=(), ineqs=()):
-        if ambient_dim > MAX_AMBIENT_DIM:
+        if not 0 <= ambient_dim <= MAX_AMBIENT_DIM:
             raise PolyhedralError("ambient dimension unsupported")
         n = ambient_dim
         rows = [_frac_primitive((*a, -Fraction(b))) for a, b in ineqs]
@@ -330,7 +261,7 @@ class Polyhedron:
 
     @classmethod
     def from_generators(cls, ambient_dim, vertices=(), rays=(), lineality=()):
-        if ambient_dim > MAX_AMBIENT_DIM:
+        if not 0 <= ambient_dim <= MAX_AMBIENT_DIM:
             raise PolyhedralError("ambient dimension unsupported")
         if not vertices:
             return cls._empty(ambient_dim)
@@ -469,7 +400,7 @@ class Cone(Polyhedron):
             if not gens and not lin:
                 raise PolyhedralError("ambient dimension required for the zero cone")
             ambient_dim = len((gens + lin)[0])
-        if ambient_dim > MAX_AMBIENT_DIM:
+        if not 0 <= ambient_dim <= MAX_AMBIENT_DIM:
             raise PolyhedralError("ambient dimension unsupported")
         if any(len(g) != ambient_dim for g in gens + lin):
             raise PolyhedralError("mixed ambient dimensions")
@@ -561,9 +492,6 @@ class Fan:
     def all_cones(self):
         """Face closure, sorted by decreasing dimension then key."""
         return _faces_of(self.maximal_cones)
-
-    def cones_of_dim(self, d):
-        return [c for c in self.all_cones() if c.dim == d]
 
     def support_contains(self, v):
         return any(c.contains(v) for c in self.maximal_cones)

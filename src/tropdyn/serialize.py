@@ -8,6 +8,7 @@ therefore produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,15 +30,37 @@ def _frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def _frac_parse(s) -> Fraction:
-    return Fraction(s)
-
-
 def _field(obj, key, what):
     """obj[key], or a SchemaError naming the missing key."""
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{what} needs a '{key}' field")
     return obj[key]
+
+
+def _number(parse, x, what):
+    """parse(x) when it gives a finite number, else a SchemaError."""
+    try:
+        value = parse(x)
+    except (TypeError, ValueError, ArithmeticError):
+        value = None
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+        raise SchemaError(f"{what} is not a finite number: {x!r}")
+    return value
+
+
+def _vector(v, parse, what, n=None):
+    """A JSON list of numbers read with parse, of length n when n is given."""
+    if not isinstance(v, list) or (n is not None and len(v) != n):
+        size = "a list" if n is None else f"a list of {n} numbers"
+        raise SchemaError(f"{what} must be {size}: {v!r}")
+    return tuple(_number(parse, x, what) for x in v)
+
+
+def _vectors(vs, parse, what, n):
+    """A JSON list of length-n number lists."""
+    if not isinstance(vs, list):
+        raise SchemaError(f"{what} must be a list of vectors")
+    return [_vector(v, parse, what, n) for v in vs]
 
 
 # -- cones and fans
@@ -51,15 +74,12 @@ def cone_to_json(c: Cone) -> dict:
 
 
 def cone_from_json(obj, ambient_dim=None) -> Cone:
-    rays = [tuple(int(x) for x in r) for r in _field(obj, "rays", "cone object")]
-    lineality = [tuple(int(x) for x in l) for l in obj.get("lineality", [])]
+    rays = _vectors(_field(obj, "rays", "cone object"), int, "cone ray", ambient_dim)
+    lineality = _vectors(obj.get("lineality", []), int, "cone lineality vector", ambient_dim)
     if ambient_dim is None:
-        if rays:
-            ambient_dim = len(rays[0])
-        elif lineality:
-            ambient_dim = len(lineality[0])
-        else:
+        if not rays and not lineality:
             raise SchemaError("cannot infer the ambient dimension of a zero cone")
+        ambient_dim = len((rays + lineality)[0])
     return Cone.from_generators(rays, ambient_dim, lineality=lineality)
 
 
@@ -71,10 +91,13 @@ def fan_to_json(F: Fan) -> dict:
 
 
 def fan_from_json(obj) -> Fan:
-    if "cones" not in obj or not obj["cones"]:
+    cones = _field(obj, "cones", "fan object")
+    if not isinstance(cones, list) or not cones:
         raise SchemaError("fan object needs a nonempty 'cones' list")
     ambient = obj.get("ambient_dim")
-    cones = [cone_from_json(c, ambient_dim=ambient) for c in obj["cones"]]
+    if ambient is not None:
+        ambient = _number(int, ambient, "ambient_dim")
+    cones = [cone_from_json(c, ambient_dim=ambient) for c in cones]
     return Fan.from_cones(cones, ambient_dim=ambient)
 
 
@@ -96,11 +119,11 @@ def _cell_to_json(cell: Polyhedron, weight: int) -> dict:
 
 
 def _cell_from_json(obj, ambient_dim) -> tuple[Polyhedron, int]:
-    weight = int(_field(obj, "weight", "cycle cell"))
-    rays = [tuple(int(x) for x in r) for r in obj.get("rays", [])]
-    lineality = [tuple(int(x) for x in l) for l in obj.get("lineality", [])]
+    weight = _number(int, _field(obj, "weight", "cycle cell"), "cell weight")
+    rays = _vectors(obj.get("rays", []), int, "cell ray", ambient_dim)
+    lineality = _vectors(obj.get("lineality", []), int, "cell lineality vector", ambient_dim)
     if "vertices" in obj:
-        vertices = [tuple(_frac_parse(x) for x in v) for v in obj["vertices"]]
+        vertices = _vectors(obj["vertices"], Fraction, "cell vertex", ambient_dim)
     else:
         vertices = [tuple(Fraction(0) for _ in range(ambient_dim))]
     cell = Polyhedron.from_generators(
@@ -122,8 +145,10 @@ def cycle_to_json(C: WeightedComplex, extra: dict | None = None) -> dict:
 
 def cycle_from_json(obj) -> WeightedComplex:
     n, dim, cells = (_field(obj, f, "weighted complex") for f in ("ambient_dim", "dim", "cells"))
-    n = int(n)
-    return WeightedComplex(n, int(dim), [_cell_from_json(c, n) for c in cells])
+    n, dim = _number(int, n, "ambient_dim"), _number(int, dim, "dim")
+    if not isinstance(cells, list):
+        raise SchemaError("weighted complex needs a 'cells' list")
+    return WeightedComplex(n, dim, [_cell_from_json(c, n) for c in cells])
 
 
 # -- polynomials
@@ -137,13 +162,22 @@ def tropical_poly_to_json(q: TropicalPolynomial) -> dict:
     }
 
 
+def _terms(obj, what):
+    """The nonempty list of term objects of a polynomial."""
+    terms = obj.get("terms") if isinstance(obj, dict) else None
+    if not isinstance(terms, list) or not terms:
+        raise SchemaError(f"{what} needs a nonempty 'terms' list")
+    if not all(isinstance(t, dict) for t in terms):
+        raise SchemaError(f"{what} terms must be objects")
+    return terms
+
+
 def tropical_poly_from_json(obj) -> TropicalPolynomial:
-    if "terms" not in obj or not obj["terms"]:
-        raise SchemaError("tropical polynomial needs a nonempty 'terms' list")
     terms = {}
-    for t in obj["terms"]:
-        exp = _field(t, "exp", "tropical polynomial term")
-        terms[tuple(int(x) for x in exp)] = float(_field(t, "coeff", "tropical polynomial term"))
+    for t in _terms(obj, "tropical polynomial"):
+        exp = _vector(_field(t, "exp", "tropical polynomial term"), int, "exponent")
+        coeff = _field(t, "coeff", "tropical polynomial term")
+        terms[exp] = _number(float, coeff, "coefficient")
     return TropicalPolynomial(terms)
 
 
@@ -156,21 +190,17 @@ def complex_poly_to_json(f: ComplexPolynomial) -> dict:
 
 
 def complex_poly_from_json(obj) -> ComplexPolynomial:
-    if "terms" not in obj or not obj["terms"]:
-        raise SchemaError("complex polynomial needs a nonempty 'terms' list")
     terms = {}
-    for t in obj["terms"]:
-        exp = _field(t, "exp", "complex polynomial term")
-        re = float(_field(t, "re", "complex polynomial term"))
-        terms[tuple(int(x) for x in exp)] = complex(re, float(t.get("im", 0.0)))
+    for t in _terms(obj, "complex polynomial"):
+        exp = _vector(_field(t, "exp", "complex polynomial term"), int, "exponent")
+        re = _number(float, _field(t, "re", "complex polynomial term"), "real part")
+        terms[exp] = complex(re, _number(float, t.get("im", 0.0), "imaginary part"))
     return ComplexPolynomial(terms)
 
 
 def poly_from_json(obj):
     """Either polynomial schema: 'coeff' marks tropical, 're'/'im' complex."""
-    if "terms" not in obj or not obj["terms"]:
-        raise SchemaError("polynomial needs a nonempty 'terms' list")
-    first = obj["terms"][0]
+    first = _terms(obj, "polynomial")[0]
     if "coeff" in first:
         return tropical_poly_from_json(obj)
     if "re" in first or "im" in first:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 
-from .lattice import QuotientLattice, dot, saturate_and_complete
+from .lattice import QuotientLattice, dot, identity, saturate_and_complete
 from .polyhedra import Cone, Fan
 
 
@@ -37,8 +37,7 @@ def _orbit_of_cone(cone: Cone) -> Orbit:
     if gens:
         quotient = saturate_and_complete(gens)
     else:
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        quotient = QuotientLattice(n, (), ident)
+        quotient = QuotientLattice(n, (), identity(n))
     orbit = Orbit(cone, quotient)
     if orbit.dim + cone.dim != n:
         raise ToricError("orbit dimension bookkeeping failed")

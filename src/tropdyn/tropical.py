@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import primitive, vec_sub
+from .lattice import identity, primitive, vec_sub
 from .polyhedra import Polyhedron, WeightedComplex, check_balancing
 
 NEG_INF = float("-inf")
@@ -273,7 +273,7 @@ def uniform_bergman_fan(p: int, n: int) -> TropicalCycle:
     """
     if not 1 <= p <= n:
         raise TropicalError("need 1 <= p <= n")
-    rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    rays = list(identity(n))
     rays.append(tuple(-1 for _ in range(n)))
     cells = [
         (subset, 1) for subset in itertools.combinations(rays, p)

@@ -25,7 +25,6 @@ from tropdyn.dynamics import (
     log_abs_power_pullback,
     sample_tropical_support,
     weyl_sum,
-    weyl_sum_bruteforce,
     PointCloud,
 )
 from tropdyn.polyhedra import (
@@ -45,6 +44,8 @@ from tropdyn.tropical import (
     tropicalize_poly,
     uniform_bergman_fan,
 )
+
+from oracles import weyl_sum_bruteforce
 
 LINE = ComplexPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1})
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tropdyn import serialize
+from tropdyn import cli, serialize
 from tropdyn.cli import run
 from tropdyn.polyhedra import Cone, Fan, WeightedComplex
 from tropdyn.tropical import TropicalPolynomial, uniform_bergman_fan
@@ -241,6 +241,48 @@ def test_missing_key_exit_one(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("tropdyn:")
     assert f"'{key}'" in err
+
+
+MALFORMED_CASES = {
+    "term-not-object": ("hypersurface", {"terms": [5]}, [], "terms must be objects"),
+    "ray-too-long": (
+        "balance",
+        {"ambient_dim": 2, "dim": 1, "cells": [{"rays": [[1, 0, 0]], "weight": 1}]},
+        [],
+        "list of 2 numbers",
+    ),
+    "exp-not-integer": (
+        "hypersurface",
+        {"terms": [{"exp": ["a", 0], "coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}]},
+        [],
+        "exponent is not a finite number",
+    ),
+    "box-not-numeric": (
+        "amoeba", LINE_JSON, ["--ms", "2", "--box", "a,b", "-o", "x.csv"], "--box needs numbers"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+def test_malformed_input_exit_one(tmp_path, capsys, case):
+    command, obj, flags, reason = MALFORMED_CASES[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    assert run([command, "-i", str(path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("tropdyn:")
+    assert reason in err
+
+
+def test_plain_value_error_propagates(monkeypatch):
+    """A ValueError from a bug is not reported as a domain error."""
+
+    def broken(p, n):
+        raise ValueError("not a domain error")
+
+    monkeypatch.setattr(cli, "uniform_bergman_fan", broken)
+    with pytest.raises(ValueError, match="not a domain error"):
+        run(["bergman", "--p", "1", "--n", "2"])
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from tropdyn.dynamics import (
     sample_tropical_support,
     star_discrepancy,
     weyl_sum,
-    weyl_sum_bruteforce,
 )
 from tropdyn.tropical import (
     ComplexPolynomial,
@@ -31,6 +30,8 @@ from tropdyn.tropical import (
     tropical_hypersurface,
     tropicalize_poly,
 )
+
+from oracles import weyl_sum_bruteforce
 
 LINE = ComplexPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1})
 

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropdyn.polyhedra import (
     Cone,
@@ -89,6 +92,29 @@ def test_cone_is_the_origin_vertex_polyhedron():
     assert c.ineq_normals == tuple(a for a, b in c.ineqs) and all(b == 0 for _, b in c.ineqs)
     assert {f.key for f in c.faces()} == {f.key for f in cell.faces()}
     assert all(isinstance(f, Cone) for f in c.faces() + c.facets())
+
+
+@st.composite
+def cones_with_lineality(draw):
+    n = draw(st.integers(2, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(vec, min_size=1, max_size=4))
+    lin = draw(st.lists(vec.filter(any), min_size=1, max_size=2))
+    return n, gens, lin
+
+
+@settings(max_examples=100, deadline=None)
+@given(cones_with_lineality())
+def test_cone_rays_orthogonal_to_lineality(case):
+    n, gens, lin = case
+    c = Cone.from_generators(gens, n, lineality=lin)
+    assume(c.rays and c.lineality)
+    for r in c.rays:
+        assert math.gcd(*r) == 1
+        assert all(sum(x * y for x, y in zip(r, l)) == 0 for l in c.lineality)
+    for g in gens + lin + [tuple(-x for x in l) for l in lin]:
+        assert c.contains(g)
+    assert Cone.from_constraints(c.ineq_normals, c.eq_normals, n) == c
 
 
 def test_zero_cone():
