@@ -6,6 +6,7 @@ clouds and dequantization errors in floating point, everything seeded.
 """
 
 from .dynamics import (
+    BatchRoots,
     ConvergenceReport,
     GridSpec,
     PointCloud,

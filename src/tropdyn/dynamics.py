@@ -51,6 +51,8 @@ class GridSpec:
     def __post_init__(self):
         if len(self.box) != len(self.resolution):
             raise DynamicsError("box and resolution must have the same length")
+        if not all(math.isfinite(x) for interval in self.box for x in interval):
+            raise DynamicsError("box bounds must be finite numbers")
         if any(lo >= hi for lo, hi in self.box):
             raise DynamicsError("box intervals need lo < hi")
         if any(r < 2 for r in self.resolution):
@@ -65,12 +67,17 @@ class GridSpec:
 
 @dataclass
 class PointCloud:
-    """Fixed-dimension samples; complex clouds are used for root/torus data."""
+    """Fixed-dimension samples; complex clouds are used for root/torus data.
+
+    counters holds deterministic work counts of the sampler that made the
+    cloud (amoeba_sample fills it); they never enter the CSV artifact.
+    """
 
     dim: int
     points: np.ndarray
     m: int | None = None
     seed: int | None = None
+    counters: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.asarray(self.points)
@@ -167,92 +174,160 @@ def star_discrepancy(cloud: PointCloud) -> float:
 
 
 # ---------------------------------------------------------------------------
-# univariate roots (Aberth--Ehrlich)
+# univariate roots: one batched kernel (closed form at degree 1, Aberth--Ehrlich above)
 
 
-def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 200) -> list[complex]:
-    """All roots with multiplicity of sum c_k z^k (coeffs ascending).
+@dataclass(frozen=True)
+class BatchRoots:
+    """Roots of a batch of polynomials of one degree d, one row per polynomial.
 
-    Simultaneous Aberth--Ehrlich iteration started on a Cauchy-bound circle;
-    zero roots are deflated exactly first.  Raises RootFindingError carrying
-    the partial approximations on non-convergence, and checks the final
-    relative residuals against 1e-8.
+    roots[r] holds row r's d roots sorted by modulus, then phase.  Where
+    failed[r] is set they are the last approximations (NaN for a row that
+    could not be started) and must not be used.  iterations[r] counts the
+    Aberth sweeps row r took (0 at degree 1).
     """
-    c = np.asarray(list(coeffs), dtype=complex)
+
+    roots: np.ndarray
+    failed: np.ndarray
+    iterations: np.ndarray
+
+    def __len__(self):
+        """The number of roots in rows that did not fail."""
+        return int(np.count_nonzero(~self.failed)) * self.roots.shape[1]
+
+
+def _horner(c, z):
+    """Row-wise values of the polynomials c (ascending, (S, k)) at the points z (S, d)."""
+    acc = np.zeros_like(z)
+    for k in range(c.shape[1] - 1, -1, -1):
+        acc = acc * z + c[:, k, None]
+    return acc
+
+
+def _relative_residuals(c, z):
+    """|p(z)| / sum_k |c_k| |z|^k per root, the backward error of each root."""
+    scale = _horner(np.abs(c), np.abs(z))
+    return np.abs(_horner(c, z)) / np.maximum(scale, 1e-300)
+
+
+def _batch_roots(c, tol, max_iter) -> BatchRoots:
+    """The kernel behind polynomial_roots: every row of the (S, d+1) array c at once."""
+    S, d = c.shape[0], c.shape[1] - 1
+    iterations = np.zeros(S, dtype=np.int64)
+    started = np.all(np.isfinite(c), axis=1) & (c[:, 0] != 0) & (c[:, -1] != 0)
+    ok = started.copy()
+    if d == 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = (-c[:, 0] / c[:, 1])[:, None]
+    else:
+        c = np.where(ok[:, None], c, 1.0)  # rows that cannot start iterate on a dummy
+        c = c / np.max(np.abs(c), axis=1, keepdims=True)
+        radius = 1.0 + np.max(np.abs(c[:, :-1] / c[:, -1:]), axis=1)
+        angles = 2 * np.pi * (np.arange(d) + 0.25) / d + 0.42
+        z = 0.5 * radius[:, None] * np.exp(1j * angles)
+        dc = c[:, 1:] * np.arange(1, d + 1)
+        diagonal = (slice(None), np.arange(d), np.arange(d))
+        active = ok.copy()
+        for _ in range(max_iter):
+            rows = np.flatnonzero(active)
+            if rows.size == 0:
+                break
+            zr, cr = z[rows], c[rows]
+            dp = _horner(dc[rows], zr)
+            w = _horner(cr, zr) / np.where(dp == 0, 1e-300, dp)
+            diff = zr[:, :, None] - zr[:, None, :]
+            diff[diagonal] = 1.0
+            s = np.sum(1.0 / diff, axis=2) - 1.0  # subtract the diagonal's 1/1
+            corr = w / (1.0 - w * s)
+            zr = zr - corr
+            z[rows] = zr
+            iterations[rows] += 1
+            done = np.max(np.abs(corr), axis=1) <= tol * (1.0 + np.max(np.abs(zr), axis=1))
+            done |= np.all(_relative_residuals(cr, zr) <= 1e-15, axis=1)
+            active[rows[done]] = False
+        ok &= ~active
+        order = np.lexsort((np.round(np.angle(z), 9), np.round(np.abs(z), 9)))
+        z = np.take_along_axis(z, order, axis=1)
+    with np.errstate(invalid="ignore"):
+        ok &= np.max(_relative_residuals(c, z), axis=1) <= 1e-8
+    z[~started] = np.nan
+    return BatchRoots(z, ~ok, iterations)
+
+
+def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
+    """All roots of sum c_k z^k (coeffs ascending), one polynomial or a batch.
+
+    The batch form takes an (S, d+1) array, d >= 1, one polynomial per row,
+    and returns a BatchRoots: the (S, d) roots, a per-row failure mask and the
+    per-row sweep counts.  Degree-1 rows are solved in closed form, -c0/c1;
+    higher degrees run simultaneous Aberth--Ehrlich iteration (started on a
+    Cauchy-bound circle) on all rows at once, each row stopping when its
+    corrections or residuals are small (Bini, Numer. Algorithms 13, 1996).
+    A row fails, without raising, when it does not converge in max_iter
+    sweeps, when a root's relative residual is above 1e-8, or when its
+    constant or leading coefficient is zero or an entry is not finite.
+
+    A flat sequence is the one-row case of the same kernel, after exact
+    deflation of zero roots: it returns the sorted list of roots with
+    multiplicity, raises DynamicsError for a degree below one or a zero
+    leading coefficient, and RootFindingError carrying the partial
+    approximations when the row fails.
+    """
+    c = np.asarray(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs), dtype=complex)
+    if c.ndim == 2:
+        if c.shape[1] < 2:
+            raise DynamicsError("degree must be at least one")
+        return _batch_roots(c, tol, max_iter)
     if c.size < 2:
         raise DynamicsError("degree must be at least one")
     if c[-1] == 0:
         raise DynamicsError("leading coefficient must be nonzero")
     nz = int(np.nonzero(c)[0][0])
     zeros = [0j] * nz
-    c = c[nz:]
-    d = c.size - 1
-    if d == 0:
+    if nz == c.size - 1:
         return zeros
-    c = c / np.max(np.abs(c))
-    radius = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
-    angles = 2 * np.pi * (np.arange(d) + 0.25) / d + 0.42
-    z = 0.5 * radius * np.exp(1j * angles)
-    dc = c[1:] * np.arange(1, d + 1)
-
-    def horner(values, pts):
-        acc = np.zeros_like(pts)
-        for ck in values[::-1]:
-            acc = acc * pts + ck
-        return acc
-
-    converged = False
-    for _ in range(max_iter):
-        p = horner(c, z)
-        dp = horner(dc, z)
-        dp = np.where(dp == 0, 1e-300, dp)
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = np.sum(1.0 / diff, axis=1) - 1.0  # subtract the diagonal's 1/1
-        corr = w / (1.0 - w * s)
-        z = z - corr
-        if np.max(np.abs(corr)) <= tol * (1.0 + np.max(np.abs(z))):
-            converged = True
-            break
-        scale = np.polyval(np.abs(c)[::-1], np.abs(z))
-        if np.all(np.abs(horner(c, z)) <= 1e-15 * np.maximum(scale, 1e-300)):
-            converged = True
-            break
-    if not converged:
-        raise RootFindingError("Aberth iteration did not converge", zeros + list(z))
-    scale = np.polyval(np.abs(c)[::-1], np.abs(z))
-    rel = np.abs(horner(c, z)) / np.maximum(scale, 1e-300)
-    if np.max(rel) > 1e-8:
-        raise RootFindingError("root residuals above tolerance", zeros + list(z))
-    return zeros + sorted(z.tolist(), key=lambda r: (round(abs(r), 9), round(cmath.phase(r), 9)))
+    batch = _batch_roots(c[None, nz:], tol, max_iter)
+    roots = zeros + batch.roots[0].tolist()
+    if batch.failed[0]:
+        raise RootFindingError("root iteration did not reach relative residuals below 1e-8", roots)
+    return roots
 
 
 # ---------------------------------------------------------------------------
 # amoeba sampling
 
 
-def _slice_coefficients(f: ComplexPolynomial, axis: int, log_w: float, phi: float):
-    """Coefficients of f with z_axis = exp(log_w + i phi), as (logmag, phase) pairs.
+def _slice_matrix(f: ComplexPolynomial, axis: int, log_w, phi):
+    """Log-scale coefficients of every slice of f along axis, one row per slice.
 
-    Returns a dict degree -> (L, theta) meaning coefficient exp(L + i theta);
-    exact zero coefficients are dropped.  Everything stays in log scale so
-    slices at |z_axis| = e^(+-3m) do not overflow.
+    Row r sets z_axis = exp(log_w[r] + i phi[r]).  Returns (logmag, phase,
+    present): column j is the coefficient of z_other^(k_min + j) as
+    exp(logmag + i phase); present is False where no term has that degree or
+    its terms cancel exactly.  Everything stays in log scale so slices at
+    |z_axis| = e^(+-3m) do not overflow.
     """
     other = 1 - axis
-    buckets: dict[int, list[tuple[float, float]]] = {}
-    for exp, coeff in f.terms:
-        L = math.log(abs(coeff)) + exp[axis] * log_w
-        theta = cmath.phase(coeff) + exp[axis] * phi
-        buckets.setdefault(exp[other], []).append((L, theta))
-    out = {}
-    for k, parts in buckets.items():
-        top = max(L for L, _ in parts)
-        val = sum(cmath.exp(complex(L - top, theta)) for L, theta in parts)
-        if val == 0:
-            continue
-        out[k] = (top + math.log(abs(val)), cmath.phase(val))
-    return out
+    exps = np.array([exp for exp, _ in f.terms])
+    coeffs = np.array([coeff for _, coeff in f.terms])
+    L = np.log(np.abs(coeffs)) + exps[:, axis] * log_w[:, None]
+    theta = np.angle(coeffs) + exps[:, axis] * phi[:, None]
+    ks = exps[:, other]
+    k_min = int(ks.min())
+    shape = (len(log_w), int(ks.max()) - k_min + 1)
+    logmag, phase = np.full(shape, -np.inf), np.zeros(shape)
+    present = np.zeros(shape, dtype=bool)
+    for k in np.unique(ks):
+        terms = np.flatnonzero(ks == k)
+        top = np.max(L[:, terms], axis=1)
+        val = 0j
+        for j in terms:  # in term order
+            val = val + np.exp((L[:, j] - top) + 1j * theta[:, j])
+        col = k - k_min
+        present[:, col] = val != 0
+        with np.errstate(divide="ignore"):
+            logmag[:, col] = np.where(present[:, col], top + np.log(np.abs(val)), -np.inf)
+        phase[:, col] = np.angle(val)
+    return logmag, phase, present
 
 
 def amoeba_sample(
@@ -269,6 +344,15 @@ def amoeba_sample(
     emitted as (1/m) Log(z); both variable roles are swept.  The grid box is
     the window in the scaled Log coordinates, so larger m slices at modulus
     e^(-m*s), matching Log(preimage) = (1/m) Log(Z).
+
+    All slices of an axis go to polynomial_roots as one (S, d+1) batch, with
+    S = slice values x phases, each row balanced by its exponent-spread shift.
+    A row whose lowest or highest coefficient cancels exactly has a smaller
+    degree and is solved in its own batch, so an axis needs more than one
+    call only for such inputs.  Points keep the order of axis, slice value,
+    phase, then root.  The cloud's counters give slices (rows solved),
+    failed_slices (rows the kernel failed; their roots are dropped) and
+    aberth_iterations (sweeps summed over rows).
     """
     if f.ambient_dim != 2:
         raise DynamicsError("amoeba sampling is two-dimensional")
@@ -279,51 +363,44 @@ def amoeba_sample(
     for var in (0, 1):
         if all(exp[var] == 0 for exp, _ in f.terms):
             raise DynamicsError("polynomial is univariate in effect")
-    pts = []
+    counters = {"slices": 0, "failed_slices": 0, "aberth_iterations": 0}
+    blocks = []
     for axis in (0, 1):
         other = 1 - axis
         nphi = phases if phases is not None else grid.resolution[other]
         phis = phase_offset + 2 * np.pi * np.arange(nphi) / nphi
-        for s in grid.axis(axis):
-            log_w = -m * float(s)
-            for phi in phis:
-                coeffs = _slice_coefficients(f, axis, log_w, float(phi))
-                if not coeffs:
-                    continue
-                k_lo = min(coeffs)
-                k_hi = max(coeffs)
-                deg = k_hi - k_lo
-                if deg == 0:
-                    continue  # no finite nonzero roots on this slice
-                # balance the exponent spread so the scaled coefficients are finite
-                t = (coeffs[k_lo][0] - coeffs[k_hi][0]) / deg
-                logs = []
-                for j in range(deg + 1):
-                    if k_lo + j in coeffs:
-                        L, theta = coeffs[k_lo + j]
-                        logs.append((L + j * t, theta))
-                    else:
-                        logs.append(None)
-                top = max(L for Lt in logs if Lt is not None for L in [Lt[0]])
-                cs = []
-                for Lt in logs:
-                    if Lt is None:
-                        cs.append(0j)
-                    else:
-                        cs.append(cmath.exp(complex(Lt[0] - top, Lt[1])))
-                try:
-                    roots = polynomial_roots(cs)
-                except RootFindingError:
-                    continue
-                for y in roots:
-                    if y == 0 or not np.isfinite(abs(y)):
-                        continue
-                    log_root = t + math.log(abs(y))
-                    coord = [0.0, 0.0]
-                    coord[axis] = float(s)
-                    coord[other] = LOG_SIGN * log_root / m
-                    pts.append(coord)
-    return PointCloud(2, np.asarray(pts, dtype=float) if pts else np.zeros((0, 2)), m=m)
+        values = grid.axis(axis)
+        s = np.repeat(values, nphi)  # row r: slice value r // nphi, phase r % nphi
+        logmag, phase, present = _slice_matrix(f, axis, -m * s, np.tile(phis, len(values)))
+        width = present.shape[1]
+        k_lo = np.argmax(present, axis=1)
+        k_hi = width - 1 - np.argmax(present[:, ::-1], axis=1)
+        # rows with no term or a single degree have no finite nonzero roots
+        solvable = present.any(axis=1) & (k_hi > k_lo)
+        coord = np.full((len(s), width - 1), np.nan)
+        for span in np.unique(k_lo[solvable] * width + k_hi[solvable]):
+            lo, hi = divmod(int(span), width)
+            deg = hi - lo
+            rows = np.flatnonzero(solvable & (k_lo == lo) & (k_hi == hi))
+            L, theta = logmag[rows, lo:hi + 1], phase[rows, lo:hi + 1]
+            # balance the exponent spread so the scaled coefficients are finite
+            t = (L[:, 0] - L[:, -1]) / deg
+            L = L + np.arange(deg + 1) * t[:, None]
+            top = np.max(L, axis=1, keepdims=True)
+            batch = polynomial_roots(np.exp((L - top) + 1j * theta))
+            good = ~batch.failed
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_root = t[good, None] + np.log(np.abs(batch.roots[good]))
+            coord[rows[good], :deg] = LOG_SIGN * log_root / m
+            counters["slices"] += len(rows)
+            counters["failed_slices"] += int(np.count_nonzero(batch.failed))
+            counters["aberth_iterations"] += int(batch.iterations.sum())
+        keep = np.isfinite(coord)  # drops unfilled entries and zero or infinite roots
+        pts = np.empty((int(keep.sum()), 2))
+        pts[:, axis] = np.broadcast_to(s[:, None], coord.shape)[keep]
+        pts[:, other] = coord[keep]
+        blocks.append(pts)
+    return PointCloud(2, np.concatenate(blocks), m=m, counters=counters)
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +463,33 @@ def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointClo
     return PointCloud(n, arr)
 
 
-def _nearest_distances(P, Q, chunk=256) -> np.ndarray:
+#: pairs per block of the nearest-distance loop: two 512 KB buffers, which stay in cache
+BLOCK_PAIRS = 2 ** 16
+
+
+def _nearest_distances(P, Q) -> np.ndarray:
     """Euclidean distance from each row of P to the nearest row of Q.
 
-    Brute force over all pairs, chunk rows of P at a time, so memory stays
-    at chunk * len(Q) squared distances.
+    Brute force over all pairs, a block of P's rows at a time, sized to about
+    BLOCK_PAIRS pairs so the two reused (rows, len(Q)) buffers stay in cache.
+    Squared differences are added coordinate by coordinate, left to right,
+    so no (rows, len(Q), dim) array is built.  Below 8 coordinates numpy's
+    sum over a last axis adds in the same order, so the distances equal that
+    formulation bit for bit.
     """
     out = np.empty(len(P))
-    for start in range(0, len(P), chunk):
-        block = P[start:start + chunk]
-        d2 = np.sum((block[:, None, :] - Q[None, :, :]) ** 2, axis=2)
-        out[start:start + chunk] = np.sqrt(np.min(d2, axis=1))
+    rows = max(1, min(len(P), BLOCK_PAIRS // max(len(Q), 1)))
+    d2_buf, diff_buf = np.empty((rows, len(Q))), np.empty((rows, len(Q)))
+    for start in range(0, len(P), rows):
+        block = P[start:start + rows]
+        d2, diff = d2_buf[:len(block)], diff_buf[:len(block)]
+        np.subtract(block[:, 0, None], Q[None, :, 0], out=d2)
+        d2 *= d2
+        for j in range(1, P.shape[1]):
+            np.subtract(block[:, j, None], Q[None, :, j], out=diff)
+            diff *= diff
+            d2 += diff
+        out[start:start + rows] = np.sqrt(np.min(d2, axis=1))
     return out
 
 
@@ -503,7 +596,12 @@ def convergence_report(
     seed: int = 0,
     density: float = 40.0,
 ) -> ConvergenceReport:
-    """Run a named experiment for each m and fit errors ~ C * m^(-rho)."""
+    """Run a named experiment for each m and fit errors ~ C * m^(-rho).
+
+    A hausdorff-to-tropical report also lists, per m, the amoeba sampler's
+    deterministic counters in details: slices, failed_slices and
+    aberth_iterations (see amoeba_sample).  No timing enters a report.
+    """
     ms = tuple(int(m) for m in ms)
     if len(ms) < 2 or any(b <= a for a, b in zip(ms, ms[1:])):
         raise DynamicsError("need at least two strictly increasing m values")
@@ -530,7 +628,9 @@ def convergence_report(
             (hi - lo) / (r - 1) for (lo, hi), r in zip(grid.box, grid.resolution)
         )
         for m in ms:
-            cloud = clip_to_box(amoeba_sample(f, grid, m), grid.box)
-            errors.append(hausdorff(cloud, spine))
+            sample = amoeba_sample(f, grid, m)
+            for key, count in sample.counters.items():
+                details.setdefault(key, []).append(count)
+            errors.append(hausdorff(clip_to_box(sample, grid.box), spine))
     C, rho = _fit_power_law(ms, errors)
     return ConvergenceReport(experiment, ms, tuple(float(e) for e in errors), C, rho, seed, details)

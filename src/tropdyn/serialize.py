@@ -38,13 +38,19 @@ def _field(obj, key, what):
 
 
 def _number(parse, x, what):
-    """parse(x) when it gives a finite number, else a SchemaError."""
+    """parse(x) when it gives a finite number, else a SchemaError.
+
+    A number that parse would change is refused, not rounded: int(1.5) is 1,
+    so an integer field holding 1.5 is a SchemaError.
+    """
     try:
         value = parse(x)
     except (TypeError, ValueError, ArithmeticError):
         value = None
     if value is None or (isinstance(value, float) and not math.isfinite(value)):
         raise SchemaError(f"{what} is not a finite number: {x!r}")
+    if isinstance(x, float) and value != x:
+        raise SchemaError(f"{what} is not an integer: {x!r}")
     return value
 
 

@@ -257,8 +257,23 @@ MALFORMED_CASES = {
         [],
         "exponent is not a finite number",
     ),
+    "exp-not-integral": (
+        "hypersurface",
+        {"terms": [{"exp": [1.5, 0], "coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}]},
+        [],
+        "exponent is not an integer: 1.5",
+    ),
     "box-not-numeric": (
         "amoeba", LINE_JSON, ["--ms", "2", "--box", "a,b", "-o", "x.csv"], "--box needs numbers"
+    ),
+    "box-not-finite": (
+        "amoeba", LINE_JSON, ["--ms", "2", "--box=nan,inf", "-o", "x.csv"], "box bounds must be finite"
+    ),
+    "box-infinite-converge": (
+        "converge",
+        LINE_JSON,
+        ["--experiment", "hausdorff-to-tropical", "--ms", "4,8", "--box=-1,inf"],
+        "box bounds must be finite",
     ),
 }
 

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tropdyn.dynamics
 from tropdyn.dynamics import (
     DynamicsError,
     GridSpec,
     PointCloud,
+    RootFindingError,
     amoeba_sample,
     clip_to_box,
     convergence_report,
@@ -150,6 +154,50 @@ def test_roots_errors():
         polynomial_roots([3])
     with pytest.raises(DynamicsError):
         polynomial_roots([1, 2, 0])
+    with pytest.raises(DynamicsError):
+        polynomial_roots(np.ones((4, 1)))
+
+
+def _matches(mine, ref, tol):
+    """Every root of either list lies within tol * max(1, |root|) of the other list."""
+    mine, ref = np.asarray(mine), np.asarray(ref)
+    gaps = np.abs(mine[:, None] - ref[None, :])
+    scale = np.maximum(1.0, np.abs(ref))
+    return np.all(gaps.min(axis=1) <= tol * scale.max()) and np.all(gaps.min(axis=0) <= tol * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_batch_roots_property(d, rows, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(rows, d + 1)) + 1j * rng.normal(size=(rows, d + 1))
+    c *= np.exp(rng.uniform(-3, 3, size=(rows, 1)))  # rows of different scales
+    batch = polynomial_roots(c)
+    assert batch.roots.shape == (rows, d) and batch.failed.shape == (rows,)
+    assert len(batch) == d * int(np.count_nonzero(~batch.failed))
+    for r in range(rows):
+        if batch.failed[r]:
+            with pytest.raises(RootFindingError):
+                polynomial_roots(c[r])
+            continue
+        # the batch row is the one-row call, and both agree with numpy
+        assert batch.roots[r].tolist() == polynomial_roots(c[r])
+        assert _matches(batch.roots[r], np.roots(c[r, ::-1]), 1e-7)
+        if d == 1:
+            assert batch.roots[r, 0] == -c[r, 0] / c[r, 1]
+            assert batch.iterations[r] == 0
+    # one Aberth sweep does not converge: rows of degree >= 3 come back failed
+    if d >= 3:
+        assert polynomial_roots(c, max_iter=1).failed.all()
+
+
+def test_batch_roots_unstartable_rows_fail():
+    c = np.array([[1, 2, 0], [0, 1, 1], [np.nan, 1, 1], [2, -3, 1]], dtype=complex)
+    batch = polynomial_roots(c)
+    assert batch.failed.tolist() == [True, True, True, False]
+    assert np.isnan(batch.roots[:3]).all()
+    assert batch.roots[3] == pytest.approx([1, 2], abs=1e-10)
+    assert len(polynomial_roots(np.zeros((0, 4)))) == 0
 
 
 # -- amoeba sampling
@@ -195,6 +243,82 @@ def test_amoeba_univariate_rejected():
     f = ComplexPolynomial({(1, 0): 1, (2, 0): 1})
     with pytest.raises(DynamicsError):
         amoeba_sample(f, GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3)), 1)
+
+
+def test_amoeba_calls_root_finder_once_per_axis(monkeypatch):
+    """The slices of an axis form one batch, so the root finder runs once or twice per call."""
+    calls = []
+    inner = tropdyn.dynamics.polynomial_roots
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tropdyn.dynamics, "polynomial_roots", counting)
+    cloud = amoeba_sample(LINE, GridSpec(box=((-3, 3), (-3, 3)), resolution=(11, 11)), 4)
+    assert len(cloud) > 0
+    assert 1 <= len(calls) <= 2
+
+
+def test_amoeba_cancelled_bucket_keeps_degree(monkeypatch):
+    """A row whose top coefficient cancels exactly is solved in its own, lower-degree batch."""
+    slice_matrix = tropdyn.dynamics._slice_matrix
+    solve = tropdyn.dynamics.polynomial_roots
+    shapes = []
+
+    def cancel_first_top(f, axis, log_w, phi):
+        logmag, phase, present = slice_matrix(f, axis, log_w, phi)
+        logmag[0, -1], present[0, -1] = -np.inf, False
+        return logmag, phase, present
+
+    def recording(c, **kwargs):
+        shapes.append(np.shape(c))
+        return solve(c, **kwargs)
+
+    monkeypatch.setattr(tropdyn.dynamics, "_slice_matrix", cancel_first_top)
+    monkeypatch.setattr(tropdyn.dynamics, "polynomial_roots", recording)
+    f = ComplexPolynomial({(0, 2): 1, (1, 1): 1, (0, 0): 1})  # z2^2 + z1 z2 + 1
+    grid = GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3))
+    cloud = amoeba_sample(f, grid, 2)
+    S = 3 * 3
+    # axis 0: row 0 is z1 z2 + 1 (degree 1), the rest quadratic in z2; axis 1:
+    # row 0 keeps only its constant coefficient (no roots), the rest linear in z1
+    assert sorted(shapes) == sorted([(S - 1, 3), (1, 2), (S - 1, 2)])
+    assert cloud.counters["slices"] == 2 * S - 1
+    # z2 = -1/z1 with |z1| = e^(-m s): the scaled point is (s, -s)
+    assert cloud.points[0].tolist() == [-1.0, 1.0]
+    assert len(cloud) == 1 + 2 * (S - 1) + (S - 1)
+
+
+def _random_curve(rng, degree):
+    """A curve whose Newton polygon has both variables: k >= 3 terms of degree <= degree."""
+    exps = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    while True:
+        k = int(rng.integers(3, len(exps) + 1))
+        chosen = [exps[i] for i in rng.choice(len(exps), size=k, replace=False)]
+        if max(e[0] for e in chosen) > 0 and max(e[1] for e in chosen) > 0:
+            break
+    coeffs = np.exp(rng.uniform(-2, 2, size=k)) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=k))
+    return ComplexPolynomial(dict(zip(chosen, coeffs.tolist())))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([4, 8, 16]), st.integers(0, 2 ** 32 - 1))
+def test_amoeba_points_satisfy_gap_bound(degree, m, seed):
+    """At a zero of f no term exceeds the sum of the k-1 others.
+
+    So at every scaled amoeba point x the two largest of log|c_a|/m - <a, x>
+    are at most log(k-1)/m apart.  Slices of degree 2-4 go through Aberth.
+    """
+    f = _random_curve(np.random.default_rng(seed), degree)
+    grid = GridSpec(box=((-3, 3), (-3, 3)), resolution=(13, 13))
+    cloud = amoeba_sample(f, grid, m)
+    assert cloud.counters["slices"] > 0
+    exps = np.array([e for e, _ in f.terms], dtype=float)
+    logc = np.log(np.abs(np.array([c for _, c in f.terms])))
+    vals = logc[None, :] / m - cloud.points @ exps.T
+    top2 = -np.partition(-vals, 1, axis=1)[:, :2]
+    assert np.all(top2[:, 0] - top2[:, 1] <= math.log(len(f.terms) - 1) / m + 1e-6)
 
 
 # -- support sampling and Hausdorff
@@ -326,6 +450,10 @@ def test_convergence_hausdorff_decreasing():
     pitch = rep.details["grid_pitch"]
     for a, b in zip(rep.errors, rep.errors[1:]):
         assert b <= a + 2 * pitch
+    # every slice of a line is degree 1: 2 axes x 41 values x 41 phases, no sweeps
+    assert rep.details["slices"] == [2 * 41 * 41] * 3
+    assert rep.details["failed_slices"] == [0, 0, 0]
+    assert rep.details["aberth_iterations"] == [0, 0, 0]
 
 
 def test_gridspec_validation():
@@ -335,6 +463,9 @@ def test_gridspec_validation():
         GridSpec(box=((0, 1),), resolution=(1,))
     with pytest.raises(DynamicsError):
         GridSpec(box=((0, 1),), resolution=(4,), delta=-1)
+    for bad in ((math.nan, math.inf), (-1.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
+        with pytest.raises(DynamicsError, match="finite"):
+            GridSpec(box=(bad,), resolution=(4,))
 
 
 def test_clip_to_box():
