@@ -20,6 +20,7 @@ from .tropical import ComplexPolynomial, eval_tropical, tropical_hypersurface, t
 #: sign convention for the logarithm map; Log(z) = LOG_SIGN * log|z| coordinatewise
 LOG_SIGN = -1.0
 
+#: most points of an all-mode root set and of a sampling grid
 ALL_MODE_BUDGET = 10 ** 6
 
 
@@ -57,8 +58,10 @@ class GridSpec:
             raise DynamicsError("box intervals need lo < hi")
         if any(r < 2 for r in self.resolution):
             raise DynamicsError("resolution must be at least 2 per axis")
-        if self.delta < 0:
-            raise DynamicsError("exclusion radius must be nonnegative")
+        if math.prod(self.resolution) > ALL_MODE_BUDGET:
+            raise DynamicsError(f"a grid has at most {ALL_MODE_BUDGET} points")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise DynamicsError("exclusion radius must be a finite nonnegative number")
 
     def axis(self, i):
         lo, hi = self.box[i]
@@ -423,8 +426,8 @@ def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointClo
     Every cell with nonempty intersection contributes at least its relative
     interior point; weights play no role in sampling.
     """
-    if density <= 0:
-        raise DynamicsError("density must be positive")
+    if not (math.isfinite(density) and density > 0):
+        raise DynamicsError("density must be a finite positive number")
     n = C.ambient_dim
     if len(box) != n:
         raise DynamicsError("box dimension mismatch")

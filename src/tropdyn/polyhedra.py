@@ -10,8 +10,9 @@ vertices are sorted Fractions.  Equal sets therefore compare equal as tuples.
 Conversions between descriptions use brute-force extreme-ray enumeration
 (kernels of row subsets via signed maximal minors), exact and comfortably
 fast for the ambient dimensions this engine supports (<= MAX_AMBIENT_DIM).
-Cones are converted in their ambient dimension; other polyhedra are
-homogenised one dimension higher.
+Equations and lineality are fixed rows of every kernel; the subsets are drawn
+from the inequalities only.  Cones are converted in their ambient dimension;
+other polyhedra are homogenised one dimension higher.
 """
 
 from __future__ import annotations
@@ -103,20 +104,19 @@ def _frac_primitive(v):
     return primitive(_integral(v))[0]
 
 
-def _signed(vectors, both_signs):
-    """The vectors, then each of both_signs (equations, lineality) with both signs."""
-    return list(vectors) + list(both_signs) + [vec_neg(v) for v in both_signs]
-
-
-def _pointed_extreme_rays(rows, d, eqs=()):
+def _pointed_extreme_rays(rows, d, fixed=()):
     """Extreme rays of the pointed cone {y in R^d : r . y >= 0, e . y = 0}.
 
-    r runs over rows and e over eqs; every ray spans the kernel of the
-    equations plus d - 1 - len(eqs) of the rows.
+    r runs over rows and e over the independent fixed rows (equations and
+    lineality); every ray spans the kernel of the fixed rows plus
+    d - 1 - len(fixed) of the rows.  With no room left the cone is {0}.
     """
+    k = d - 1 - len(fixed)
+    if k < 0:
+        return []
     found = {}
-    for S in itertools.combinations(rows, d - 1 - len(eqs)):
-        v = _cross_kernel(list(eqs) + list(S), d)
+    for S in itertools.combinations(rows, k):
+        v = _cross_kernel(list(fixed) + list(S), d)
         if v is None or v in found or vec_neg(v) in found:
             continue
         prods = [dot(r, v) for r in rows]
@@ -127,34 +127,38 @@ def _pointed_extreme_rays(rows, d, eqs=()):
     return sorted(found)
 
 
-def _h_cone_generators(normals, dim):
-    """Canonical extreme rays and lineality of {x : a . x >= 0 for a in normals}.
+def _h_cone_generators(normals, dim, eqs=()):
+    """Canonical extreme rays and lineality of {x : a . x >= 0, e . x = 0}.
 
-    With no normals the whole space comes back as pure lineality.  Rays are
-    primitive and orthogonal to the lineality space L: they are the extreme
-    rays of the pointed cone cut by L . x = 0, which are the orthogonal
-    projections of the cone's rays.  The lineality basis is in Hermite normal
-    form.
+    a runs over normals and e over eqs; with neither the whole space comes
+    back as pure lineality.  Rays are primitive and orthogonal to the
+    lineality space L: they are the extreme rays of the pointed cone cut by
+    L . x = 0, which are the orthogonal projections of the cone's rays.  L
+    and the equations are the fixed rows (independent, as L is orthogonal to
+    the equations' span), so subsets come from the inequalities only.  The
+    lineality basis is in Hermite normal form.
     """
     normals = list(dict.fromkeys(primitive(a)[0] for a in normals if not is_zero_vector(a)))
-    if not normals:
+    eqs = list(dict.fromkeys(primitive(e)[0] for e in eqs if not is_zero_vector(e)))
+    if not normals and not eqs:
         return (), identity(dim)
-    lin = hnf_basis(integer_kernel(normals))
-    return tuple(_pointed_extreme_rays(normals, dim, eqs=lin)), lin
+    lin = hnf_basis(integer_kernel(normals + eqs))
+    return tuple(_pointed_extreme_rays(normals, dim, fixed=lin + hnf_basis(eqs))), lin
 
 
-def _canonical(rows, d, is_empty=None):
-    """Both canonical descriptions of the cone {x in R^d : r . x >= 0 for r in rows}.
+def _canonical(rows, d, eqs=(), is_empty=None):
+    """Both canonical descriptions of the cone {x in R^d : r . x >= 0, e . x = 0}.
 
-    H -> V, then V -> H from the canonical generators: returns
-    ((rays, lineality), (normals, equation normals)).  By duality, rows that
-    are generators instead of normals give the H-description first.  When
-    is_empty accepts the rays, None comes back before the second conversion.
+    H -> V, then V -> H with the lineality as equations: returns
+    ((rays, lineality), (normals, equation normals)).  By duality, generators
+    and lineality in place of normals and equations give the H-description
+    first.  When is_empty accepts the rays, None comes back before the second
+    conversion.
     """
-    rays, lin = _h_cone_generators(rows, d)
+    rays, lin = _h_cone_generators(rows, d, eqs)
     if is_empty is not None and is_empty(rays):
         return None
-    return (rays, lin), _h_cone_generators(_signed(rays, lin), d)
+    return (rays, lin), _h_cone_generators(rays, d, eqs=lin)
 
 
 def _vrep_dim(vertices, rays, lineality):
@@ -252,7 +256,7 @@ class Polyhedron:
         rows.append(tuple([0] * n + [1]))  # t >= 0
         eq_rows = [_frac_primitive((*a, -Fraction(b))) for a, b in eqs]
         canon = _canonical(
-            _signed(rows, eq_rows), n + 1, is_empty=lambda rays: all(r[n] == 0 for r in rays)
+            rows, n + 1, eqs=eq_rows, is_empty=lambda rays: all(r[n] == 0 for r in rays)
         )
         if canon is None:
             return cls._empty(n)
@@ -268,7 +272,7 @@ class Polyhedron:
         gens = [_integral((*v, 1)) for v in vertices]
         gens += [tuple(int(x) for x in r) + (0,) for r in rays]
         lin = [tuple(int(x) for x in l) + (0,) for l in lineality]
-        hrep, vrep = _canonical(_signed(gens, lin), ambient_dim + 1)
+        hrep, vrep = _canonical(gens, ambient_dim + 1, eqs=lin)
         return cls._dehomogenise(ambient_dim, vrep, hrep)
 
     @classmethod
@@ -404,12 +408,12 @@ class Cone(Polyhedron):
             raise PolyhedralError("ambient dimension unsupported")
         if any(len(g) != ambient_dim for g in gens + lin):
             raise PolyhedralError("mixed ambient dimensions")
-        hrep, vrep = _canonical(_signed(gens, lin), ambient_dim)
+        hrep, vrep = _canonical(gens, ambient_dim, eqs=lin)
         return cls._through_origin(ambient_dim, vrep, hrep)
 
     @classmethod
     def from_constraints(cls, ineq_normals, eq_normals, ambient_dim):
-        vrep, hrep = _canonical(_signed(ineq_normals, eq_normals), ambient_dim)
+        vrep, hrep = _canonical(ineq_normals, ambient_dim, eqs=eq_normals)
         return cls._through_origin(ambient_dim, vrep, hrep)
 
     @classmethod
@@ -484,7 +488,8 @@ class Fan:
         cones = list({c.key: c for c in cones}.values())
 
         def inside(c, o):
-            return all(o.contains(g) for g in _signed(c.rays, c.lineality))
+            gens = c.rays + c.lineality + tuple(vec_neg(l) for l in c.lineality)
+            return all(o.contains(g) for g in gens)
 
         maximal = [c for c in cones if not any(o is not c and inside(c, o) for o in cones)]
         return cls(maximal, ambient_dim, validate=validate)

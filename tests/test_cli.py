@@ -275,6 +275,27 @@ MALFORMED_CASES = {
         ["--experiment", "hausdorff-to-tropical", "--ms", "4,8", "--box=-1,inf"],
         "box bounds must be finite",
     ),
+    "delta-not-finite": (
+        "dequantize", LINE_JSON, ["--ms", "4", "--delta", "nan"], "exclusion radius must be a finite"
+    ),
+    "density-nan": (
+        "converge",
+        LINE_JSON,
+        ["--experiment", "hausdorff-to-tropical", "--ms", "4,8", "--density", "nan"],
+        "density must be a finite positive number",
+    ),
+    "density-infinite": (
+        "converge",
+        LINE_JSON,
+        ["--experiment", "hausdorff-to-tropical", "--ms", "4,8", "--density", "inf"],
+        "density must be a finite positive number",
+    ),
+    "res-too-large": (
+        "amoeba",
+        LINE_JSON,
+        ["--ms", "4", "--res", "100000000", "--box", "0,1", "-o", "x.csv"],
+        "a grid has at most 1000000 points",
+    ),
 }
 
 

@@ -466,6 +466,16 @@ def test_gridspec_validation():
     for bad in ((math.nan, math.inf), (-1.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)):
         with pytest.raises(DynamicsError, match="finite"):
             GridSpec(box=(bad,), resolution=(4,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DynamicsError, match="finite"):
+            GridSpec(box=((0, 1),), resolution=(4,), delta=bad)
+    with pytest.raises(DynamicsError, match="at most"):
+        GridSpec(box=((0, 1), (0, 1)), resolution=(1001, 1000))
+    assert GridSpec(box=((0, 1), (0, 1)), resolution=(1000, 1000))
+    cycle = tropical_hypersurface(tropicalize_poly(LINE))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DynamicsError, match="finite"):
+            sample_tropical_support(cycle, ((-1, 1), (-1, 1)), bad)
 
 
 def test_clip_to_box():

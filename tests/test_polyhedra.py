@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tropdyn import polyhedra
 from tropdyn.polyhedra import (
     Cone,
     Fan,
@@ -122,6 +123,77 @@ def test_zero_cone():
     assert c.dim == 0
     assert c.rays == () and c.lineality == ()
     assert c.contains((0, 0, 0)) and not c.contains((1, 0, 0))
+
+
+def _both_signs(vectors):
+    return [tuple(v) for v in vectors] + [tuple(-x for x in v) for v in vectors]
+
+
+def _same_descriptions(P, Q):
+    assert (P.key, P.eqs, P.ineqs) == (Q.key, Q.eqs, Q.ineqs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equations_match_opposite_inequalities(data):
+    n = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    ineqs = data.draw(st.lists(st.tuples(vec.filter(any), st.integers(-3, 3)), max_size=4))
+    eqs = data.draw(st.lists(st.tuples(vec.filter(any), st.integers(-3, 3)), max_size=2))
+    split = list(eqs) + [(tuple(-x for x in a), -b) for a, b in eqs]
+    _same_descriptions(
+        Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs),
+        Polyhedron.from_constraints(n, ineqs=ineqs + split),
+    )
+    normals = [a for a, _ in ineqs]
+    eq_normals = data.draw(st.lists(vec, max_size=2))
+    _same_descriptions(
+        Cone.from_constraints(normals, eq_normals, n),
+        Cone.from_constraints(normals + _both_signs(eq_normals), (), n),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lineality_matches_opposite_generators(data):
+    n = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    gens = data.draw(st.lists(vec, max_size=4))
+    lin = data.draw(st.lists(vec, max_size=2))
+    _same_descriptions(
+        Cone.from_generators(gens, n, lineality=lin),
+        Cone.from_generators(gens + _both_signs(lin), n),
+    )
+    point = st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n).map(tuple)
+    vertices = data.draw(st.lists(point, min_size=1, max_size=3))
+    _same_descriptions(
+        Polyhedron.from_generators(n, vertices=vertices, rays=gens, lineality=lin),
+        Polyhedron.from_generators(n, vertices=vertices, rays=gens + _both_signs(lin)),
+    )
+
+
+def test_h_to_v_enumerates_inequality_subsets_only(monkeypatch):
+    """Equations are fixed rows: the kernels take 1 of 3 inequality rows, not 3 of 7 rows."""
+    subsets = []
+    cross_kernel, convert = polyhedra._cross_kernel, polyhedra._h_cone_generators
+
+    def counting_cross_kernel(*args):
+        subsets[-1] += 1
+        return cross_kernel(*args)
+
+    def counting_convert(*args, **kwargs):
+        subsets.append(0)
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "_cross_kernel", counting_cross_kernel)
+    monkeypatch.setattr(polyhedra, "_h_cone_generators", counting_convert)
+    seg = Polyhedron.from_constraints(
+        3,
+        eqs=(((0, 1, 0), 0), ((0, 0, 1), 0)),
+        ineqs=(((1, 0, 0), 0), ((-1, 0, 0), -1)),
+    )
+    assert seg.vertices == ((0, 0, 0), (1, 0, 0)) and seg.dim == 1
+    assert 1 <= subsets[0] <= 3
 
 
 # -- fans, refinement, unimodularity, completeness

@@ -100,6 +100,34 @@ def test_eval_convexity(data):
     assert lhs <= rhs + 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eval_float_path_matches_exact_path(data):
+    """At small-denominator rational points the float path agrees with the exact one."""
+    n = data.draw(st.integers(1, 3))
+    small = st.fractions(-5, 5, max_denominator=8)
+    exps = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    terms = data.draw(st.dictionaries(exps, small, min_size=1, max_size=6))
+    x = tuple(data.draw(small) for _ in range(n))
+
+    def at_x(e):
+        return sum(xi * ei for xi, ei in zip(x, e))
+
+    top = max(at_x(e) + c for e, c in terms.items())
+    # one more term tied with the top at x, so that ties are common
+    tied = data.draw(exps)
+    terms.setdefault(tied, top - at_x(tied))
+    q = TropicalPolynomial(terms, ambient_dim=n)
+    exact = eval_tropical(q, x)
+    floating = eval_tropical(q, tuple(float(xi) for xi in x))
+    scale = max(1, abs(top))
+    assert abs(floating.value - exact.value) <= 1e-12 * scale
+    assert set(exact.argmax) <= set(floating.argmax)
+    runner_up = max((at_x(e) + c for e, c in q.terms if at_x(e) + c < top), default=None)
+    if runner_up is not None and top - runner_up > Fraction(2e-9) * scale:
+        assert floating.argmax == exact.argmax
+
+
 # -- dequantization
 
 
