@@ -15,7 +15,16 @@ from fractions import Fraction
 import numpy as np
 
 from .polyhedra import Polyhedron, WeightedComplex
-from .tropical import ComplexPolynomial, eval_tropical, tropical_hypersurface, tropicalize_poly
+from .tropical import (
+    COMPLEX_SUM_COMPENSATES,
+    ComplexPolynomial,
+    builtin_max,
+    builtin_sum,
+    eval_tropical,
+    exponent_dots,
+    tropical_hypersurface,
+    tropicalize_poly,
+)
 
 #: sign convention for the logarithm map; Log(z) = LOG_SIGN * log|z| coordinatewise
 LOG_SIGN = -1.0
@@ -449,10 +458,12 @@ def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointClo
         verts = np.array([[float(x) for x in v] for v in clipped.vertices])
         coords = (verts - center) @ Q
         step = 1.0 / density
-        axes = []
-        for j in range(Q.shape[1]):
-            lo, hi = coords[:, j].min(), coords[:, j].max()
-            axes.append(np.arange(lo, hi + step / 2, step))
+        ranges = [(coords[:, j].min(), coords[:, j].max() + step / 2) for j in range(Q.shape[1])]
+        # np.arange(lo, stop, step) has ceil((stop - lo) / step) entries
+        count = math.prod(np.ceil((stop - lo) / step) for lo, stop in ranges)
+        if not count <= ALL_MODE_BUDGET:  # also catches an infinite count
+            raise DynamicsError(f"a cell would take more than {ALL_MODE_BUDGET} samples at density {density:g}")
+        axes = [np.arange(lo, stop, step) for lo, stop in ranges]
         mesh = np.meshgrid(*axes, indexing="ij")
         u = np.stack([g.ravel() for g in mesh], axis=-1)
         cand = center + u @ Q.T
@@ -521,18 +532,54 @@ def clip_to_box(cloud: PointCloud, box) -> PointCloud:
 # dequantization error and convergence experiments
 
 
-def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int) -> float:
-    """log|f(z^m)| for z_j = exp(-x_j + i theta_j), via an exponent shift."""
-    parts = []
-    for exp, coeff in f.terms:
-        L = math.log(abs(coeff)) - m * sum(e * xj for e, xj in zip(exp, x))
-        ph = cmath.phase(coeff) + m * sum(e * tj for e, tj in zip(exp, theta))
-        parts.append((L, ph))
-    top = max(L for L, _ in parts)
-    val = sum(cmath.exp(complex(L - top, ph)) for L, ph in parts)
-    if abs(val) < 1e-280:
-        raise ZeroDivisionError("hit a zero of f(z^m)")
-    return top + math.log(abs(val))
+def _libm(fn, a):
+    """fn of the math module (or abs) mapped over an array: libm's results, bit for bit.
+
+    numpy's own exp, log and complex abs differ from libm's by an ulp on some
+    inputs; a scalar formula written with math and cmath gets libm's values.
+    """
+    return np.fromiter(map(fn, a.ravel().tolist()), float, count=a.size).reshape(a.shape)
+
+
+def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
+    """log|f(z^m)| for z_j = exp(-x_j + i theta_j), via an exponent shift.
+
+    With (N, n) arrays of points and phases every row is evaluated in one
+    batch, which returns the N values and a mask of the rows where
+    |f(z^m)| < 1e-280 (their values are NaN).  A flat point is the one-row
+    case of the same kernel: it returns a float and raises ZeroDivisionError
+    on a masked row.
+
+    Per row this is the scalar formula: with L_a = log|c_a| - m <a, x> and
+    phi_a = arg c_a + m <a, theta>, top = max L_a, the value is
+    top + log|sum_a exp(L_a - top + i phi_a)|.  The sums run term by term in
+    f.terms order as sum() would add them, and exp, cos, sin, abs and log are
+    libm's (see _libm), so each row equals that formula bit for bit.
+    """
+    X, T = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
+    flat = X.ndim == 1
+    if flat:
+        X, T = X[None], T[None]
+    if X.shape != T.shape or X.ndim != 2 or X.shape[1] != f.ambient_dim:
+        raise DynamicsError("points and phases must be (N, n) arrays matching the polynomial")
+    exps = [exp for exp, _ in f.terms]
+    L = np.array([math.log(abs(c)) for _, c in f.terms]) - m * exponent_dots(exps, X)
+    phase = np.array([cmath.phase(c) for _, c in f.terms]) + m * exponent_dots(exps, T)
+    top = builtin_max(L.T)
+    scale = _libm(math.exp, L - top[:, None])  # cmath.exp(a + ib) = e^a cos b + i e^a sin b
+    re = builtin_sum((scale * _libm(math.cos, phase)).T, COMPLEX_SUM_COMPENSATES)
+    im = builtin_sum((scale * _libm(math.sin, phase)).T, COMPLEX_SUM_COMPENSATES)
+    val = np.empty(len(X), dtype=complex)
+    val.real, val.imag = re, im
+    modulus = _libm(abs, val)
+    zero = modulus < 1e-280
+    vals = top + _libm(math.log, np.where(zero, 1.0, modulus))
+    vals[zero] = np.nan
+    if flat:
+        if zero[0]:
+            raise ZeroDivisionError("hit a zero of f(z^m)")
+        return float(vals[0])
+    return vals, zero
 
 
 def dequantization_error(
@@ -543,8 +590,13 @@ def dequantization_error(
     z_j = exp(-x_j + i theta_j) with seeded random phases.  The tropical
     hypersurface is sampled at pitch delta/8, and grid points closer than
     delta + delta/8 to that sample are skipped (the grid's delta must be
-    positive since trop(f) o Log is non-smooth on the set).  Near-zeros of
-    f(z^m) are re-phased up to max_retries.
+    positive since trop(f) o Log is non-smooth on the set).
+
+    The kept points go through eval_tropical and log_abs_power_pullback as
+    one (N, n) batch each.  Point k takes the k-th phase draw of the seeded
+    stream, as a loop drawing n phases per point would.  A point where
+    f(z^m) is near zero takes the next draw, and every point after it the
+    draws after that; a point may be re-phased up to max_retries times.
     """
     if grid.delta <= 0:
         raise DynamicsError("dequantization grids need a positive exclusion radius")
@@ -561,22 +613,22 @@ def dequantization_error(
         pts = pts[_nearest_distances(pts, support.points) >= grid.delta + pitch]
     if len(pts) == 0:
         raise DynamicsError("no grid points outside the exclusion zone")
+    target = eval_tropical(q, pts).value
     rng = np.random.default_rng(seed)
-    n = f.ambient_dim
-    errors = []
-    for x in pts:
-        x = tuple(float(v) for v in x)
-        target = eval_tropical(q, x).value
-        for attempt in range(max_retries + 1):
-            theta = rng.uniform(0.0, 2 * np.pi, size=n)
-            try:
-                g = log_abs_power_pullback(f, x, tuple(theta), m) / m
-            except ZeroDivisionError:
-                continue
-            errors.append(abs(g - target))
+    theta = rng.uniform(0.0, 2 * np.pi, size=pts.shape)  # the draws of points done, done+1, ...
+    errors = np.empty(len(pts))
+    done, failures = 0, 0  # failures: draws the point at done has failed on
+    while True:
+        vals, zero = log_abs_power_pullback(f, pts[done:], theta, m)
+        k = int(np.argmax(zero)) if zero.any() else len(vals)
+        errors[done:done + k] = np.abs(vals[:k] / m - target[done:done + k])
+        if k == len(vals):
             break
-        else:
+        failures = failures + 1 if k == 0 else 1
+        if failures > max_retries:
             raise DynamicsError("exceeded the phase retry budget near a zero")
+        done += k
+        theta = np.concatenate([theta[k + 1:], rng.uniform(0.0, 2 * np.pi, size=(1, pts.shape[1]))])
     return float(np.max(errors)), float(np.mean(errors))
 
 

@@ -251,10 +251,13 @@ class Polyhedron:
     def from_constraints(cls, ambient_dim, eqs=(), ineqs=()):
         if not 0 <= ambient_dim <= MAX_AMBIENT_DIM:
             raise PolyhedralError("ambient dimension unsupported")
-        n = ambient_dim
-        rows = [_frac_primitive((*a, -Fraction(b))) for a, b in ineqs]
+        n, eqs, ineqs = ambient_dim, tuple(eqs), tuple(ineqs)
+        # a row with a zero normal is vacuous or, on its own, infeasible
+        if any(b > 0 for a, b in ineqs if not any(a)) or any(b != 0 for a, b in eqs if not any(a)):
+            return cls._empty(n)
+        rows = [_frac_primitive((*a, -Fraction(b))) for a, b in ineqs if any(a)]
         rows.append(tuple([0] * n + [1]))  # t >= 0
-        eq_rows = [_frac_primitive((*a, -Fraction(b))) for a, b in eqs]
+        eq_rows = [_frac_primitive((*a, -Fraction(b))) for a, b in eqs if any(a)]
         canon = _canonical(
             rows, n + 1, eqs=eq_rows, is_empty=lambda rays: all(r[n] == 0 for r in rays)
         )

@@ -13,6 +13,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+import numpy as np
+
 from .lattice import identity, primitive, vec_sub
 from .polyhedra import Polyhedron, WeightedComplex, check_balancing
 
@@ -104,13 +106,72 @@ class TropicalPolynomial:
 
 TropicalValue = namedtuple("TropicalValue", ["value", "argmax"])
 
+#: whether the builtin sum() adds floats with Neumaier compensation (Python 3.12 on)
+SUM_COMPENSATES = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+#: the same for complex numbers, part by part (Python 3.14 on)
+COMPLEX_SUM_COMPENSATES = sum([1 + 0j, 1e100 + 0j, 1 + 0j, -1e100 + 0j]).real == 2.0
+
+
+def builtin_sum(columns, compensated=SUM_COMPENSATES):
+    """Elementwise sum of equal-shape float arrays, in order, bit-equal to sum().
+
+    sum() starts from the int 0 and, where compensated, carries a Neumaier
+    term that it adds at the end when nonzero and finite; the flag says
+    whether the running interpreter's sum() does that for these values.
+    """
+    total = 0.0 + columns[0]
+    comp = np.zeros_like(total)
+    for x in columns[1:]:
+        t = total + x
+        if compensated:
+            comp += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
+        total = t
+    if compensated:
+        total = np.where((comp != 0) & np.isfinite(comp), total + comp, total)
+    return total
+
+
+def builtin_max(columns):
+    """Elementwise max() of equal-shape float arrays: the first of equal values wins."""
+    top = columns[0]
+    for x in columns[1:]:
+        top = np.where(x > top, x, top)
+    return top
+
+
+def exponent_dots(exps, X):
+    """(N, T) array of sum(e_j * x_j) for each row x of the float array X and each exponent e.
+
+    Each entry equals the builtin sum() of the products over j in order, so a
+    batch agrees bit for bit with the same dot product taken one point at a time.
+    """
+    out = np.empty((X.shape[0], len(exps)))
+    for t, e in enumerate(exps):
+        out[:, t] = builtin_sum([e_j * X[:, j] for j, e_j in enumerate(e)])
+    return out
+
+
+def _eval_float_rows(q, X) -> TropicalValue:
+    """Float evaluation of q at every row of the (N, n) array X in one batch."""
+    if X.shape[1] != q.ambient_dim:
+        raise TropicalError("point dimension does not match the polynomial")
+    vals = exponent_dots([e for e, _ in q.terms], X) + np.array([float(c) for _, c in q.terms])
+    top = builtin_max(vals.T)
+    tol = FLOAT_TIE_TOL * np.maximum(1.0, np.abs(top))
+    return TropicalValue(top, top[:, None] - vals <= tol[:, None])
+
 
 def eval_tropical(q: TropicalPolynomial, x) -> TropicalValue:
     """Evaluate q at x; reports the value and the set of argmax exponents.
 
     Rational inputs get exact tie decisions; the float path uses a 1e-9
-    tolerance relative to the top value.
+    tolerance relative to the top value.  An (N, n) float array is evaluated
+    in one batch: value holds the N row maxima and argmax an (N, T) mask over
+    q.terms.  A single float point is row 0 of that batch, so both agree bit
+    for bit.
     """
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return _eval_float_rows(q, x.astype(float, copy=False))
     if len(x) != q.ambient_dim:
         raise TropicalError("point dimension does not match the polynomial")
     exact = q.is_rational() and all(isinstance(c, (int, Fraction)) for c in x)
@@ -119,11 +180,9 @@ def eval_tropical(q: TropicalPolynomial, x) -> TropicalValue:
         top = max(v for v, _ in vals)
         arg = tuple(sorted(e for v, e in vals if v == top))
         return TropicalValue(float(top), arg)
-    vals = [(sum(float(xi) * e_i for xi, e_i in zip(x, e)) + float(c), e) for e, c in q.terms]
-    top = max(v for v, _ in vals)
-    tol = FLOAT_TIE_TOL * max(1.0, abs(top))
-    arg = tuple(sorted(e for v, e in vals if top - v <= tol))
-    return TropicalValue(top, arg)
+    batch = _eval_float_rows(q, np.array([[float(xi) for xi in x]]))
+    arg = tuple(e for (e, _), hit in zip(q.terms, batch.argmax[0]) if hit)  # terms are sorted
+    return TropicalValue(float(batch.value[0]), arg)
 
 
 def dequantized_sum(values, h: float) -> float:

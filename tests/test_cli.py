@@ -296,6 +296,18 @@ MALFORMED_CASES = {
         ["--ms", "4", "--res", "100000000", "--box", "0,1", "-o", "x.csv"],
         "a grid has at most 1000000 points",
     ),
+    "density-extreme": (
+        "converge",
+        LINE_JSON,
+        ["--experiment", "hausdorff-to-tropical", "--ms", "4,8", "--res", "11", "--density", "1e300"],
+        "a cell would take more than 1000000 samples",
+    ),
+    "delta-extreme": (
+        "dequantize",
+        LINE_JSON,
+        ["--ms", "4", "--res", "11", "--delta", "1e-300", "-o", "x.json"],
+        "a cell would take more than 1000000 samples",
+    ),
 }
 
 

@@ -31,11 +31,12 @@ from tropdyn.tropical import (
     ComplexPolynomial,
     TropicalPolynomial,
     dequantized_sum,
+    eval_tropical,
     tropical_hypersurface,
     tropicalize_poly,
 )
 
-from oracles import weyl_sum_bruteforce
+from oracles import log_abs_power_pullback_scalar, weyl_sum_bruteforce
 
 LINE = ComplexPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1})
 
@@ -423,6 +424,132 @@ def test_dequantized_sum_matches_phase_zero_log():
             for exp, c in f.terms
         ]
         assert direct == pytest.approx(dequantized_sum(values, h), abs=1e-12)
+
+
+@st.composite
+def pullback_inputs(draw):
+    """A polynomial in 2-3 variables with up to 6 terms, a batch of points and phases, and m.
+
+    A few drawn rows come first; 200 seeded rows in a drawn box follow, since
+    an ulp of difference in one exp changes about one row in a thousand.
+    """
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    part = st.floats(-1e3, 1e3, allow_subnormal=False)  # cmath.phase overflows on subnormals
+    coeffs = st.builds(complex, part, part).filter(lambda c: abs(c) >= 1e-3)
+    f = ComplexPolynomial(draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6)))
+    rows = draw(st.integers(1, 4))
+    row = st.lists(st.floats(-6, 6), min_size=n, max_size=n)
+    phase = st.lists(st.floats(-2 * math.pi, 4 * math.pi), min_size=n, max_size=n)
+    X = np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+    T = np.array(draw(st.lists(phase, min_size=rows, max_size=rows)))
+    lo = draw(st.floats(-6, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = np.concatenate([X, rng.uniform(lo, lo + draw(st.floats(0.1, 6)), size=(200, n))])
+    T = np.concatenate([T, rng.uniform(0.0, 2 * np.pi, size=(200, n))])
+    return f, X, T, draw(st.integers(1, 64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pullback_inputs())
+def test_pullback_batch_bit_equal_to_scalar_oracle(inputs):
+    f, X, T, m = inputs
+    vals, zero = log_abs_power_pullback(f, X, T, m)
+    for i, (x, theta, val, masked) in enumerate(zip(X.tolist(), T.tolist(), vals, zero)):
+        try:
+            expected = log_abs_power_pullback_scalar(f, x, theta, m)
+        except ZeroDivisionError:
+            assert masked
+            continue
+        assert not masked and val == expected
+        if i < len(X) - 200:  # the flat call on the drawn rows
+            assert log_abs_power_pullback(f, x, theta, m) == expected
+
+
+def test_pullback_masks_an_exact_zero():
+    # 2 - z1 - z2 at z = (e^(-2 pi i), 1): the phases -pi and pi cancel exactly
+    f = ComplexPolynomial({(0, 0): 2, (1, 0): -1, (0, 1): -1})
+    X = np.array([[0.0, 0.0], [0.5, 0.0]])
+    T = np.array([[-2 * math.pi, 0.0], [0.0, 0.0]])
+    with pytest.raises(ZeroDivisionError):
+        log_abs_power_pullback_scalar(f, X[0], T[0], 1)
+    vals, zero = log_abs_power_pullback(f, X, T, 1)
+    assert zero.tolist() == [True, False] and math.isnan(vals[0])
+    assert vals[1] == log_abs_power_pullback_scalar(f, X[1], T[1], 1)
+    with pytest.raises(ZeroDivisionError):
+        log_abs_power_pullback(f, X[0], T[0], 1)
+
+
+RETRY_GRID = GridSpec(box=((1.0, 3.0), (2.0, 4.0)), resolution=(4, 4), delta=0.2)
+
+
+def _masking_kernel(monkeypatch, seed, bad):
+    """Patch the kernel so that point i fails on draw d for each (i, d) in bad.
+
+    Points are numbered in the order of the first (full) batch and draws in
+    the order of the seeded stream.  Returns the list of kept points.
+    """
+    n = 2
+    stream = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, size=(200, n))
+    draw_index = {row.tobytes(): d for d, row in enumerate(stream)}
+    points = []
+
+    def kernel(f, X, T, m):
+        if not points:
+            points.extend(map(tuple, X.tolist()))
+        vals, zero = log_abs_power_pullback(f, X, T, m)
+        index = {p: i for i, p in enumerate(points)}
+        for r, (x, theta) in enumerate(zip(X.tolist(), T)):
+            if (index[tuple(x)], draw_index[theta.tobytes()]) in bad:
+                vals[r], zero[r] = np.nan, True
+        return vals, zero
+
+    monkeypatch.setattr(tropdyn.dynamics, "log_abs_power_pullback", kernel)
+    return points
+
+
+def _sequential_reference(f, m, points, seed, bad, max_retries):
+    """The per-point loop: n phases per draw, a failed draw retried with the next one."""
+    q = tropicalize_poly(f)
+    rng = np.random.default_rng(seed)
+    errors, draws, hits = [], 0, 0
+    for i, x in enumerate(points):
+        for _ in range(max_retries + 1):
+            theta = rng.uniform(0.0, 2 * np.pi, size=len(x))
+            draws += 1
+            if (i, draws - 1) in bad:
+                hits += 1
+                continue
+            g = log_abs_power_pullback_scalar(f, x, tuple(theta), m) / m
+            errors.append(abs(g - eval_tropical(q, x).value))
+            break
+        else:
+            raise DynamicsError("exceeded the phase retry budget near a zero")
+    return (float(np.max(errors)), float(np.mean(errors))), hits
+
+
+def test_dequantization_retry_takes_the_next_draws(monkeypatch):
+    # point 0 fails draws 0 and 1, point 2 then draw 4, point 7 draw 10
+    bad = {(0, 0), (0, 1), (2, 4), (7, 10)}
+    points = _masking_kernel(monkeypatch, 5, bad)
+    got = dequantization_error(LINE, 8, RETRY_GRID, seed=5, max_retries=2)
+    assert len(points) >= 8
+    expected, hits = _sequential_reference(LINE, 8, points, 5, bad, max_retries=2)
+    assert hits == len(bad)
+    assert got == expected
+
+
+def test_dequantization_retry_budget_is_per_point(monkeypatch):
+    # point 1 fails on max_retries + 1 draws in a row: 1, 2, 3, 4
+    bad = {(1, d) for d in range(1, 5)}
+    _masking_kernel(monkeypatch, 5, bad)
+    with pytest.raises(DynamicsError, match="retry budget"):
+        dequantization_error(LINE, 8, RETRY_GRID, seed=5, max_retries=3)
+    # spread over two points, the same failures stay within budget
+    bad = {(1, 1), (1, 2), (1, 3), (2, 5), (2, 6), (2, 7)}
+    points = _masking_kernel(monkeypatch, 5, bad)
+    got = dequantization_error(LINE, 8, RETRY_GRID, seed=5, max_retries=3)
+    assert got == _sequential_reference(LINE, 8, points, 5, bad, max_retries=3)[0]
 
 
 # -- convergence harness

@@ -293,6 +293,30 @@ def test_polyhedron_empty():
     assert p.dim == -1
 
 
+@pytest.mark.parametrize(
+    "eqs, ineqs, empty",
+    [
+        ((), (((0, 0), 0),), False),  # 0.x >= 0
+        ((), (((0, 0), -1),), False),  # 0.x >= -1
+        ((((0, 0), 0),), (), False),  # 0.x = 0
+        ((), (((0, 0), 1),), True),  # 0.x >= 1
+        ((((0, 0), Fraction(1, 2)),), (), True),  # 0.x = 1/2
+        ((((0, 0), -2),), (), True),  # 0.x = -2
+    ],
+)
+def test_polyhedron_zero_normal_rows(eqs, ineqs, empty):
+    """A zero-normal row is dropped when vacuous and empties the set when infeasible."""
+    box = (((1, 0), 0), ((-1, 0), -1), ((0, 1), 0))
+    p = Polyhedron.from_constraints(2, eqs=eqs, ineqs=ineqs + box)
+    assert p.is_empty == empty
+    if not empty:
+        assert p == Polyhedron.from_constraints(2, ineqs=box)
+    whole = Polyhedron.from_constraints(2, eqs=eqs, ineqs=ineqs)
+    assert whole.is_empty == empty
+    if not empty:
+        assert whole.dim == 2 and whole.lineality and not whole.ineqs
+
+
 def test_polyhedron_affine_line():
     # x1 = 1 in R^2: one vertex representative plus lineality
     p = Polyhedron.from_constraints(2, eqs=(((1, 0), 1),))

@@ -2,18 +2,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropdyn.polyhedra import add_cycles, check_balancing
 from tropdyn.tropical import (
+    COMPLEX_SUM_COMPENSATES,
     TROPICAL_ONE,
     TROPICAL_ZERO,
     ComplexPolynomial,
     TropicalError,
     TropicalNumber,
     TropicalPolynomial,
+    builtin_sum,
     dequantized_sum,
     eval_tropical,
     fiber_binomial,
@@ -21,6 +24,8 @@ from tropdyn.tropical import (
     tropicalize_poly,
     uniform_bergman_fan,
 )
+
+from oracles import compensated_sum, eval_tropical_float_scalar
 
 
 finite_or_neginf = st.one_of(
@@ -129,6 +134,33 @@ def test_eval_float_path_matches_exact_path(data):
 
 
 # -- dequantization
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eval_batch_matches_scalar_float_path(data):
+    """Each row of a batched float evaluation equals the per-point formula bit for bit."""
+    n = data.draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    coeffs = st.one_of(st.floats(-10, 10), st.integers(-5, 5), st.fractions(-5, 5, max_denominator=7))
+    q = TropicalPolynomial(data.draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6)), ambient_dim=n)
+    coord = st.one_of(st.floats(-1e3, 1e3), st.integers(-4, 4).map(float))  # integers make ties
+    X = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=8)))
+    batch = eval_tropical(q, X)
+    for x, value, hits in zip(X.tolist(), batch.value, batch.argmax):
+        top, arg = eval_tropical_float_scalar(q, x)
+        assert value == top == eval_tropical(q, tuple(x)).value
+        assert tuple(e for (e, _), hit in zip(q.terms, hits) if hit) == arg == eval_tropical(q, tuple(x)).argmax
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.floats(-1e200, 1e200), st.floats(-1, 1)), min_size=1, max_size=6))
+def test_builtin_sum_matches_sum(values):
+    """Elementwise sums repeat the running interpreter's sum(), compensated or not."""
+    columns = [np.array([v]) for v in values]
+    assert builtin_sum(columns)[0] == sum(values)
+    assert builtin_sum(columns, COMPLEX_SUM_COMPENSATES)[0] == sum(complex(v, 1.0) for v in values).real
+    assert builtin_sum(columns, compensated=True)[0] == compensated_sum(values)
 
 
 def test_dequantized_examples():
