@@ -44,7 +44,6 @@ from .toric import Orbit, OrbitPoint, distinguished_point, orbit_point, orbits, 
 from .tropical import (
     ComplexPolynomial,
     TropicalCycle,
-    TropicalNumber,
     TropicalPolynomial,
     dequantized_sum,
     eval_tropical,

@@ -51,13 +51,13 @@ def _parse_ints(text):
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
-def _parse_box(text, axes=None):
+def _parse_box(text):
     try:
         vals = [float(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise SchemaError(f"--box needs numbers: {text!r}") from None
-    if len(vals) == 2 and (axes or 2) > 1:
-        vals = vals * (axes or 2)
+    if len(vals) == 2:
+        vals = vals * 2
     if len(vals) % 2 != 0:
         raise SchemaError("--box needs lo,hi pairs")
     return tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
@@ -87,11 +87,11 @@ def _write_text(path, text):
     Path(path).write_text(text)
 
 
-def _emit(args, obj, default_stdout=True):
+def _emit(args, obj):
     text = serialize.dumps_canonical(obj)
     if args.output:
         _write_text(args.output, text)
-    elif default_stdout:
+    else:
         sys.stdout.write(text)
 
 
@@ -175,10 +175,9 @@ def cmd_bergman(args):
 
 def cmd_orbits(args):
     fan = serialize.fan_from_json(_single_input(args))
-    cones = fan.all_cones()
     obs = orbits(fan)
     out = {
-        "cones": [serialize.cone_to_json(c) for c in cones],
+        "cones": [serialize.cone_to_json(o.cone) for o in obs],
         "orbits": [
             {"cone_index": i, "dim": o.dim} for i, o in enumerate(obs)
         ],
@@ -195,14 +194,15 @@ def cmd_amoeba(args):
     if not args.output:
         raise SchemaError("amoeba needs -o for its CSV artifact")
     many = len(args.ms) > 1
+    if args.svg:
+        segs = spine_segments(tropical_hypersurface(tropicalize_poly(f)), box)
     for m in args.ms:
         cloud = clip_to_box(amoeba_sample(f, grid, m), box)
         cloud.seed = args.seed
         _write_text(_suffixed(args.output, m, many), serialize.cloud_to_csv(cloud))
         if args.svg:
-            cycle = tropical_hypersurface(tropicalize_poly(f))
             svg = svgplot.scatter_with_segments(
-                cloud.points, spine_segments(cycle, box), box, title=f"scaled amoeba, m={m}"
+                cloud.points, segs, box, title=f"scaled amoeba, m={m}"
             )
             _write_text(_suffixed(args.svg, m, many), svg)
     return 0

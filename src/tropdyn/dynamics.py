@@ -7,7 +7,6 @@ clouds carry (m, seed) metadata so artifacts are reproducible byte for byte.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -564,7 +563,7 @@ def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
         raise DynamicsError("points and phases must be (N, n) arrays matching the polynomial")
     exps = [exp for exp, _ in f.terms]
     L = np.array([math.log(abs(c)) for _, c in f.terms]) - m * exponent_dots(exps, X)
-    phase = np.array([cmath.phase(c) for _, c in f.terms]) + m * exponent_dots(exps, T)
+    phase = np.array([math.atan2(c.imag, c.real) for _, c in f.terms]) + m * exponent_dots(exps, T)
     top = builtin_max(L.T)
     scale = _libm(math.exp, L - top[:, None])  # cmath.exp(a + ib) = e^a cos b + i e^a sin b
     re = builtin_sum((scale * _libm(math.cos, phase)).T, COMPLEX_SUM_COMPENSATES)

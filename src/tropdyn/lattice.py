@@ -60,15 +60,14 @@ def identity(n) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """M * V = U_inv * D with V, U_inv unimodular and D diagonal, d_i | d_{i+1} >= 0.
+    """U * M * V = D for unimodular U, V and diagonal D, d_i | d_{i+1} >= 0.
 
-    Only the transforms callers read are kept: the last n - rank columns of V
-    span the kernel of M, the first rank columns of U_inv the saturation of
-    its column span.
+    Only U_inv is kept, the one transform callers read: M * V = U_inv * D, so
+    its first rank columns span the saturation of M's column span.  Integer
+    kernels come from the Hermite form (see integer_kernel).
     """
 
     D: IntMatrix
-    V: IntMatrix
     U_inv: IntMatrix
 
     @property
@@ -86,15 +85,14 @@ def smith_normal_form(M) -> SmithDecomposition:
 
     Pivots on the minimal nonzero absolute value, which keeps intermediate
     entries small for the n <= 8 matrices this engine sees.  A row operation
-    on A is undone by the inverse column operation on U_inv, a column
-    operation is repeated on V.
+    on A is undone by the inverse column operation on U_inv; column
+    operations act on A alone.
     """
     A = [list(_as_int_vector(row)) for row in M]
     r = len(A)
     c = len(A[0]) if r else 0
     if any(len(row) != c for row in A):
         raise LatticeError("ragged matrix")
-    V = [list(row) for row in identity(c)]
     Ui = [list(row) for row in identity(r)]
 
     def swap_rows(i, j):
@@ -103,7 +101,7 @@ def smith_normal_form(M) -> SmithDecomposition:
             row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
-        for row in A + V:
+        for row in A:
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, k):
@@ -113,7 +111,7 @@ def smith_normal_form(M) -> SmithDecomposition:
             row[src] -= k * row[dst]
 
     def add_col(dst, src, k):
-        for row in A + V:
+        for row in A:
             row[dst] += k * row[src]
 
     t = 0
@@ -172,7 +170,7 @@ def smith_normal_form(M) -> SmithDecomposition:
         t += 1
 
     freeze = lambda m: tuple(tuple(row) for row in m)
-    return SmithDecomposition(freeze(A), freeze(V), freeze(Ui))
+    return SmithDecomposition(freeze(A), freeze(Ui))
 
 
 @dataclass(frozen=True)
@@ -232,16 +230,22 @@ def saturate_and_complete(spanning) -> QuotientLattice:
 
 
 def integer_kernel(rows) -> tuple[IntVector, ...]:
-    """Saturated basis of {x in Z^n : A x = 0} for A with the given rows."""
+    """Saturated basis of {x in Z^n : A x = 0} for A with the given rows, in Hermite form.
+
+    The rows of [A^T | I_n] span {(A x, x) : x in Z^n}.  Their Hermite basis
+    lists last the vectors that vanish on the A^T block; cut to the I_n
+    block these are a basis of the kernel, saturated because x -> (A x, x)
+    is injective, and already reduced, so hnf_basis returns them unchanged.
+    """
     rows = [_as_int_vector(r) for r in rows]
     rows = [r for r in rows if not is_zero_vector(r)]
     if not rows:
         raise LatticeError("kernel of an empty system is everything; handle upstream")
-    n = len(rows[0])
-    snf = smith_normal_form(rows)
-    rank = snf.rank
-    # A x = 0 iff x lies in the span of the last n-rank columns of V
-    return tuple(tuple(snf.V[i][j] for i in range(n)) for j in range(rank, n))
+    m, n = len(rows), len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise LatticeError("ragged matrix")
+    aug = [tuple(r[j] for r in rows) + e for j, e in enumerate(identity(n))]
+    return tuple(h[m:] for h in hnf_basis(aug) if is_zero_vector(h[:m]))
 
 
 def _gauss_jordan(mat, ncols) -> list[int]:

@@ -32,7 +32,6 @@ from .lattice import (
     rank_int,
     saturate_and_complete,
     smith_normal_form,
-    solve_rational,
     vec_neg,
     vec_sub,
 )
@@ -77,19 +76,6 @@ def _cross_kernel(rows, d):
     if all(x == 0 for x in v):
         return None
     return primitive(v)[0]
-
-
-def _project_off(v, lin):
-    """Orthogonal projection of v onto the rational complement of span(lin)."""
-    if not lin:
-        return tuple(Fraction(x) for x in v)
-    gram = [[dot(a, b) for b in lin] for a in lin]
-    rhs = tuple(sum(Fraction(l[i]) * Fraction(v[i]) for i in range(len(v))) for l in lin)
-    y = solve_rational(gram, rhs)
-    return tuple(
-        Fraction(v[i]) - sum(y[j] * lin[j][i] for j in range(len(lin)))
-        for i in range(len(v))
-    )
 
 
 def _integral(v):
@@ -142,7 +128,7 @@ def _h_cone_generators(normals, dim, eqs=()):
     eqs = list(dict.fromkeys(primitive(e)[0] for e in eqs if not is_zero_vector(e)))
     if not normals and not eqs:
         return (), identity(dim)
-    lin = hnf_basis(integer_kernel(normals + eqs))
+    lin = integer_kernel(normals + eqs)
     return tuple(_pointed_extreme_rays(normals, dim, fixed=lin + hnf_basis(eqs))), lin
 
 
@@ -229,8 +215,10 @@ class Polyhedron:
     """Rational polyhedron with canonical H- and V-descriptions.
 
     eqs and ineqs are (normal, rhs) pairs of integers meaning a.x = b and
-    a.x >= b.  vertices are Fraction tuples; rays and lineality are primitive
-    integer tuples, rays reduced modulo the lineality space.
+    a.x >= b.  The eqs are the Hermite basis of the homogenised equation
+    lattice, so two nonempty polyhedra have the same affine hull exactly when
+    their eqs are equal.  vertices are Fraction tuples; rays and lineality
+    are primitive integer tuples, rays reduced modulo the lineality space.
     """
 
     def __init__(self, ambient_dim, eqs, ineqs, vertices, rays, lineality):
@@ -686,13 +674,6 @@ def check_balancing(C: WeightedComplex) -> BalancingReport:
     return BalancingReport(violations)
 
 
-def _hull_key(cell: Polyhedron):
-    """Canonical identifier of the affine hull: direction lattice + foot point."""
-    dirs = hnf_basis(cell.direction_basis())
-    foot = _project_off(cell.relint_point(), dirs) if dirs else cell.relint_point()
-    return (dirs, tuple(Fraction(x) for x in foot))
-
-
 def _split_cell(cell, halfspaces, p):
     """Refine a cell by halfspaces (a, b); keep the dimension-p fragments."""
     frags = [cell]
@@ -731,13 +712,12 @@ def add_cycles(C1: WeightedComplex, C2: WeightedComplex) -> WeightedComplex:
     if C2.is_empty:
         return C1
     n, p = C1.ambient_dim, C1.dim
-    hulls1 = [(_hull_key(c), c, w) for c, w in C1.cells]
-    hulls2 = [(_hull_key(c), c, w) for c, w in C2.cells]
 
-    def cuts_for(cell_hull, others):
+    def cuts_for(cell, others):
+        # cells with equal (canonical) eqs share their affine hull
         cuts = []
-        for hk, other, _ in others:
-            if hk == cell_hull:
+        for other, _ in others:
+            if other.eqs == cell.eqs:
                 cuts.extend(other.ineqs)
             else:
                 for a, b in other.eqs:
@@ -746,15 +726,15 @@ def add_cycles(C1: WeightedComplex, C2: WeightedComplex) -> WeightedComplex:
         return cuts
 
     out = []
-    for hk, c1, w1 in hulls1:
-        for frag in _split_cell(c1, cuts_for(hk, hulls2), p):
+    for c1, w1 in C1.cells:
+        for frag in _split_cell(c1, cuts_for(c1, C2.cells), p):
             pt = frag.relint_point()
-            w = w1 + sum(w2 for hk2, c2, w2 in hulls2 if hk2 == hk and c2.contains(pt))
+            w = w1 + sum(w2 for c2, w2 in C2.cells if c2.eqs == c1.eqs and c2.contains(pt))
             out.append((frag, w))
-    for hk, c2, w2 in hulls2:
-        for frag in _split_cell(c2, cuts_for(hk, hulls1), p):
+    for c2, w2 in C2.cells:
+        for frag in _split_cell(c2, cuts_for(c2, C1.cells), p):
             pt = frag.relint_point()
-            if any(hk1 == hk and c1.contains(pt) for hk1, c1, _ in hulls1):
+            if any(c1.eqs == c2.eqs and c1.contains(pt) for c1, _ in C1.cells):
                 continue  # already counted from the C1 side
             out.append((frag, w2))
     return WeightedComplex(n, p, out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 
 from .lattice import QuotientLattice, dot, identity, saturate_and_complete
 from .polyhedra import Cone, Fan
@@ -103,7 +104,7 @@ def phi_m_orbit(sigma: Cone, m: int, z: OrbitPoint) -> OrbitPoint:
 
 def _roots_of(c: complex, m: int) -> list[complex]:
     r = abs(c) ** (1.0 / m)
-    theta = cmath.phase(c) / m
+    theta = math.atan2(c.imag, c.real) / m
     return [r * cmath.exp(1j * (theta + 2 * cmath.pi * k / m)) for k in range(m)]
 
 

@@ -27,40 +27,6 @@ class TropicalError(ValueError):
     pass
 
 
-class TropicalNumber:
-    """Element of the (max, +) semiring on R plus -inf.
-
-    Addition is max, multiplication is +; -inf is the additive identity and
-    absorbs under multiplication.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = float(value)
-
-    def __add__(self, other):
-        return TropicalNumber(max(self.value, other.value))
-
-    def __mul__(self, other):
-        if self.value == NEG_INF or other.value == NEG_INF:
-            return TropicalNumber(NEG_INF)
-        return TropicalNumber(self.value + other.value)
-
-    def __eq__(self, other):
-        return isinstance(other, TropicalNumber) and self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return f"TropicalNumber({self.value})"
-
-
-TROPICAL_ZERO = TropicalNumber(NEG_INF)  # additive identity
-TROPICAL_ONE = TropicalNumber(0.0)  # multiplicative identity
-
-
 class TropicalPolynomial:
     """max over terms of <x, alpha> + c_alpha; exponents may be Laurent."""
 

