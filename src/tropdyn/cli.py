@@ -301,15 +301,24 @@ SUBCOMMANDS = (
         IO + ("--experiment", "--ms", "--box", "--res", "--delta", "--density", "--seed", "--svg"),
     ),
 )
+COMMANDS = tuple(name for name, _, _ in SUBCOMMANDS)
 
 
-def build_parser():
+def build_parser(names=None):
+    """The tropdyn parser; with names, only those subcommands' parsers are built.
+
+    The top-level usage line still lists every subcommand, so help and usage
+    errors read the same whichever parsers were built.
+    """
     parser = argparse.ArgumentParser(
         prog="tropdyn",
         description="tropical geometry engine and powering-map dynamics harness",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if names is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, fn, flags in SUBCOMMANDS:
+        if names is not None and name not in names:
+            continue
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(flag, **FLAGS[flag])
@@ -318,7 +327,10 @@ def build_parser():
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known subcommand first: build its parser alone; anything else (no
+    # argument, -h, an unknown name) needs all of them for help and errors
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,8 +1,11 @@
 """Exact integer-lattice linear algebra.
 
-Everything here works over arbitrary-precision Python ints (and Fractions for
-the few rational solves), so determinants and lattice indices never overflow.
-Vectors are tuples of ints; matrices are tuples of row tuples.
+Everything here works over arbitrary-precision Python ints, so determinants
+and lattice indices never overflow.  Rank and kernels come from fraction-free
+elimination; Fractions are used only in the rational solves (solve_rational
+and QuotientLattice.quotient_coords).  Rational input rows are scaled to
+integer rows first.  Vectors are tuples of ints; matrices are tuples of row
+tuples.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 IntVector = tuple[int, ...]
 IntMatrix = tuple[IntVector, ...]
@@ -20,11 +24,25 @@ class LatticeError(ValueError):
 
 
 def _as_int_vector(v) -> IntVector:
-    return tuple(int(c) for c in v)
+    return tuple(map(int, v))
+
+
+def _integral(v) -> IntVector:
+    """A rational vector times the lcm of its denominators: an integer vector.
+
+    Integer vectors come back as they are; entries other than ints and
+    Fractions (floats, say) are taken exactly as Fractions first.
+    """
+    v = tuple(v)
+    if all(type(x) is int for x in v):
+        return v
+    v = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v)
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_sub(a, b):
@@ -36,7 +54,7 @@ def vec_neg(a):
 
 
 def is_zero_vector(v) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 def primitive(v) -> tuple[IntVector, int]:
@@ -46,9 +64,9 @@ def primitive(v) -> tuple[IntVector, int]:
     the zero vector, which has no direction.
     """
     v = _as_int_vector(v)
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
+    g = math.gcd(*v)
+    if g == 1:
+        return v, 1
     if g == 0:
         raise LatticeError("no primitive direction")
     return tuple(c // g for c in v), g
@@ -64,7 +82,7 @@ class SmithDecomposition:
 
     Only U_inv is kept, the one transform callers read: M * V = U_inv * D, so
     its first rank columns span the saturation of M's column span.  Integer
-    kernels come from the Hermite form (see integer_kernel).
+    kernels do not use it (see integer_kernel).
     """
 
     D: IntMatrix
@@ -229,30 +247,107 @@ def saturate_and_complete(spanning) -> QuotientLattice:
     return QuotientLattice(n, tuple(cols[:rank]), tuple(cols[rank:]))
 
 
+def _det(rows):
+    """Determinant of a square integer matrix: closed forms up to 3 x 3, Laplace above."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        total += (-1) ** j * rows[0][j] * _det(minor)
+    return total
+
+
+def _cross_kernel(rows, d):
+    """Kernel direction of (d-1) x d integer rows via signed maximal minors.
+
+    Returns the primitive cofactor vector, or None when the rows are
+    rank-deficient (kernel not 1-dimensional).
+    """
+    v = [_det([row[:i] + row[i + 1:] for row in rows]) for i in range(d)]
+    v[1::2] = [-x for x in v[1::2]]
+    if not any(v):
+        return None
+    return primitive(v)[0]
+
+
+def _independent_rows(rows) -> list[int]:
+    """Indices of a maximal linearly independent set of integer rows.
+
+    Fraction-free (Bareiss) elimination with row pivoting: every entry stays
+    a minor of the input, so each division by the previous pivot is exact.
+    The pivot rows' indices come back in pivot order; their number is the rank.
+    """
+    mat = [list(r) for r in rows]
+    order = list(range(len(mat)))
+    ncols = len(mat[0]) if mat else 0
+    prev, k = 1, 0
+    for col in range(ncols):
+        if k == len(mat):
+            break
+        piv = next((i for i in range(k, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[k], mat[piv] = mat[piv], mat[k]
+        order[k], order[piv] = order[piv], order[k]
+        top = mat[k]
+        p = top[col]
+        for i in range(k + 1, len(mat)):
+            a = mat[i][col]
+            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
+        k += 1
+    return order[:k]
+
+
 def integer_kernel(rows) -> tuple[IntVector, ...]:
     """Saturated basis of {x in Z^n : A x = 0} for A with the given rows, in Hermite form.
 
-    The rows of [A^T | I_n] span {(A x, x) : x in Z^n}.  Their Hermite basis
-    lists last the vectors that vanish on the A^T block; cut to the I_n
-    block these are a basis of the kernel, saturated because x -> (A x, x)
-    is injective, and already reduced, so hnf_basis returns them unchanged.
+    Rank first: fraction-free elimination picks r independent rows of A,
+    which have the same kernel.  For r = n the kernel is 0.  For r = n - 1
+    it is the line of their signed cofactor vector; made primitive with a
+    positive leading entry, that vector is the Hermite basis of the
+    saturated kernel.  Only for a kernel of rank >= 2 is a Hermite form
+    computed: the rows of [B^T | I_n], B the independent rows, span
+    {(B x, x) : x in Z^n}, and their Hermite basis lists last the vectors
+    that vanish on the B^T block.  Cut to the I_n block these are a basis of
+    the kernel, saturated because x -> (B x, x) is injective, and already
+    reduced, so hnf_basis returns them unchanged.
     """
     rows = [_as_int_vector(r) for r in rows]
-    rows = [r for r in rows if not is_zero_vector(r)]
+    rows = [r for r in rows if any(r)]
     if not rows:
         raise LatticeError("kernel of an empty system is everything; handle upstream")
-    m, n = len(rows), len(rows[0])
+    n = len(rows[0])
     if any(len(r) != n for r in rows):
         raise LatticeError("ragged matrix")
-    aug = [tuple(r[j] for r in rows) + e for j, e in enumerate(identity(n))]
-    return tuple(h[m:] for h in hnf_basis(aug) if is_zero_vector(h[:m]))
+    basis = [rows[i] for i in _independent_rows(rows)]
+    r = len(basis)
+    if r == n:
+        return ()
+    if r == n - 1:
+        v = _cross_kernel(basis, n)
+        return (v if next(x for x in v if x) > 0 else vec_neg(v),)
+    aug = [tuple(b[j] for b in basis) + e for j, e in enumerate(identity(n))]
+    return tuple(h[r:] for h in hnf_basis(aug) if not any(h[:r]))
 
 
 def _gauss_jordan(mat, ncols) -> list[int]:
     """Reduce Fraction rows in place on their first ncols columns; return the pivot columns.
 
     Pivot rows come first and are not normalised; the elimination stops as
-    soon as every row holds a pivot.
+    soon as every row holds a pivot.  Only solve_rational uses it: ranks
+    and kernels are computed fraction-free.
     """
     pivots = []
     for col in range(ncols):
@@ -273,9 +368,12 @@ def _gauss_jordan(mat, ncols) -> list[int]:
 
 
 def rank_int(rows) -> int:
-    """Rank over Q of an integer (or Fraction) matrix, by exact elimination."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
+    """Rank over Q of an integer (or Fraction) matrix, by fraction-free elimination.
+
+    A Fraction row is first scaled to an integer row by the lcm of its
+    denominators; integer rows are eliminated as they are.
+    """
+    return len(_independent_rows([_integral(r) for r in rows]))
 
 
 def solve_rational(columns, target) -> tuple[Fraction, ...]:
@@ -343,7 +441,7 @@ def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntV
 
     ``tau_basis``/``sigma_basis`` are saturated integer bases of the direction
     spaces, with rank(sigma) = rank(tau) + 1.  ``direction_sample`` is any
-    rational vector in H_sigma minus H_tau pointing to the sigma side (for
+    vector of ints and Fractions in H_sigma minus H_tau pointing to the sigma side (for
     cells: relint(sigma) - relint(tau)); the returned vector pairs positively
     with a functional vanishing on H_tau that is positive on that sample.
     """
@@ -376,7 +474,7 @@ def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntV
     ell = next((f for f in functionals if dot(f, u) != 0), None)
     if ell is None:
         raise LatticeError("degenerate quotient: u lies in H_tau")
-    side = sum(Fraction(ell[i]) * Fraction(direction_sample[i]) for i in range(n))
+    side = dot(ell, direction_sample)
     if side == 0:
         raise LatticeError("direction sample lies in H_tau")
     if (dot(ell, u) > 0) != (side > 0):

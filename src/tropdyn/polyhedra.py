@@ -18,10 +18,11 @@ other polyhedra are homogenised one dimension higher.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from .lattice import (
+    _cross_kernel,
+    _integral,
     dot,
     hnf_basis,
     identity,
@@ -45,44 +46,6 @@ class PolyhedralError(ValueError):
 
 # ---------------------------------------------------------------------------
 # small exact kernels
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        total += (-1) ** j * rows[0][j] * _det(minor)
-    return total
-
-
-def _cross_kernel(rows, d):
-    """Kernel direction of (d-1) x d integer rows via signed maximal minors.
-
-    Returns None when the rows are rank-deficient (kernel not 1-dimensional).
-    """
-    v = []
-    for i in range(d):
-        minor = [row[:i] + row[i + 1:] for row in rows]
-        v.append((-1) ** i * _det(minor))
-    if all(x == 0 for x in v):
-        return None
-    return primitive(v)[0]
-
-
-def _integral(v):
-    """A rational vector times the lcm of its denominators: an integer vector."""
-    v = [Fraction(x) for x in v]
-    den = math.lcm(*(x.denominator for x in v))
-    return tuple(int(x * den) for x in v)
 
 
 def _frac_primitive(v):
@@ -243,9 +206,9 @@ class Polyhedron:
         # a row with a zero normal is vacuous or, on its own, infeasible
         if any(b > 0 for a, b in ineqs if not any(a)) or any(b != 0 for a, b in eqs if not any(a)):
             return cls._empty(n)
-        rows = [_frac_primitive((*a, -Fraction(b))) for a, b in ineqs if any(a)]
+        rows = [_frac_primitive((*a, -b)) for a, b in ineqs if any(a)]
         rows.append(tuple([0] * n + [1]))  # t >= 0
-        eq_rows = [_frac_primitive((*a, -Fraction(b))) for a, b in eqs if any(a)]
+        eq_rows = [_frac_primitive((*a, -b)) for a, b in eqs if any(a)]
         canon = _canonical(
             rows, n + 1, eqs=eq_rows, is_empty=lambda rays: all(r[n] == 0 for r in rays)
         )

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import ConvergenceReport, PointCloud
-from .polyhedra import Cone, Fan, Polyhedron, WeightedComplex
+from .polyhedra import MAX_AMBIENT_DIM, Cone, Fan, Polyhedron, WeightedComplex
 from .tropical import ComplexPolynomial, TropicalPolynomial
 
 
@@ -152,6 +152,8 @@ def cycle_to_json(C: WeightedComplex, extra: dict | None = None) -> dict:
 def cycle_from_json(obj) -> WeightedComplex:
     n, dim, cells = (_field(obj, f, "weighted complex") for f in ("ambient_dim", "dim", "cells"))
     n, dim = _number(int, n, "ambient_dim"), _number(int, dim, "dim")
+    if not 0 <= n <= MAX_AMBIENT_DIM:  # checked before a cell builds its origin in R^n
+        raise SchemaError("ambient dimension unsupported")
     if not isinstance(cells, list):
         raise SchemaError("weighted complex needs a 'cells' list")
     return WeightedComplex(n, dim, [_cell_from_json(c, n) for c in cells])

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+from fractions import Fraction
 
+from tropdyn.lattice import hnf_basis, identity
 from tropdyn.tropical import FLOAT_TIE_TOL
 
 
@@ -24,7 +26,7 @@ def log_abs_power_pullback_scalar(f, x, theta, m: int) -> float:
     parts = []
     for exp, coeff in f.terms:
         L = math.log(abs(coeff)) - m * sum(e * xj for e, xj in zip(exp, x))
-        ph = cmath.phase(coeff) + m * sum(e * tj for e, tj in zip(exp, theta))
+        ph = math.atan2(coeff.imag, coeff.real) + m * sum(e * tj for e, tj in zip(exp, theta))
         parts.append((L, ph))
     top = max(L for L, _ in parts)
     val = sum(cmath.exp(complex(L - top, ph)) for L, ph in parts)
@@ -56,3 +58,32 @@ def compensated_sum(values) -> float:
         comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
         total = t
     return total + comp if comp and math.isfinite(comp) else total
+
+
+def integer_kernel_hermite(rows):
+    """Saturated kernel basis of integer rows, from the Hermite form of [A^T | I_n] alone.
+
+    Oracle for `integer_kernel`, which takes this route only when the kernel
+    has rank 2 or more.
+    """
+    rows = [tuple(r) for r in rows if any(r)]
+    m, n = len(rows), len(rows[0])
+    aug = [tuple(r[j] for r in rows) + e for j, e in enumerate(identity(n))]
+    return tuple(h[m:] for h in hnf_basis(aug) if not any(h[:m]))
+
+
+def rank_gauss_jordan(rows) -> int:
+    """Rank over Q by Gauss-Jordan elimination on Fraction rows; oracle for `rank_int`."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                f = mat[i][col] / mat[rank][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank

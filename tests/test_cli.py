@@ -266,6 +266,15 @@ MALFORMED_CASES = {
         [],
         "list of 2 numbers",
     ),
+    "ambient-dim-huge": (
+        "balance",
+        {"ambient_dim": 10**9, "dim": 0, "cells": [{"weight": 1}]},
+        [],
+        "ambient dimension unsupported",
+    ),
+    "ambient-dim-huge-empty": (
+        "balance", {"ambient_dim": 10**9, "dim": 0, "cells": []}, [], "ambient dimension unsupported"
+    ),
     "exp-not-integer": (
         "hypersurface",
         {"terms": [{"exp": ["a", 0], "coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}]},
@@ -368,6 +377,50 @@ def test_usage_error_exit_two(capsys):
     assert run(["hypersurface", "--definitely-not-a-flag"]) == 2
     assert run(["not-a-command"]) == 2
     assert run(["bergman"]) == 2  # missing required --p/--n
+
+
+def _parse_with_full_parser(argv, capsys):
+    """(exit code, stdout, stderr) of parsing argv with every subcommand's parser built."""
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def _run_captured(argv, capsys):
+    code = run(argv)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_subcommand_help_unchanged_by_lone_parser(command, capsys):
+    expected = _parse_with_full_parser([command, "--help"], capsys)
+    assert _run_captured([command, "--help"], capsys) == expected
+    assert expected[1].startswith(f"usage: tropdyn {command} [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hypersurface", "extra"],
+        ["hypersurface", "--definitely-not-a-flag"],
+        ["bergman"],
+        ["converge", "--experiment", "nope", "--ms", "4"],
+        ["not-a-command"],
+        [],
+        ["-h"],
+    ],
+)
+def test_usage_messages_unchanged_by_lone_parser(argv, capsys):
+    assert _run_captured(argv, capsys) == _parse_with_full_parser(argv, capsys)
+
+
+def test_unknown_command_lists_every_subcommand(capsys):
+    assert run(["not-a-command"]) == 2
+    err = capsys.readouterr().err
+    assert len(cli.COMMANDS) == 11
+    assert all(f"'{name}'" in err for name in cli.COMMANDS)
 
 
 def test_cloud_csv_roundtrip():

@@ -1,0 +1,132 @@
+"""Schema fuzz: mutated inputs end in exit 0 or in one `tropdyn:` line with exit 1.
+
+Valid `hypersurface`, `balance`, `add` and `orbits` inputs are mutated at
+one drawn place: a key dropped, a value of the wrong type, a non-finite
+number, or a vector made ragged.  Whatever the mutation, the command must
+exit 0, or exit 1 with exactly one diagnostic line, and never raise.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from tropdyn import serialize
+from tropdyn.cli import run
+from tropdyn.polyhedra import Cone, Fan
+from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
+
+TROPICAL_PLANE_CURVE = {
+    "terms": [
+        {"exp": [1, 0], "coeff": 0.5},
+        {"exp": [0, 1], "coeff": -1.0},
+        {"exp": [0, 0], "coeff": 0.0},
+    ]
+}
+COMPLEX_LINE = {
+    "terms": [
+        {"exp": [1, 0], "re": 1.0, "im": 0.5},
+        {"exp": [0, 1], "re": -2.0, "im": 0.0},
+        {"exp": [0, 0], "re": 1.0},
+    ]
+}
+SHIFTED_CURVE = serialize.cycle_to_json(
+    tropical_hypersurface(TropicalPolynomial({(1, 0): 1, (0, 1): 0, (0, 0): 0}))
+)
+BERGMAN_LINE = serialize.cycle_to_json(uniform_bergman_fan(1, 2))
+QUADRANT_FAN = serialize.fan_to_json(
+    Fan.from_cones(
+        [
+            Cone.from_generators([(1, 0), (0, 1)]),
+            Cone.from_generators([(0, 1), (-1, -1)]),
+            Cone.from_generators([(-1, -1), (1, 0)]),
+        ]
+    )
+)
+POINT_CYCLE = {"ambient_dim": 2, "dim": 0, "cells": [{"weight": 2}]}
+LINEALITY_FAN = {"ambient_dim": 2, "cones": [{"rays": [[1, 0]], "lineality": [[0, 1]]}]}
+
+# command -> valid input lists, one JSON object per -i
+VALID = {
+    "hypersurface": [[TROPICAL_PLANE_CURVE], [COMPLEX_LINE]],
+    "balance": [[SHIFTED_CURVE], [BERGMAN_LINE], [POINT_CYCLE]],
+    "add": [[SHIFTED_CURVE, BERGMAN_LINE], [BERGMAN_LINE, BERGMAN_LINE], [POINT_CYCLE, POINT_CYCLE]],
+    "orbits": [[QUADRANT_FAN], [LINEALITY_FAN]],
+}
+WRONG_VALUES = [None, "x", True, {}, [], 1.5, -1, 0, 7, 10**9, [[1]], {"rays": []}]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _places(obj, path=()):
+    """Every (path, value) inside a JSON value, the value itself included."""
+    yield path, obj
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+def _replace(obj, path, new):
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {k: _replace(v, rest, new) if k == key else v for k, v in obj.items()}
+    return [_replace(v, rest, new) if i == key else v for i, v in enumerate(obj)]
+
+
+@st.composite
+def mutated_inputs(draw):
+    command = draw(st.sampled_from(sorted(VALID)))
+    inputs = list(draw(st.sampled_from(VALID[command])))
+    which = draw(st.integers(0, len(inputs) - 1))
+    path, value = draw(st.sampled_from(list(_places(inputs[which]))))
+    kinds = ["wrong type"]
+    if isinstance(value, dict) and value:
+        kinds.append("drop key")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        kinds.append("non-finite")
+    if isinstance(value, list) and value:
+        kinds.append("ragged")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "drop key":
+        gone = draw(st.sampled_from(sorted(value)))
+        new = {k: v for k, v in value.items() if k != gone}
+    elif kind == "non-finite":
+        new = draw(st.sampled_from(NON_FINITE))
+    elif kind == "ragged":
+        if draw(st.booleans()):
+            new = value[:-1]
+        else:
+            new = value + [draw(st.sampled_from([value[-1], 0, 2.5, None]))]
+    else:
+        new = draw(st.sampled_from(WRONG_VALUES))
+    inputs[which] = _replace(inputs[which], path, new)
+    return command, inputs
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_inputs())
+def test_mutated_inputs_exit_cleanly(case):
+    command, inputs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for i, obj in enumerate(inputs):
+            path = Path(tmp) / f"in{i}.json"
+            path.write_text(json.dumps(obj))
+            argv += ["-i", str(path)]
+        argv += ["-o", str(Path(tmp) / "out.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tropdyn: "), err.getvalue()
+    else:
+        assert err.getvalue() == ""

@@ -435,7 +435,7 @@ def pullback_inputs(draw):
     """
     n = draw(st.integers(2, 3))
     exps = st.tuples(*[st.integers(0, 3)] * n)
-    part = st.floats(-1e3, 1e3, allow_subnormal=False)  # cmath.phase overflows on subnormals
+    part = st.floats(-1e3, 1e3)
     coeffs = st.builds(complex, part, part).filter(lambda c: abs(c) >= 1e-3)
     f = ComplexPolynomial(draw(st.dictionaries(exps, coeffs, min_size=1, max_size=6)))
     rows = draw(st.integers(1, 4))
@@ -464,6 +464,19 @@ def test_pullback_batch_bit_equal_to_scalar_oracle(inputs):
         assert not masked and val == expected
         if i < len(X) - 200:  # the flat call on the drawn rows
             assert log_abs_power_pullback(f, x, theta, m) == expected
+
+
+def test_pullback_subnormal_phase_bit_equal_to_scalar_oracle():
+    # arg(2 + 5e-324 i) underflows to 0.0 in atan2; cmath.phase raises OverflowError
+    f = ComplexPolynomial({(1, 0): 2 + 5e-324j, (0, 1): -1 + 0.5j, (0, 0): 3.0})
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-3.0, 3.0, size=(50, 2))
+    T = rng.uniform(0.0, 2 * np.pi, size=(50, 2))
+    for m in (1, 4, 17):
+        vals, zero = log_abs_power_pullback(f, X, T, m)
+        assert not zero.any()
+        for x, theta, val in zip(X.tolist(), T.tolist(), vals):
+            assert val == log_abs_power_pullback_scalar(f, x, theta, m)
 
 
 def test_pullback_masks_an_exact_zero():

@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import integer_kernel_hermite, rank_gauss_jordan
+from tropdyn import lattice
 from tropdyn.lattice import (
     LatticeError,
+    _det,
     integer_kernel,
     is_zero_vector,
     primitive,
@@ -167,6 +170,94 @@ def test_integer_kernel_is_saturated_hermite_basis(r, n, data):
         if not is_zero_vector(w):
             x = solve_rational([list(col) for col in zip(*ker)], primitive(w)[0])
             assert all(c.denominator == 1 for c in x)
+
+
+def _product_matrix(data, r, n):
+    """An r x n integer matrix drawn as a product r x k times k x n, so its rank is at most k."""
+    k = data.draw(st.integers(1, n), label="inner dimension")
+    left = [[data.draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(r)]
+    right = [[data.draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)]
+    return [tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*right)) for row in left]
+
+
+def _counting_hnf(monkeypatch):
+    calls = []
+
+    def counting(vectors):
+        calls.append(1)
+        return hnf_basis(vectors)
+
+    monkeypatch.setattr(lattice, "hnf_basis", counting)
+    return calls
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_integer_kernel_equals_hermite_route(r, n, data):
+    A = _product_matrix(data, r, n)
+    if all(is_zero_vector(row) for row in A):
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_hnf(mp)
+        ker = integer_kernel(A)
+    event(f"corank {min(len(ker), 2)}")
+    assert ker == integer_kernel_hermite(A)
+    assert calls == ([1] if len(ker) >= 2 else [])
+
+
+def test_integer_kernel_hermite_form_only_for_corank_two(monkeypatch):
+    calls = _counting_hnf(monkeypatch)
+    assert integer_kernel([(1, 2, 3), (0, 1, 4), (2, 5, 0), (1, 1, 1)]) == ()
+    assert integer_kernel([(2, 4, 6), (1, 2, 3), (0, 3, -3)]) == ((5, -1, -1),)
+    assert integer_kernel([(6, -4)]) == ((2, 3),) == integer_kernel_hermite([(6, -4)])
+    assert calls == []
+    assert integer_kernel([(1, 1, 1)]) == ((1, 0, -1), (0, 1, -1))
+    assert calls == [1]
+
+
+class _NoFraction(Fraction):
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was created")
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.data(),
+    st.sampled_from(["integer", "fraction", "zero", "repeated"]),
+)
+def test_rank_int_equals_gauss_jordan(r, n, data, kind):
+    rows = [list(row) for row in _product_matrix(data, r, n)]
+    if kind == "fraction":
+        rows = [[Fraction(x, data.draw(st.integers(1, 7))) for x in row] for row in rows]
+    elif kind == "zero":
+        rows.insert(data.draw(st.integers(0, r)), [0] * n)
+    elif kind == "repeated":
+        rows.append(list(data.draw(st.sampled_from(rows))))
+    assert rank_int(rows) == rank_gauss_jordan(rows)
+
+
+def test_rank_int_creates_no_fraction_on_integer_rows(monkeypatch):
+    monkeypatch.setattr(lattice, "Fraction", _NoFraction)
+    assert rank_int([(1, 2, 3), (2, 4, 6), (0, 0, 0), (1, 0, -1)]) == 2
+    assert rank_int([]) == 0
+    assert integer_kernel([(1, 1, 1)]) == ((1, 0, -1), (0, 1, -1))
+
+
+def test_rank_int_scales_fraction_rows():
+    assert rank_int([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
+    assert rank_int([(Fraction(1, 2), 0.25), (2, 1)]) == 1
+    assert rank_int([(Fraction(1, 2), Fraction(1, 3)), (3, 3)]) == 2
+
+
+@given(
+    st.integers(3, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+)
+def test_det_equals_laplace_expansion(M):
+    assert _det(M) == det(M)
 
 
 def test_solve_rational():
