@@ -345,16 +345,17 @@ def amoeba_sample(
     f: ComplexPolynomial,
     grid: GridSpec,
     m: int,
-    phases: int | None = None,
     phase_offset: float = 0.0,
 ) -> PointCloud:
     """Sample of the 1/m-scaled amoeba of V(f) inside the grid window.
 
     For each slice value s on an axis the slice variable is set to
     exp(-m*s + i*phi) and the roots of the resulting univariate polynomial are
-    emitted as (1/m) Log(z); both variable roles are swept.  The grid box is
-    the window in the scaled Log coordinates, so larger m slices at modulus
-    e^(-m*s), matching Log(preimage) = (1/m) Log(Z).
+    emitted as (1/m) Log(z); both variable roles are swept.  The phases phi
+    are phase_offset plus as many equal steps of the circle as the other
+    axis has grid points.  The grid box is the window in the scaled Log
+    coordinates, so larger m slices at modulus e^(-m*s), matching
+    Log(preimage) = (1/m) Log(Z).
 
     All slices of an axis go to polynomial_roots as one (S, d+1) batch, with
     S = slice values x phases, each row balanced by its exponent-spread shift.
@@ -378,7 +379,7 @@ def amoeba_sample(
     blocks = []
     for axis in (0, 1):
         other = 1 - axis
-        nphi = phases if phases is not None else grid.resolution[other]
+        nphi = grid.resolution[other]
         phis = phase_offset + 2 * np.pi * np.arange(nphi) / nphi
         values = grid.axis(axis)
         s = np.repeat(values, nphi)  # row r: slice value r // nphi, phase r % nphi

@@ -4,8 +4,8 @@ Everything here works over arbitrary-precision Python ints, so determinants
 and lattice indices never overflow.  Rank and kernels come from fraction-free
 elimination; Fractions are used only in the rational solves (solve_rational
 and QuotientLattice.quotient_coords).  Rational input rows are scaled to
-integer rows first.  Vectors are tuples of ints; matrices are tuples of row
-tuples.
+integer rows first.  The Smith normal form serves saturate_and_complete
+alone.  Vectors are tuples of ints; matrices are tuples of row tuples.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def identity(n) -> IntMatrix:
 class SmithDecomposition:
     """U * M * V = D for unimodular U, V and diagonal D, d_i | d_{i+1} >= 0.
 
-    Only U_inv is kept, the one transform callers read: M * V = U_inv * D, so
-    its first rank columns span the saturation of M's column span.  Integer
-    kernels do not use it (see integer_kernel).
+    Only U_inv is kept, the one transform its one caller, saturate_and_complete,
+    reads: M * V = U_inv * D, so its first rank columns span the saturation
+    of M's column span.
     """
 
     D: IntMatrix
@@ -436,47 +436,18 @@ def hnf_basis(vectors) -> tuple[IntVector, ...]:
     return tuple(tuple(row) for row in mat)
 
 
-def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntVector:
-    """Representative generating (Z^n cap H_sigma)/(Z^n cap H_tau), signed.
+def quotient_outward_generator(tau_quotient, direction_sample) -> IntVector:
+    """Class of u_{sigma/tau} in Z^n/(H_tau cap Z^n), in ``tau_quotient``'s coordinates.
 
-    ``tau_basis``/``sigma_basis`` are saturated integer bases of the direction
-    spaces, with rank(sigma) = rank(tau) + 1.  ``direction_sample`` is any
-    vector of ints and Fractions in H_sigma minus H_tau pointing to the sigma side (for
-    cells: relint(sigma) - relint(tau)); the returned vector pairs positively
-    with a functional vanishing on H_tau that is positive on that sample.
+    ``tau_quotient`` presents Z^n/(H_tau cap Z^n).  ``direction_sample`` is any
+    vector of ints and Fractions in H_sigma minus H_tau pointing to the sigma
+    side (for cells: relint(sigma) - relint(tau)), so it is a * u_{sigma/tau}
+    plus an element of H_tau for some a > 0.  The quotient is torsion-free, so
+    the image of H_sigma cap Z^n is a saturated rank-one lattice, and its
+    generator on the sample's side is the primitive vector along the
+    sample's image.
     """
-    sigma_basis = [_as_int_vector(b) for b in sigma_basis]
-    tau_basis = [_as_int_vector(b) for b in tau_basis]
-    p = len(sigma_basis)
-    if p != len(tau_basis) + 1:
-        raise LatticeError("sigma must have direction rank one more than tau")
-    n = len(sigma_basis[0])
-    if p == 1:
-        u = sigma_basis[0]
-    else:
-        cols = [list(col) for col in zip(*sigma_basis)]
-        coords = []
-        for b in tau_basis:
-            x = solve_rational(cols, b)
-            if any(c.denominator != 1 for c in x):
-                raise LatticeError("tau lattice not contained in sigma lattice")
-            coords.append(tuple(int(c) for c in x))
-        ql = saturate_and_complete(coords)
-        if ql.quotient_rank != 1:
-            raise LatticeError("tau is not of codimension one in sigma")
-        comp = ql.complement_basis[0]
-        u = tuple(sum(comp[j] * sigma_basis[j][i] for j in range(p)) for i in range(n))
-    # orient: pick a functional vanishing on H_tau and not on u
-    if tau_basis:
-        functionals = integer_kernel(tau_basis)
-    else:
-        functionals = identity(n)
-    ell = next((f for f in functionals if dot(f, u) != 0), None)
-    if ell is None:
-        raise LatticeError("degenerate quotient: u lies in H_tau")
-    side = dot(ell, direction_sample)
-    if side == 0:
+    image = tau_quotient.quotient_coords(_integral(direction_sample))
+    if is_zero_vector(image):
         raise LatticeError("direction sample lies in H_tau")
-    if (dot(ell, u) > 0) != (side > 0):
-        u = vec_neg(u)
-    return u
+    return primitive(image)[0]

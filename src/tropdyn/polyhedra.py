@@ -18,10 +18,13 @@ other polyhedra are homogenised one dimension higher.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .lattice import (
+    QuotientLattice,
     _cross_kernel,
+    _det,
     _integral,
     dot,
     hnf_basis,
@@ -32,7 +35,6 @@ from .lattice import (
     quotient_outward_generator,
     rank_int,
     saturate_and_complete,
-    smith_normal_form,
     vec_neg,
     vec_sub,
 )
@@ -477,7 +479,11 @@ def common_refinement(A: Fan, B: Fan) -> Fan:
 
 
 def is_unimodular(x) -> bool:
-    """Whether the cone's rays (or all cones of a fan) extend to a Z-basis."""
+    """Whether the cone's rays (or all cones of a fan) extend to a Z-basis.
+
+    k integer vectors extend to a Z-basis iff their maximal (k x k) minors
+    have gcd 1; dependent vectors have only zero minors.
+    """
     if isinstance(x, Fan):
         return all(is_unimodular(c) for c in x.all_cones())
     if not isinstance(x, Cone):
@@ -486,9 +492,11 @@ def is_unimodular(x) -> bool:
         raise PolyhedralError("unimodularity is defined for pointed cones")
     if not x.rays:
         return True
-    snf = smith_normal_form(list(x.rays))
-    factors = snf.invariant_factors
-    return len(factors) == len(x.rays) and all(f == 1 for f in factors)
+    minors = (
+        _det([[r[j] for j in cols] for r in x.rays])
+        for cols in itertools.combinations(range(x.ambient_dim), len(x.rays))
+    )
+    return math.gcd(*minors) == 1
 
 
 def is_complete(F: Fan) -> bool:
@@ -606,8 +614,9 @@ class BalancingReport:
 def check_balancing(C: WeightedComplex) -> BalancingReport:
     """Check sum_{sigma > tau} w_sigma u_{sigma/tau} = 0 in Z^n/(H_tau cap Z^n).
 
-    Runs at every codimension-one cell tau of the complex; each violation
-    carries tau and the residual class in quotient coordinates.
+    Runs at every codimension-one cell tau of the complex, summing in the
+    coordinates of one quotient lattice per tau; each violation carries tau
+    and that sum, the residual class.
     """
     if not isinstance(C, WeightedComplex):
         raise PolyhedralError("expected a WeightedComplex")
@@ -619,18 +628,15 @@ def check_balancing(C: WeightedComplex) -> BalancingReport:
     n = C.ambient_dim
     for (verts, rays, lin), incident in sorted(groups.items()):
         tau_dirs = _vrep_direction_basis(verts, rays, lin)
-        tau_pt = _vrep_relint(verts, rays)
-        total = [0] * n
-        for cell, w in incident:
-            sample = vec_sub(cell.relint_point(), tau_pt)
-            u = quotient_outward_generator(tau_dirs, cell.direction_basis(), sample)
-            for i in range(n):
-                total[i] += w * u[i]
-        total = tuple(total)
         if tau_dirs:
-            residual = saturate_and_complete(tau_dirs).quotient_coords(total)
+            quotient = saturate_and_complete(tau_dirs)
         else:
-            residual = total
+            quotient = QuotientLattice(n, (), identity(n))
+        tau_pt = _vrep_relint(verts, rays)
+        residual = (0,) * quotient.quotient_rank
+        for cell, w in incident:
+            u = quotient_outward_generator(quotient, vec_sub(cell.relint_point(), tau_pt))
+            residual = tuple(r + w * x for r, x in zip(residual, u))
         if any(residual):
             tau = Polyhedron.from_generators(n, vertices=verts, rays=rays, lineality=lin)
             violations.append((tau, residual))

@@ -154,6 +154,8 @@ def cycle_from_json(obj) -> WeightedComplex:
     n, dim = _number(int, n, "ambient_dim"), _number(int, dim, "dim")
     if not 0 <= n <= MAX_AMBIENT_DIM:  # checked before a cell builds its origin in R^n
         raise SchemaError("ambient dimension unsupported")
+    if not -1 <= dim <= n:  # an empty hypersurface in R^0 has dim -1
+        raise SchemaError(f"weighted complex dim {dim} outside -1..{n}")
     if not isinstance(cells, list):
         raise SchemaError("weighted complex needs a 'cells' list")
     return WeightedComplex(n, dim, [_cell_from_json(c, n) for c in cells])
@@ -180,10 +182,18 @@ def _terms(obj, what):
     return terms
 
 
+def _exponent(term, seen, what):
+    """The exponent of a term, which no earlier term of the polynomial has."""
+    exp = _vector(_field(term, "exp", what), int, "exponent")
+    if exp in seen:
+        raise SchemaError(f"repeated exponent {list(exp)}")
+    return exp
+
+
 def tropical_poly_from_json(obj) -> TropicalPolynomial:
     terms = {}
     for t in _terms(obj, "tropical polynomial"):
-        exp = _vector(_field(t, "exp", "tropical polynomial term"), int, "exponent")
+        exp = _exponent(t, terms, "tropical polynomial term")
         coeff = _field(t, "coeff", "tropical polynomial term")
         terms[exp] = _number(float, coeff, "coefficient")
     return TropicalPolynomial(terms)
@@ -200,7 +210,7 @@ def complex_poly_to_json(f: ComplexPolynomial) -> dict:
 def complex_poly_from_json(obj) -> ComplexPolynomial:
     terms = {}
     for t in _terms(obj, "complex polynomial"):
-        exp = _vector(_field(t, "exp", "complex polynomial term"), int, "exponent")
+        exp = _exponent(t, terms, "complex polynomial term")
         re = _number(float, _field(t, "re", "complex polynomial term"), "real part")
         terms[exp] = complex(re, _number(float, t.get("im", 0.0), "imaginary part"))
     return ComplexPolynomial(terms)

@@ -4,7 +4,20 @@ import cmath
 import math
 from fractions import Fraction
 
-from tropdyn.lattice import hnf_basis, identity
+from tropdyn.lattice import (
+    IntVector,
+    LatticeError,
+    _as_int_vector,
+    dot,
+    hnf_basis,
+    identity,
+    integer_kernel,
+    saturate_and_complete,
+    solve_rational,
+    vec_neg,
+    vec_sub,
+)
+from tropdyn.polyhedra import Polyhedron, _face_data_of, _vrep_direction_basis, _vrep_relint
 from tropdyn.tropical import FLOAT_TIE_TOL
 
 
@@ -87,3 +100,83 @@ def rank_gauss_jordan(rows) -> int:
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntVector:
+    """Representative generating (Z^n cap H_sigma)/(Z^n cap H_tau), signed.
+
+    ``tau_basis``/``sigma_basis`` are saturated integer bases of the direction
+    spaces, with rank(sigma) = rank(tau) + 1.  ``direction_sample`` is any
+    vector of ints and Fractions in H_sigma minus H_tau pointing to the sigma side (for
+    cells: relint(sigma) - relint(tau)); the returned vector pairs positively
+    with a functional vanishing on H_tau that is positive on that sample.
+
+    Reference for the library's two-argument generator, which works in the
+    quotient lattice instead; used through `balancing_violations_ambient`.
+    """
+    sigma_basis = [_as_int_vector(b) for b in sigma_basis]
+    tau_basis = [_as_int_vector(b) for b in tau_basis]
+    p = len(sigma_basis)
+    if p != len(tau_basis) + 1:
+        raise LatticeError("sigma must have direction rank one more than tau")
+    n = len(sigma_basis[0])
+    if p == 1:
+        u = sigma_basis[0]
+    else:
+        cols = [list(col) for col in zip(*sigma_basis)]
+        coords = []
+        for b in tau_basis:
+            x = solve_rational(cols, b)
+            if any(c.denominator != 1 for c in x):
+                raise LatticeError("tau lattice not contained in sigma lattice")
+            coords.append(tuple(int(c) for c in x))
+        ql = saturate_and_complete(coords)
+        if ql.quotient_rank != 1:
+            raise LatticeError("tau is not of codimension one in sigma")
+        comp = ql.complement_basis[0]
+        u = tuple(sum(comp[j] * sigma_basis[j][i] for j in range(p)) for i in range(n))
+    # orient: pick a functional vanishing on H_tau and not on u
+    if tau_basis:
+        functionals = integer_kernel(tau_basis)
+    else:
+        functionals = identity(n)
+    ell = next((f for f in functionals if dot(f, u) != 0), None)
+    if ell is None:
+        raise LatticeError("degenerate quotient: u lies in H_tau")
+    side = dot(ell, direction_sample)
+    if side == 0:
+        raise LatticeError("direction sample lies in H_tau")
+    if (dot(ell, u) > 0) != (side > 0):
+        u = vec_neg(u)
+    return u
+
+
+def balancing_violations_ambient(C):
+    """(tau key, residual) of each violation, the generators summed in Z^n.
+
+    Oracle for `check_balancing`: each u_{sigma/tau} comes from the
+    three-argument `quotient_outward_generator` above, and only the sum is
+    projected to quotient coordinates.
+    """
+    groups = {}
+    for cell, w in C.cells:
+        for k in _face_data_of(*cell.vkey(), cell.ineqs):
+            groups.setdefault(k, []).append((cell, w))
+    violations = []
+    n = C.ambient_dim
+    for (verts, rays, lin), incident in sorted(groups.items()):
+        tau_dirs = _vrep_direction_basis(verts, rays, lin)
+        tau_pt = _vrep_relint(verts, rays)
+        total = [0] * n
+        for cell, w in incident:
+            sample = vec_sub(cell.relint_point(), tau_pt)
+            u = quotient_outward_generator(tau_dirs, cell.direction_basis(), sample)
+            total = [t + w * x for t, x in zip(total, u)]
+        if tau_dirs:
+            residual = saturate_and_complete(tau_dirs).quotient_coords(total)
+        else:
+            residual = tuple(total)
+        if any(residual):
+            tau = Polyhedron.from_generators(n, vertices=verts, rays=rays, lineality=lin)
+            violations.append((tau.key, residual))
+    return violations

@@ -275,11 +275,20 @@ MALFORMED_CASES = {
     "ambient-dim-huge-empty": (
         "balance", {"ambient_dim": 10**9, "dim": 0, "cells": []}, [], "ambient dimension unsupported"
     ),
+    "dim-negative-empty": (
+        "balance", {"ambient_dim": 2, "dim": -7, "cells": []}, [], "dim -7 outside -1..2"
+    ),
     "exp-not-integer": (
         "hypersurface",
         {"terms": [{"exp": ["a", 0], "coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}]},
         [],
         "exponent is not a finite number",
+    ),
+    "exp-repeated": (
+        "tropicalize",
+        {"terms": [{"exp": [1], "re": 1.0}, {"exp": [1], "re": -1.0}]},
+        [],
+        "repeated exponent [1]",
     ),
     "exp-not-integral": (
         "hypersurface",

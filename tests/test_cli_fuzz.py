@@ -1,9 +1,10 @@
 """Schema fuzz: mutated inputs end in exit 0 or in one `tropdyn:` line with exit 1.
 
-Valid `hypersurface`, `balance`, `add` and `orbits` inputs are mutated at
-one drawn place: a key dropped, a value of the wrong type, a non-finite
-number, or a vector made ragged.  Whatever the mutation, the command must
-exit 0, or exit 1 with exactly one diagnostic line, and never raise.
+Valid `tropicalize`, `hypersurface`, `balance`, `add`, `orbits` and `refine`
+inputs are mutated at one drawn place: a key dropped, a value of the wrong
+type, a non-finite number, or a vector made ragged.  Whatever the mutation,
+the command must exit 0, or exit 1 with exactly one diagnostic line, and
+never raise.
 """
 
 import contextlib
@@ -57,6 +58,8 @@ VALID = {
     "balance": [[SHIFTED_CURVE], [BERGMAN_LINE], [POINT_CYCLE]],
     "add": [[SHIFTED_CURVE, BERGMAN_LINE], [BERGMAN_LINE, BERGMAN_LINE], [POINT_CYCLE, POINT_CYCLE]],
     "orbits": [[QUADRANT_FAN], [LINEALITY_FAN]],
+    "refine": [[QUADRANT_FAN, LINEALITY_FAN], [LINEALITY_FAN, LINEALITY_FAN]],
+    "tropicalize": [[COMPLEX_LINE]],
 }
 WRONG_VALUES = [None, "x", True, {}, [], 1.5, -1, 0, 7, 10**9, [[1]], {"rays": []}]
 NON_FINITE = [math.nan, math.inf, -math.inf]

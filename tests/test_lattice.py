@@ -9,7 +9,9 @@ from oracles import integer_kernel_hermite, rank_gauss_jordan
 from tropdyn import lattice
 from tropdyn.lattice import (
     LatticeError,
+    QuotientLattice,
     _det,
+    identity,
     integer_kernel,
     is_zero_vector,
     primitive,
@@ -19,6 +21,7 @@ from tropdyn.lattice import (
     hnf_basis,
     smith_normal_form,
     solve_rational,
+    vec_neg,
 )
 
 
@@ -274,20 +277,21 @@ def test_quotient_coords():
 
 
 def test_outward_generator_vector_level():
-    # tau = 0, sigma = ray (1, 0): the primitive ray itself
-    u = quotient_outward_generator([], [(1, 0)], (1, 0))
-    assert u == (1, 0)
+    # tau = 0, sigma = ray (1, 0): the primitive ray itself, in the trivial quotient
+    point = QuotientLattice(2, (), identity(2))
+    assert quotient_outward_generator(point, (1, 0)) == (1, 0)
+    assert quotient_outward_generator(point, (Fraction(2, 3), 0)) == (1, 0)
     # tau = ray (1,0) inside sigma = first quadrant: class of e2, pointing up
-    u = quotient_outward_generator([(1, 0)], [(1, 0), (0, 1)], (1, 1))
-    assert u[1] > 0
     ql = saturate_and_complete([(1, 0)])
-    assert ql.quotient_coords(u) in ((1,), (-1,))
+    u = quotient_outward_generator(ql, (1, 1))
+    assert u in ((1,), (-1,))
+    assert u == ql.quotient_coords((0, 1))
     # tau = ray (1,1) inside sigma = cone((1,1),(1,-1)): class of (0,-1)
-    sigma_basis = saturate_and_complete([(1, 1), (1, -1)]).sublattice_basis
-    u = quotient_outward_generator([(1, 1)], sigma_basis, (2, 0))
     ql = saturate_and_complete([(1, 1)])
-    coords = ql.quotient_coords(u)
-    assert coords in ((1,), (-1,))  # a generator of the rank-1 quotient
-    # same class as (0,-1): difference lies in Z(1,1)
-    diff = (u[0] - 0, u[1] - (-1))
-    assert diff[0] == diff[1]
+    u = quotient_outward_generator(ql, (2, 0))
+    assert u in ((1,), (-1,))  # a generator of the rank-1 quotient
+    assert u == ql.quotient_coords((0, -1))
+    assert quotient_outward_generator(ql, (-2, 0)) == vec_neg(u)
+    # a sample in H_tau has no side
+    with pytest.raises(LatticeError, match="lies in H_tau"):
+        quotient_outward_generator(ql, (Fraction(1, 2), Fraction(1, 2)))

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from tropdyn import polyhedra
@@ -19,7 +19,10 @@ from tropdyn.polyhedra import (
     is_complete,
     is_unimodular,
 )
-from tropdyn.lattice import rank_int, vec_sub
+from tropdyn.lattice import rank_int, smith_normal_form, vec_sub
+from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface
+
+from oracles import balancing_violations_ambient
 
 
 def quadrant_fan():
@@ -260,6 +263,18 @@ def test_unimodular():
         is_unimodular(Cone.from_generators([(1, 0), (-1, 0)]))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_unimodular_matches_smith_invariant_factors(data):
+    n = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    cone = Cone.from_generators(data.draw(st.lists(vec, max_size=5)), n)
+    assume(cone.is_pointed)
+    factors = smith_normal_form(cone.rays).invariant_factors if cone.rays else ()
+    event(f"unimodular {is_unimodular(cone)}")
+    assert is_unimodular(cone) == (len(factors) == len(cone.rays) and set(factors) <= {1})
+
+
 def test_complete():
     assert is_complete(p2_fan())
     assert is_complete(quadrant_fan())
@@ -355,6 +370,23 @@ def test_balancing_unbalanced_pair():
     tau, residual = report.violations[0]
     assert tau.dim == 0
     assert residual == (1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_balancing_matches_ambient_generator_oracle(data):
+    """Violations and residuals of hypersurfaces with perturbed weights match the Z^n sum."""
+    n = data.draw(st.integers(2, 3))
+    exps = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    coeffs = st.fractions(-2, 2, max_denominator=4)
+    terms = data.draw(st.dictionaries(exps, coeffs, min_size=2, max_size=5))
+    cycle = tropical_hypersurface(TropicalPolynomial(terms, ambient_dim=n))
+    k = len(cycle.cells)
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+    perturbed = WeightedComplex(n, cycle.dim, [(c, w) for (c, _), w in zip(cycle.cells, weights)])
+    report = check_balancing(perturbed)
+    event("balanced" if report.balanced else "unbalanced")
+    assert [(tau.key, r) for tau, r in report.violations] == balancing_violations_ambient(perturbed)
 
 
 def test_balancing_weighted_residual():

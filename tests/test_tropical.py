@@ -326,6 +326,14 @@ def test_bergman_counts():
         assert len(uniform_bergman_fan(n, n).cells) == n + 1
 
 
+def test_bergman_fan_is_tropical_linear_hypersurface():
+    """trop V(z_1 + ... + z_n + 1) is the uniform Bergman fan B(n - 1, n)."""
+    for n in (2, 3):
+        unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        f = ComplexPolynomial({e: 1 for e in unit + [(0,) * n]})
+        assert tropical_hypersurface(tropicalize_poly(f)) == uniform_bergman_fan(n - 1, n)
+
+
 def test_bergman_range_errors():
     with pytest.raises(TropicalError):
         uniform_bergman_fan(0, 2)
