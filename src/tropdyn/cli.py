@@ -51,6 +51,16 @@ def _parse_ints(text):
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
+def _parse_ms(text):
+    try:
+        ms = _parse_ints(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs comma-separated integers: {text!r}") from None
+    if not ms:
+        raise argparse.ArgumentTypeError("needs at least one value of m")
+    return ms
+
+
 def _parse_box(text):
     try:
         vals = [float(x) for x in text.split(",") if x != ""]
@@ -272,7 +282,7 @@ def cmd_add(args):
 FLAGS = {
     "-i": dict(dest="inputs", action="append", metavar="PATH", help="input JSON"),
     "-o": dict(dest="output", metavar="PATH", help="output artifact"),
-    "--ms": dict(type=_parse_ints, required=True),
+    "--ms": dict(type=_parse_ms, required=True),
     "--box": dict(default="-3,3"),
     "--res": dict(default="61"),
     "--delta": dict(type=float, default=0.2),

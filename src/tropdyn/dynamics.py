@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .polyhedra import Polyhedron, WeightedComplex
 from .tropical import (
     COMPLEX_SUM_COMPENSATES,
@@ -21,6 +19,7 @@ from .tropical import (
     builtin_sum,
     eval_tropical,
     exponent_dots,
+    np,
     tropical_hypersurface,
     tropicalize_poly,
 )
@@ -34,6 +33,12 @@ ALL_MODE_BUDGET = 10 ** 6
 
 class DynamicsError(ValueError):
     pass
+
+
+def _check_seed(seed):
+    """numpy seeds a generator from a nonnegative integer only; say so as a DynamicsError."""
+    if seed is not None and seed < 0:
+        raise DynamicsError(f"seed must be a nonnegative integer, got {seed}")
 
 
 class RootFindingError(DynamicsError):
@@ -64,6 +69,8 @@ class GridSpec:
             raise DynamicsError("box bounds must be finite numbers")
         if any(lo >= hi for lo, hi in self.box):
             raise DynamicsError("box intervals need lo < hi")
+        if not all(math.isfinite(hi - lo) for lo, hi in self.box):
+            raise DynamicsError("box intervals need a finite width")
         if any(r < 2 for r in self.resolution):
             raise DynamicsError("resolution must be at least 2 per axis")
         if math.prod(self.resolution) > ALL_MODE_BUDGET:
@@ -148,6 +155,7 @@ def mth_roots(a, m: int, mode: str = "all", k: int | None = None, seed: int | No
     if mode == "sampled":
         if k is None or k < 1:
             raise DynamicsError("sampled mode needs k >= 1")
+        _check_seed(seed)
         rng = np.random.default_rng(seed)
         picks = rng.integers(0, m, size=(k, n))
         pts = radii * np.exp(1j * (base + 2 * np.pi * picks / m))
@@ -602,6 +610,7 @@ def dequantization_error(
         raise DynamicsError("dequantization grids need a positive exclusion radius")
     if m < 1:
         raise DynamicsError("m must be a positive integer")
+    _check_seed(seed)
     q = tropicalize_poly(f)
     cycle = tropical_hypersurface(q)
     pitch = grid.delta / 8

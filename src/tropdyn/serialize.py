@@ -11,11 +11,9 @@ import json
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .dynamics import ConvergenceReport, PointCloud
 from .polyhedra import MAX_AMBIENT_DIM, Cone, Fan, Polyhedron, WeightedComplex
-from .tropical import ComplexPolynomial, TropicalPolynomial
+from .tropical import ComplexPolynomial, TropicalPolynomial, np
 
 
 class SchemaError(ValueError):
@@ -33,7 +31,8 @@ def _frac_str(x) -> str:
 def _field(obj, key, what):
     """obj[key], or a SchemaError naming the missing key."""
     if not isinstance(obj, dict) or key not in obj:
-        raise SchemaError(f"{what} needs a '{key}' field")
+        article = "an" if key[0] in "aeiou" else "a"
+        raise SchemaError(f"{what} needs {article} '{key}' field")
     return obj[key]
 
 

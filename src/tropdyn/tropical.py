@@ -8,15 +8,38 @@ path with a small tie tolerance.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
-import numpy as np
-
 from .lattice import identity, primitive, vec_sub
 from .polyhedra import Polyhedron, WeightedComplex, check_balancing
+
+
+def _lazy_numpy():
+    """numpy as imported already, or a module that imports it on first attribute access.
+
+    The exact side never reads a numpy attribute, so exact work never loads
+    numpy; the numeric modules take np from here, never by their own import
+    statement, which would load numpy at once.
+    """
+    module = sys.modules.get("numpy")
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 NEG_INF = float("-inf")
 FLOAT_TIE_TOL = 1e-9
@@ -136,7 +159,7 @@ def eval_tropical(q: TropicalPolynomial, x) -> TropicalValue:
     q.terms.  A single float point is row 0 of that batch, so both agree bit
     for bit.
     """
-    if isinstance(x, np.ndarray) and x.ndim == 2:
+    if getattr(x, "ndim", None) == 2:  # an array batch; never loads numpy for a tuple
         return _eval_float_rows(q, x.astype(float, copy=False))
     if len(x) != q.ambient_dim:
         raise TropicalError("point dimension does not match the polynomial")

@@ -240,22 +240,23 @@ def test_domain_error_exit_one(tmp_path, capsys):
 
 
 MISSING_KEY_CASES = {
-    "weight": ("balance", {"ambient_dim": 2, "dim": 1, "cells": [{"rays": [[1, 0]]}]}),
-    "exp": ("hypersurface", {"terms": [{"coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}]}),
-    "coeff": ("hypersurface", {"terms": [{"exp": [1, 0], "coeff": 0.0}, {"exp": [0, 1]}]}),
-    "re": ("tropicalize", {"terms": [{"exp": [1, 0], "im": 1.0}]}),
+    "weight": ("balance", {"ambient_dim": 2, "dim": 1, "cells": [{"rays": [[1, 0]]}]}, "a"),
+    "exp": ("hypersurface", {"terms": [{"coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}]}, "an"),
+    "coeff": ("hypersurface", {"terms": [{"exp": [1, 0], "coeff": 0.0}, {"exp": [0, 1]}]}, "a"),
+    "re": ("tropicalize", {"terms": [{"exp": [1, 0], "im": 1.0}]}, "a"),
+    "ambient_dim": ("balance", {"dim": 0, "cells": []}, "an"),
 }
 
 
 @pytest.mark.parametrize("key", sorted(MISSING_KEY_CASES))
 def test_missing_key_exit_one(tmp_path, capsys, key):
-    command, obj = MISSING_KEY_CASES[key]
+    command, obj, article = MISSING_KEY_CASES[key]
     path = tmp_path / "in.json"
     path.write_text(json.dumps(obj))
     assert run([command, "-i", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("tropdyn:")
-    assert f"'{key}'" in err
+    assert f"needs {article} '{key}' field" in err
 
 
 MALFORMED_CASES = {
@@ -335,6 +336,18 @@ MALFORMED_CASES = {
         ["--experiment", "hausdorff-to-tropical", "--ms", "4,8", "--res", "11", "--density", "1e300"],
         "a cell would take more than 1000000 samples",
     ),
+    "seed-negative-dequantize": (
+        "dequantize", LINE_JSON, ["--ms", "4", "--res", "7", "--seed", "-1"], "seed must be a nonnegative"
+    ),
+    "seed-negative-converge": (
+        "converge",
+        LINE_JSON,
+        ["--experiment", "dequantization", "--ms", "4,8", "--res", "7", "--seed", "-1"],
+        "seed must be a nonnegative",
+    ),
+    "box-width-infinite": (
+        "amoeba", LINE_JSON, ["--ms", "4", "--box=-1e308,1e308", "-o", "x.csv"], "need a finite width"
+    ),
     "delta-extreme": (
         "dequantize",
         LINE_JSON,
@@ -380,6 +393,22 @@ def test_plain_value_error_propagates(monkeypatch):
 )
 def test_unread_flags_are_usage_errors(argv, capsys):
     assert run(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amoeba", "--ms=", "-o", "x.csv"],
+        ["dequantize", "--ms="],
+        ["equidist", "--ms="],
+        ["converge", "--experiment", "equidistribution-discrepancy", "--ms", ","],
+    ],
+)
+def test_empty_ms_is_usage_error(argv, line_path, capsys):
+    if argv[0] in ("amoeba", "dequantize"):
+        argv = argv + ["-i", line_path]
+    assert run(argv) == 2
+    assert "argument --ms: needs at least one value of m" in capsys.readouterr().err
 
 
 def test_usage_error_exit_two(capsys):

@@ -1,10 +1,16 @@
-"""Schema fuzz: mutated inputs end in exit 0 or in one `tropdyn:` line with exit 1.
+"""CLI fuzz: mutated inputs and flags end in exit 0 or in one `tropdyn:` line with exit 1.
 
 Valid `tropicalize`, `hypersurface`, `balance`, `add`, `orbits` and `refine`
 inputs are mutated at one drawn place: a key dropped, a value of the wrong
 type, a non-finite number, or a vector made ragged.  Whatever the mutation,
 the command must exit 0, or exit 1 with exactly one diagnostic line, and
 never raise.
+
+Valid `amoeba`, `dequantize`, `converge` and `equidist` runs on small grids
+have one numeric flag replaced by a negative, empty, non-finite or oversized
+value.  Each case must exit 0 with nothing on stderr, exit 1 with one
+diagnostic line, or exit 2 with argparse's usage error; an exception or a
+warning fails the case.
 """
 
 import contextlib
@@ -12,8 +18,10 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -133,3 +141,54 @@ def test_mutated_inputs_exit_cleanly(case):
         assert len(lines) == 1 and lines[0].startswith("tropdyn: "), err.getvalue()
     else:
         assert err.getvalue() == ""
+
+
+# numeric command -> valid flag settings on grids of at most 7 points per axis and m <= 16
+SMALL_GRID = {"--res": "5", "--box": "-2,2", "--delta": "0.5", "--density": "4", "--seed": "3"}
+NUMERIC_VALID = {
+    "amoeba": [{"--ms": "4,16", "--res": "7", "--box": "-2,2", "--seed": "3"}],
+    "dequantize": [{"--ms": "4", "--res": "5", "--box": "-2,2", "--delta": "0.5", "--seed": "3"}],
+    "converge": [
+        {"--experiment": "dequantization", "--ms": "4,8", **SMALL_GRID},
+        {"--experiment": "hausdorff-to-tropical", "--ms": "4,16", **SMALL_GRID, "--res": "7"},
+    ],
+    "equidist": [{"--ms": "4,16", "--seed": "3"}],
+}
+# flag -> negative, empty, non-finite and oversized replacement values
+FLAG_VALUES = {
+    "--seed": ["-1", "", "nan", str(2**70)],
+    "--ms": ["-4", "0", "", ",", "nan", "16,4", str(10**9), "4,x"],
+    "--res": ["-7", "1", "", "nan", "7,7,7", str(10**7)],
+    "--box": ["-2,-3", "", "1", "nan,1", "-inf,inf", "-1e308,1e308", "1,2,3"],
+    "--delta": ["-0.5", "0", "", "nan", "inf", "1e300", "1e-300"],
+    "--density": ["-4", "0", "", "nan", "inf", "1e300"],
+}
+FLAG_CASES = [
+    pytest.param(command, {**valid, flag: value}, id=f"{command}{k}{flag}={value}")
+    for command, valids in NUMERIC_VALID.items()
+    for k, valid in enumerate(valids)
+    for flag, values in FLAG_VALUES.items()
+    if flag in valid
+    for value in values
+]
+
+
+@pytest.mark.parametrize("command, flags", FLAG_CASES)
+def test_mutated_flags_exit_cleanly(tmp_path, command, flags):
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
+    if command != "equidist":
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(COMPLEX_LINE))
+        argv += ["-i", str(path)]
+    argv += ["-o", str(tmp_path / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert lines[-1].startswith(f"tropdyn {command}: error: "), err.getvalue()
+    elif code == 1:
+        assert len(lines) == 1 and lines[0].startswith("tropdyn: "), err.getvalue()
+    else:
+        assert code == 0 and lines == []
