@@ -12,8 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tropdyn import serialize, svgplot
-from tropdyn.cli import spine_segments
-from tropdyn.dynamics import GridSpec, amoeba_sample, clip_to_box
+from tropdyn.dynamics import GridSpec, amoeba_sample, clip_to_box, spine_segments
 from tropdyn.tropical import ComplexPolynomial, tropical_hypersurface, tropicalize_poly
 
 

@@ -17,15 +17,15 @@ from .dynamics import (
     DynamicsError,
     GridSpec,
     amoeba_sample,
-    box_constraints,
     clip_to_box,
     convergence_report,
     dequantization_error,
     mth_roots,
+    spine_segments,
     star_discrepancy,
 )
 from .lattice import LatticeError
-from .polyhedra import Polyhedron, PolyhedralError, add_cycles, check_balancing, common_refinement
+from .polyhedra import PolyhedralError, add_cycles, check_balancing, common_refinement
 from .serialize import SchemaError
 from .toric import ToricError, orbits
 from .tropical import (
@@ -136,20 +136,6 @@ def _suffixed(path, m, many):
     return str(p.with_name(f"{p.stem}_m{m}{p.suffix}"))
 
 
-def spine_segments(cycle, box):
-    """End points of the one-dimensional cells of a plane cycle, clipped to the box."""
-    segs = []
-    for cell, _ in cycle.cells:
-        clipped = Polyhedron.from_constraints(
-            cell.ambient_dim, eqs=cell.eqs, ineqs=tuple(cell.ineqs) + tuple(box_constraints(box))
-        )
-        if clipped.is_empty or clipped.dim != 1 or len(clipped.vertices) != 2:
-            continue
-        a, b = clipped.vertices
-        segs.append(((float(a[0]), float(a[1])), (float(b[0]), float(b[1]))))
-    return segs
-
-
 def cmd_tropicalize(args):
     f = _as_complex(serialize.poly_from_json(_single_input(args)))
     _emit(args, serialize.tropical_poly_to_json(tropicalize_poly(f)))
@@ -251,9 +237,10 @@ def cmd_converge(args):
     f = None
     if args.inputs:
         f = _as_complex(serialize.poly_from_json(_single_input(args)))
-    box = _parse_box(args.box)
-    res = _parse_res(args.res, len(box))
-    grid = GridSpec(box=box, resolution=res, delta=args.delta)
+    grid = None
+    if args.experiment in ("hausdorff-to-tropical", "dequantization"):  # only these sample a grid
+        box = _parse_box(args.box)
+        grid = GridSpec(box=box, resolution=_parse_res(args.res, len(box)), delta=args.delta)
     rep = convergence_report(
         args.experiment, args.ms, f=f, grid=grid, seed=args.seed, density=args.density
     )

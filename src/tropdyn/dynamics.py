@@ -437,6 +437,27 @@ def box_constraints(box):
     return out
 
 
+def _clipped_cells(C: WeightedComplex, box):
+    """The nonempty intersections of the complex's cells with the box, cell by cell."""
+    box_ineqs = tuple(box_constraints(box))
+    for cell, _ in C.cells:
+        clipped = Polyhedron.from_constraints(
+            C.ambient_dim, eqs=cell.eqs, ineqs=tuple(cell.ineqs) + box_ineqs
+        )
+        if not clipped.is_empty:
+            yield clipped
+
+
+def spine_segments(C: WeightedComplex, box):
+    """End points of the one-dimensional cells of a plane cycle, clipped to the box."""
+    segs = []
+    for clipped in _clipped_cells(C, box):
+        if clipped.dim == 1 and len(clipped.vertices) == 2:
+            a, b = clipped.vertices
+            segs.append(((float(a[0]), float(a[1])), (float(b[0]), float(b[1]))))
+    return segs
+
+
 def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointCloud:
     """Uniform samples on each cell of the complex clipped to the box.
 
@@ -448,14 +469,8 @@ def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointClo
     n = C.ambient_dim
     if len(box) != n:
         raise DynamicsError("box dimension mismatch")
-    box_ineqs = box_constraints(box)
     pts = []
-    for cell, _ in C.cells:
-        clipped = Polyhedron.from_constraints(
-            n, eqs=cell.eqs, ineqs=tuple(cell.ineqs) + tuple(box_ineqs)
-        )
-        if clipped.is_empty:
-            continue
+    for clipped in _clipped_cells(C, box):
         center = np.array([float(x) for x in clipped.relint_point()])
         pts.append(center)
         dirs = clipped.direction_basis()

@@ -138,18 +138,15 @@ def _vrep_relint(vertices, rays):
     return tuple(pt)
 
 
-def _vrep_direction_basis(vertices, rays, lineality):
-    vecs = [tuple(r) for r in rays] + [tuple(l) for l in lineality]
+def _vrep_quotient(n, vertices, rays, lineality):
+    """Z^n over the integer directions of aff(P), P given by V-data in R^n."""
+    vecs = list(rays) + list(lineality)
     if vertices:
         v0 = vertices[0]
-        for v in vertices[1:]:
-            diff = vec_sub(v, v0)
-            if not is_zero_vector(diff):
-                vecs.append(_frac_primitive(diff))
-    vecs = [v for v in vecs if not is_zero_vector(v)]
+        vecs += [_frac_primitive(vec_sub(v, v0)) for v in vertices[1:]]
     if not vecs:
-        return ()
-    return saturate_and_complete(vecs).sublattice_basis
+        return QuotientLattice(n, (), identity(n))
+    return saturate_and_complete(vecs)
 
 
 def _face_data_of(vertices, rays, lineality, parent_ineqs):
@@ -194,8 +191,7 @@ class Polyhedron:
         self.rays = rays
         self.lineality = lineality
         self.key = (ambient_dim, vertices, rays, lineality)
-        self._dim = None
-        self._dirs = None
+        self._quotient = None
         self._faces = None
 
     # -- construction
@@ -265,15 +261,18 @@ class Polyhedron:
 
     @property
     def dim(self):
-        if self._dim is None:
-            self._dim = _vrep_dim(self.vertices, self.rays, self.lineality)
-        return self._dim
+        # eqs is a basis of the affine hull's equations: n - dim independent rows
+        return -1 if self.is_empty else self.ambient_dim - len(self.eqs)
+
+    def quotient(self):
+        """Z^n over the integer directions of aff(P), as a QuotientLattice."""
+        if self._quotient is None:
+            self._quotient = _vrep_quotient(self.ambient_dim, *self.vkey())
+        return self._quotient
 
     def direction_basis(self):
         """Saturated integer basis of the linear space parallel to aff(P)."""
-        if self._dirs is None:
-            self._dirs = _vrep_direction_basis(self.vertices, self.rays, self.lineality)
-        return self._dirs
+        return self.quotient().sublattice_basis
 
     def relint_point(self):
         if self.is_empty:
@@ -627,11 +626,7 @@ def check_balancing(C: WeightedComplex) -> BalancingReport:
     violations = []
     n = C.ambient_dim
     for (verts, rays, lin), incident in sorted(groups.items()):
-        tau_dirs = _vrep_direction_basis(verts, rays, lin)
-        if tau_dirs:
-            quotient = saturate_and_complete(tau_dirs)
-        else:
-            quotient = QuotientLattice(n, (), identity(n))
+        quotient = _vrep_quotient(n, verts, rays, lin)
         tau_pt = _vrep_relint(verts, rays)
         residual = (0,) * quotient.quotient_rank
         for cell, w in incident:
@@ -664,7 +659,7 @@ def _split_cell(cell, halfspaces, p):
                     eqs=f.eqs,
                     ineqs=tuple(f.ineqs) + ((tuple(side * x for x in a), side * b),),
                 )
-                if not piece.is_empty and piece.dim == p:
+                if piece.dim == p:
                     nxt.append(piece)
         frags = nxt
     return frags

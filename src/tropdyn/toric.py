@@ -12,7 +12,7 @@ import cmath
 import itertools
 import math
 
-from .lattice import QuotientLattice, dot, identity, saturate_and_complete
+from .lattice import QuotientLattice, dot
 from .polyhedra import Cone, Fan
 
 
@@ -33,14 +33,8 @@ class Orbit:
 
 
 def _orbit_of_cone(cone: Cone) -> Orbit:
-    n = cone.ambient_dim
-    gens = list(cone.rays) + list(cone.lineality)
-    if gens:
-        quotient = saturate_and_complete(gens)
-    else:
-        quotient = QuotientLattice(n, (), identity(n))
-    orbit = Orbit(cone, quotient)
-    if orbit.dim + cone.dim != n:
+    orbit = Orbit(cone, cone.quotient())
+    if orbit.dim + cone.dim != cone.ambient_dim:
         raise ToricError("orbit dimension bookkeeping failed")
     return orbit
 

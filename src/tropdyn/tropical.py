@@ -251,25 +251,6 @@ def as_tropical_cycle(C: WeightedComplex) -> TropicalCycle:
     return C
 
 
-def _collinear_weight(exps):
-    """Lattice length between the extreme exponents of a collinear family."""
-    base = exps[0]
-    diffs = [vec_sub(e, base) for e in exps[1:]]
-    nonzero = [d for d in diffs if any(d)]
-    if not nonzero:
-        raise TropicalError("tying exponents coincide")
-    direction, _ = primitive(nonzero[0])
-    pivot = next(i for i, x in enumerate(direction) if x != 0)
-    ts = [0] + [Fraction(d[pivot], direction[pivot]) for d in diffs]
-    for d, t in zip(diffs, ts[1:]):
-        if any(Fraction(di) != t * wi for di, wi in zip(d, direction)):
-            raise TropicalError("tying exponents are not collinear")
-    span = max(ts) - min(ts)
-    if span.denominator != 1:
-        raise TropicalError("non-integral exponent spread")
-    return int(span)
-
-
 def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     """Non-differentiability locus of q as a weighted, balanced complex.
 
@@ -286,28 +267,20 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     terms = q.exact_terms()
     if len(terms) == 1:
         return WeightedComplex(n, n - 1, [])
+    exact = TropicalPolynomial(terms, n)
     cells = {}
     for (ei, ci), (ej, cj) in itertools.combinations(terms, 2):
-        normal = vec_sub(ei, ej)
-        if not any(normal):
-            continue
-        eqs = ((normal, cj - ci),)
+        eqs = ((vec_sub(ei, ej), cj - ci),)
         ineqs = tuple(
             (vec_sub(ei, ek), ck - ci) for ek, ck in terms if ek not in (ei, ej)
         )
         cell = Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs)
-        if cell.is_empty or cell.dim != n - 1:
+        if cell.dim != n - 1:
             continue
-        point = cell.relint_point()
-        tying = tuple(
-            e
-            for e, c in terms
-            if sum(Fraction(xi) * e_i for xi, e_i in zip(point, e)) + c
-            == sum(Fraction(xi) * e_i for xi, e_i in zip(point, ei)) + ci
-        )
-        cells[tying] = cell
+        cells[eval_tropical(exact, cell.relint_point()).argmax] = cell
+    # the tying exponents are collinear and sorted, so the first and last are the extremes
     weighted = [
-        (cell, _collinear_weight(list(tying))) for tying, cell in sorted(cells.items())
+        (cell, math.gcd(*vec_sub(tying[-1], tying[0]))) for tying, cell in sorted(cells.items())
     ]
     complex_ = WeightedComplex(n, n - 1, weighted, validate=False)
     return as_tropical_cycle(complex_)

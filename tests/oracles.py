@@ -17,7 +17,7 @@ from tropdyn.lattice import (
     vec_neg,
     vec_sub,
 )
-from tropdyn.polyhedra import Polyhedron, _face_data_of, _vrep_direction_basis, _vrep_relint
+from tropdyn.polyhedra import Polyhedron, _face_data_of, _vrep_quotient, _vrep_relint
 from tropdyn.tropical import FLOAT_TIE_TOL
 
 
@@ -165,7 +165,7 @@ def balancing_violations_ambient(C):
     violations = []
     n = C.ambient_dim
     for (verts, rays, lin), incident in sorted(groups.items()):
-        tau_dirs = _vrep_direction_basis(verts, rays, lin)
+        tau_dirs = _vrep_quotient(n, verts, rays, lin).sublattice_basis
         tau_pt = _vrep_relint(verts, rays)
         total = [0] * n
         for cell, w in incident:

@@ -190,6 +190,16 @@ def test_converge_command(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("flag", ["--box=1,0", "--res=1"])
+def test_converge_without_grid_ignores_grid_flags(tmp_path, flag):
+    # the equidistribution experiment samples no grid, so grid flags are not read
+    argv = ["converge", "--experiment", "equidistribution-discrepancy", "--ms", "4,8"]
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    assert run(argv + ["-o", str(plain)]) == 0
+    assert run(argv + [flag, "-o", str(flagged)]) == 0
+    assert flagged.read_text() == plain.read_text()
+
+
 def test_roundtrip_cycle_json(tmp_path):
     # affine cells keep exact rational vertices across a round trip
     q = TropicalPolynomial({(0, 0): 0, (-2, 1): 1, (1, -1): 0.5})

@@ -20,7 +20,7 @@ from tropdyn.polyhedra import (
     is_unimodular,
 )
 from tropdyn.lattice import rank_int, smith_normal_form, vec_sub
-from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface
+from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
 
 from oracles import balancing_violations_ambient
 
@@ -198,6 +198,39 @@ def test_h_to_v_enumerates_inequality_subsets_only(monkeypatch):
     )
     assert seg.vertices == ((0, 0, 0), (1, 0, 0)) and seg.dim == 1
     assert 1 <= subsets[0] <= 3
+
+
+def _rank_dim(vertices, rays, lineality):
+    """Dimension of conv(vertices) + cone(rays) + span(lineality) by a rank; -1 when empty."""
+    if not vertices:
+        return -1
+    vecs = [vec_sub(v, vertices[0]) for v in vertices[1:]] + list(rays) + list(lineality)
+    return rank_int(vecs) if vecs else 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dim_matches_generator_rank(data):
+    """dim read off the stored equations equals the rank of the generators."""
+    n = data.draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
+    point = st.lists(st.fractions(-2, 2, max_denominator=2), min_size=n, max_size=n).map(tuple)
+    vertices = data.draw(st.lists(point, max_size=3))
+    rays = data.draw(st.lists(vec, max_size=3))
+    lin = data.draw(st.lists(vec, max_size=2))
+    ineqs = data.draw(st.lists(st.tuples(vec, st.integers(-2, 2)), max_size=4))
+    eqs = data.draw(st.lists(st.tuples(vec, st.integers(-2, 2)), max_size=2))
+    # from generators the oracle reads the input; from constraints, the computed V-data
+    P = Polyhedron.from_generators(n, vertices=vertices, rays=rays, lineality=lin)
+    assert P.dim == _rank_dim(vertices, rays, lin)
+    assert Cone.from_generators(rays, n, lineality=lin).dim == _rank_dim([(0,) * n], rays, lin)
+    for Q in (
+        Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs),
+        Cone.from_constraints([a for a, _ in ineqs], [a for a, _ in eqs], n),
+    ):
+        assert Q.dim == _rank_dim(Q.vertices, Q.rays, Q.lineality)
+        event("empty" if Q.is_empty else f"codim {n - Q.dim}")
+        event("lineality" if Q.lineality else "pointed")
 
 
 # -- fans, refinement, unimodularity, completeness
@@ -387,6 +420,20 @@ def test_balancing_matches_ambient_generator_oracle(data):
     report = check_balancing(perturbed)
     event("balanced" if report.balanced else "unbalanced")
     assert [(tau.key, r) for tau, r in report.violations] == balancing_violations_ambient(perturbed)
+
+
+def test_balancing_saturates_once_per_ridge(monkeypatch):
+    fan = uniform_bergman_fan(2, 3)  # four ridges: the rays e1, e2, e3, -(e1+e2+e3)
+    calls = []
+    saturate = polyhedra.saturate_and_complete
+
+    def counting(vecs):
+        calls.append(vecs)
+        return saturate(vecs)
+
+    monkeypatch.setattr(polyhedra, "saturate_and_complete", counting)
+    assert check_balancing(fan).balanced
+    assert len(calls) == 4
 
 
 def test_balancing_weighted_residual():

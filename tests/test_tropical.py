@@ -249,6 +249,15 @@ def test_hypersurface_weight_two():
     assert cell.contains((0, 5)) and not cell.contains((1, 0))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_hypersurface_weight_spans_extreme_tying_exponents(k):
+    # max(0, x, kx, y): on the ray (0, -1) the exponents 0, e1 and k e1 tie, and
+    # the weight k runs from the first to the last; an adjacent pair gives 1,
+    # and for k = 3 the largest adjacent gap gives 2
+    q = TropicalPolynomial({(0, 0): 0, (1, 0): 0, (k, 0): 0, (0, 1): 0})
+    assert cycle_rays(tropical_hypersurface(q)) == {(0, -1): k, (-1, 0): 1, (1, k): 1}
+
+
 def test_hypersurface_affine_cell():
     q = TropicalPolynomial({(0, 0): 0, (-1, 0): 1})
     cycle = tropical_hypersurface(q)
