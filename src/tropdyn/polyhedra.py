@@ -5,7 +5,8 @@ vertices), so tie decisions never depend on rounding.  There is one polyhedron
 type: a `Cone` is the `Polyhedron` whose only vertex is the origin.  V- and
 H-descriptions are kept canonical: extreme rays are primitive and orthogonal
 to the lineality space, lineality lattices are stored in Hermite normal form,
-vertices are sorted Fractions.  Equal sets therefore compare equal as tuples.
+vertices are sorted exact rationals; a cone's origin is integer.  Equal
+sets therefore compare equal as tuples.
 
 Conversions between descriptions use brute-force extreme-ray enumeration
 (kernels of row subsets via signed maximal minors), exact and comfortably
@@ -179,8 +180,9 @@ class Polyhedron:
     eqs and ineqs are (normal, rhs) pairs of integers meaning a.x = b and
     a.x >= b.  The eqs are the Hermite basis of the homogenised equation
     lattice, so two nonempty polyhedra have the same affine hull exactly when
-    their eqs are equal.  vertices are Fraction tuples; rays and lineality
-    are primitive integer tuples, rays reduced modulo the lineality space.
+    their eqs are equal.  vertices are exact rationals (a cone's origin is
+    integer); rays and lineality are primitive integer tuples, rays reduced
+    modulo the lineality space.
     """
 
     def __init__(self, ambient_dim, eqs, ineqs, vertices, rays, lineality):
@@ -376,7 +378,7 @@ class Cone(Polyhedron):
         (rays, lin), (normals, eq_normals) = vrep, hrep
         eqs = tuple(sorted((a, 0) for a in eq_normals))
         ineqs = tuple(sorted((a, 0) for a in normals))
-        return cls(n, eqs, ineqs, (tuple([Fraction(0)] * n),), rays, lin)
+        return cls(n, eqs, ineqs, ((0,) * n,), rays, lin)
 
     @property
     def ineq_normals(self):
@@ -392,6 +394,15 @@ class Cone(Polyhedron):
 
     def _face(self, vertices, rays):
         return Cone.from_generators(rays, self.ambient_dim, lineality=self.lineality)
+
+
+def _facet_owners(cells):
+    """V-data key of each facet of the cells -> indices of the cells it bounds."""
+    owners = {}
+    for i, cell in enumerate(cells):
+        for k in _face_data_of(*cell.vkey(), cell.ineqs):
+            owners.setdefault(k, []).append(i)
+    return owners
 
 
 def _faces_of(members):
@@ -478,13 +489,13 @@ def common_refinement(A: Fan, B: Fan) -> Fan:
 
 
 def is_unimodular(x) -> bool:
-    """Whether the cone's rays (or all cones of a fan) extend to a Z-basis.
+    """Whether the cone's rays (or those of every cone of a fan) extend to a Z-basis.
 
     k integer vectors extend to a Z-basis iff their maximal (k x k) minors
     have gcd 1; dependent vectors have only zero minors.
     """
-    if isinstance(x, Fan):
-        return all(is_unimodular(c) for c in x.all_cones())
+    if isinstance(x, Fan):  # a face's rays are a subset of its cone's rays
+        return all(is_unimodular(c) for c in x.maximal_cones)
     if not isinstance(x, Cone):
         raise PolyhedralError("expected a Cone or Fan")
     if not x.is_pointed:
@@ -499,43 +510,17 @@ def is_unimodular(x) -> bool:
 
 
 def is_complete(F: Fan) -> bool:
-    """Support = R^n test via ridge pairing.
+    """Support = R^n test by the two-owner rule.
 
-    A fan is complete iff it has a full-dimensional cone, every
-    codimension-one cone is a facet of exactly two full-dimensional cones,
-    and the full-dimensional cones are facet-connected.
+    A fan is complete iff it has a full-dimensional cone and every facet of
+    its full-dimensional cones bounds exactly two of them: their union is
+    then a closed pseudomanifold around the origin, which can only be R^n.
     """
     n = F.ambient_dim
     if n > MAX_AMBIENT_DIM:
         raise PolyhedralError("ambient dimension unsupported")
     full = [c for c in F.maximal_cones if c.dim == n]
-    if not full:
-        return False
-    owners = {}
-    for idx, c in enumerate(full):
-        for k in _face_data_of(*c.vkey(), c.ineqs):
-            owners.setdefault(k, []).append(idx)
-    ridges = {k for c in F.maximal_cones for k in c.face_vkeys() if _vrep_dim(*k) == n - 1}
-    if any(len(owners.get(k, ())) != 2 for k in ridges):
-        return False
-    if any(len(v) != 2 for v in owners.values()):
-        return False
-    # facet connectivity
-    adj = {i: set() for i in range(len(full))}
-    for a, b in owners.values():
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return len(seen) == len(full)
+    return bool(full) and all(len(o) == 2 for o in _facet_owners(full).values())
 
 
 # ---------------------------------------------------------------------------
@@ -619,17 +604,14 @@ def check_balancing(C: WeightedComplex) -> BalancingReport:
     """
     if not isinstance(C, WeightedComplex):
         raise PolyhedralError("expected a WeightedComplex")
-    groups = {}
-    for cell, w in C.cells:
-        for k in _face_data_of(*cell.vkey(), cell.ineqs):
-            groups.setdefault(k, []).append((cell, w))
+    owners = _facet_owners([cell for cell, _ in C.cells])
     violations = []
     n = C.ambient_dim
-    for (verts, rays, lin), incident in sorted(groups.items()):
+    for (verts, rays, lin), incident in sorted(owners.items()):
         quotient = _vrep_quotient(n, verts, rays, lin)
         tau_pt = _vrep_relint(verts, rays)
         residual = (0,) * quotient.quotient_rank
-        for cell, w in incident:
+        for cell, w in (C.cells[i] for i in incident):
             u = quotient_outward_generator(quotient, vec_sub(cell.relint_point(), tau_pt))
             residual = tuple(r + w * x for r, x in zip(residual, u))
         if any(residual):

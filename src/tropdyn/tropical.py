@@ -255,11 +255,11 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     """Non-differentiability locus of q as a weighted, balanced complex.
 
     Cells come from exact pairwise-tie enumeration: for each exponent pair the
-    region where both attain the max, kept when it has dimension n-1 and
-    merged whenever several pairs cut out the same cell.  The weight of a cell
-    is the lattice length between the extreme exponents among all terms tying
-    there; on a codimension-one cell those exponents are automatically
-    collinear (their differences live in the rank-one normal lattice).
+    region where both attain the max, kept when it has dimension n-1; a pair
+    that ties on a cell found already cuts out that cell and is skipped.  A
+    cell's weight is the lattice length between the extreme exponents tying
+    there; on a codimension-one cell those are collinear (their differences
+    live in the rank-one normal lattice).
     """
     n = q.ambient_dim
     if n > MAX_HYPERSURFACE_DIM:
@@ -270,6 +270,8 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     exact = TropicalPolynomial(terms, n)
     cells = {}
     for (ei, ci), (ej, cj) in itertools.combinations(terms, 2):
+        if any(ei in tying and ej in tying for tying in cells):
+            continue
         eqs = ((vec_sub(ei, ej), cj - ci),)
         ineqs = tuple(
             (vec_sub(ei, ek), ck - ci) for ek, ck in terms if ek not in (ei, ej)

@@ -1,6 +1,7 @@
 """Reference computations the tests compare the library against."""
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,8 +18,16 @@ from tropdyn.lattice import (
     vec_neg,
     vec_sub,
 )
-from tropdyn.polyhedra import Polyhedron, _face_data_of, _vrep_quotient, _vrep_relint
-from tropdyn.tropical import FLOAT_TIE_TOL
+from tropdyn.polyhedra import (
+    MAX_AMBIENT_DIM,
+    PolyhedralError,
+    Polyhedron,
+    _face_data_of,
+    _vrep_dim,
+    _vrep_quotient,
+    _vrep_relint,
+)
+from tropdyn.tropical import FLOAT_TIE_TOL, TropicalPolynomial, eval_tropical
 
 
 def weyl_sum_bruteforce(m: int, nu) -> complex:
@@ -180,3 +189,71 @@ def balancing_violations_ambient(C):
             tau = Polyhedron.from_generators(n, vertices=verts, rays=rays, lineality=lin)
             violations.append((tau.key, residual))
     return violations
+
+
+def is_complete_ridge_pairing(F) -> bool:
+    """Support = R^n test via ridge pairing.
+
+    A fan is complete iff it has a full-dimensional cone, every
+    codimension-one cone is a facet of exactly two full-dimensional cones,
+    and the full-dimensional cones are facet-connected.
+
+    Oracle for `is_complete`, which keeps only the two-owner rule on the
+    facets of the full-dimensional cones.
+    """
+    n = F.ambient_dim
+    if n > MAX_AMBIENT_DIM:
+        raise PolyhedralError("ambient dimension unsupported")
+    full = [c for c in F.maximal_cones if c.dim == n]
+    if not full:
+        return False
+    owners = {}
+    for idx, c in enumerate(full):
+        for k in _face_data_of(*c.vkey(), c.ineqs):
+            owners.setdefault(k, []).append(idx)
+    ridges = {k for c in F.maximal_cones for k in c.face_vkeys() if _vrep_dim(*k) == n - 1}
+    if any(len(owners.get(k, ())) != 2 for k in ridges):
+        return False
+    if any(len(v) != 2 for v in owners.values()):
+        return False
+    # facet connectivity
+    adj = {i: set() for i in range(len(full))}
+    for a, b in owners.values():
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j in adj[i]:
+                if j not in seen:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return len(seen) == len(full)
+
+
+def hypersurface_cells_all_pairs(q):
+    """(cell, weight) of each cell of q's tropical hypersurface, sorted by tie set.
+
+    Oracle for `tropical_hypersurface`, which skips an exponent pair that
+    ties on a cell found already: here every pair's tie region is built and
+    evaluated, and regions with the same tie set are merged.
+    """
+    n = q.ambient_dim
+    terms = q.exact_terms()
+    exact = TropicalPolynomial(terms, n)
+    cells = {}
+    for (ei, ci), (ej, cj) in itertools.combinations(terms, 2):
+        eqs = ((vec_sub(ei, ej), cj - ci),)
+        ineqs = tuple(
+            (vec_sub(ei, ek), ck - ci) for ek, ck in terms if ek not in (ei, ej)
+        )
+        cell = Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs)
+        if cell.dim != n - 1:
+            continue
+        cells[eval_tropical(exact, cell.relint_point()).argmax] = cell
+    return [
+        (cell, math.gcd(*vec_sub(tying[-1], tying[0]))) for tying, cell in sorted(cells.items())
+    ]

@@ -1,10 +1,11 @@
 """CLI fuzz: mutated inputs and flags end in exit 0 or in one `tropdyn:` line with exit 1.
 
 Valid `tropicalize`, `hypersurface`, `balance`, `add`, `orbits` and `refine`
-inputs are mutated at one drawn place: a key dropped, a value of the wrong
-type, a non-finite number, or a vector made ragged.  Whatever the mutation,
-the command must exit 0, or exit 1 with exactly one diagnostic line, and
-never raise.
+inputs are mutated at one or two drawn places, in the same input or in both
+inputs of `add` and `refine`: a key dropped, a value of the wrong type, a
+non-finite number, or a vector made ragged.  Whatever the mutations, the
+command must exit 0, or exit 1 with exactly one diagnostic line, and never
+raise.
 
 Valid `amoeba`, `dequantize`, `converge` and `equidist` runs on small grids
 have one numeric flag replaced by a negative, empty, non-finite or oversized
@@ -90,10 +91,8 @@ def _replace(obj, path, new):
     return [_replace(v, rest, new) if i == key else v for i, v in enumerate(obj)]
 
 
-@st.composite
-def mutated_inputs(draw):
-    command = draw(st.sampled_from(sorted(VALID)))
-    inputs = list(draw(st.sampled_from(VALID[command])))
+def _mutate(draw, inputs):
+    """Mutate one drawn place of one drawn input, in place."""
     which = draw(st.integers(0, len(inputs) - 1))
     path, value = draw(st.sampled_from(list(_places(inputs[which]))))
     kinds = ["wrong type"]
@@ -117,6 +116,14 @@ def mutated_inputs(draw):
     else:
         new = draw(st.sampled_from(WRONG_VALUES))
     inputs[which] = _replace(inputs[which], path, new)
+
+
+@st.composite
+def mutated_inputs(draw):
+    command = draw(st.sampled_from(sorted(VALID)))
+    inputs = list(draw(st.sampled_from(VALID[command])))
+    for _ in range(draw(st.integers(1, 2))):  # a second one may hit the other input
+        _mutate(draw, inputs)
     return command, inputs
 
 
