@@ -30,23 +30,20 @@ LOG_SIGN = -1.0
 #: most points of an all-mode root set and of a sampling grid
 ALL_MODE_BUDGET = 10 ** 6
 
+#: an Aberth row stops at corrections below ROOT_TOL (relative) and fails after MAX_SWEEPS sweeps
+ROOT_TOL = 1e-12
+MAX_SWEEPS = 200
+
+#: most phase redraws of one grid point where f(z^m) is near zero
+MAX_RETRIES = 20
+
 
 class DynamicsError(ValueError):
     pass
 
 
-def _check_seed(seed):
-    """numpy seeds a generator from a nonnegative integer only; say so as a DynamicsError."""
-    if seed is not None and seed < 0:
-        raise DynamicsError(f"seed must be a nonnegative integer, got {seed}")
-
-
 class RootFindingError(DynamicsError):
-    """Root iteration did not converge; carries the partial approximations."""
-
-    def __init__(self, message, partial):
-        super().__init__(message)
-        self.partial = list(partial)
+    """Never raised; bench/spans.py names it as polynomial_roots' failure type and fails without it."""
 
 
 def log_map(z):
@@ -128,39 +125,25 @@ class ConvergenceReport:
 # roots of unity and Weyl sums
 
 
-def mth_roots(a, m: int, mode: str = "all", k: int | None = None, seed: int | None = None) -> PointCloud:
-    """Componentwise m-th roots of a nonzero complex vector.
-
-    mode="all" enumerates all m^n combinations (capped at 10^6 points);
-    mode="sampled" draws k independent uniform root choices with the seed.
-    """
+def mth_roots(a, m: int) -> PointCloud:
+    """All m^n componentwise m-th roots of a nonzero complex n-vector (at most 10^6 points)."""
     if m < 1:
         raise DynamicsError("m must be a positive integer")
     a = np.atleast_1d(np.asarray(a, dtype=complex))
     n = a.shape[0]
     if np.any(a == 0):
         raise DynamicsError("all components must be nonzero")
+    if m ** n > ALL_MODE_BUDGET:
+        raise DynamicsError("all-mode root budget exceeded")
     radii = np.abs(a) ** (1.0 / m)
     base = np.angle(a) / m
-    if mode == "all":
-        if m ** n > ALL_MODE_BUDGET:
-            raise DynamicsError("all-mode root budget exceeded")
-        axes = [
-            radii[j] * np.exp(1j * (base[j] + 2 * np.pi * np.arange(m) / m))
-            for j in range(n)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        return PointCloud(n, pts, m=m)
-    if mode == "sampled":
-        if k is None or k < 1:
-            raise DynamicsError("sampled mode needs k >= 1")
-        _check_seed(seed)
-        rng = np.random.default_rng(seed)
-        picks = rng.integers(0, m, size=(k, n))
-        pts = radii * np.exp(1j * (base + 2 * np.pi * picks / m))
-        return PointCloud(n, pts, m=m, seed=seed)
-    raise DynamicsError(f"unknown mode {mode!r}")
+    axes = [
+        radii[j] * np.exp(1j * (base[j] + 2 * np.pi * np.arange(m) / m))
+        for j in range(n)
+    ]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    return PointCloud(n, pts, m=m)
 
 
 def weyl_sum(m: int, nu) -> complex:
@@ -229,7 +212,7 @@ def _relative_residuals(c, z):
     return np.abs(_horner(c, z)) / np.maximum(scale, 1e-300)
 
 
-def _batch_roots(c, tol, max_iter) -> BatchRoots:
+def _batch_roots(c) -> BatchRoots:
     """The kernel behind polynomial_roots: every row of the (S, d+1) array c at once."""
     S, d = c.shape[0], c.shape[1] - 1
     iterations = np.zeros(S, dtype=np.int64)
@@ -247,7 +230,7 @@ def _batch_roots(c, tol, max_iter) -> BatchRoots:
         dc = c[:, 1:] * np.arange(1, d + 1)
         diagonal = (slice(None), np.arange(d), np.arange(d))
         active = ok.copy()
-        for _ in range(max_iter):
+        for _ in range(MAX_SWEEPS):
             rows = np.flatnonzero(active)
             if rows.size == 0:
                 break
@@ -261,7 +244,7 @@ def _batch_roots(c, tol, max_iter) -> BatchRoots:
             zr = zr - corr
             z[rows] = zr
             iterations[rows] += 1
-            done = np.max(np.abs(corr), axis=1) <= tol * (1.0 + np.max(np.abs(zr), axis=1))
+            done = np.max(np.abs(corr), axis=1) <= ROOT_TOL * (1.0 + np.max(np.abs(zr), axis=1))
             done |= np.all(_relative_residuals(cr, zr) <= 1e-15, axis=1)
             active[rows[done]] = False
         ok &= ~active
@@ -273,43 +256,24 @@ def _batch_roots(c, tol, max_iter) -> BatchRoots:
     return BatchRoots(z, ~ok, iterations)
 
 
-def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 200):
-    """All roots of sum c_k z^k (coeffs ascending), one polynomial or a batch.
+def polynomial_roots(coeffs) -> BatchRoots:
+    """All roots of each row sum_k c_k z^k of an (S, d+1) array (ascending), d >= 1.
 
-    The batch form takes an (S, d+1) array, d >= 1, one polynomial per row,
-    and returns a BatchRoots: the (S, d) roots, a per-row failure mask and the
+    Returns a BatchRoots: the (S, d) roots, a per-row failure mask and the
     per-row sweep counts.  Degree-1 rows are solved in closed form, -c0/c1;
     higher degrees run simultaneous Aberth--Ehrlich iteration (started on a
     Cauchy-bound circle) on all rows at once, each row stopping when its
-    corrections or residuals are small (Bini, Numer. Algorithms 13, 1996).
-    A row fails, without raising, when it does not converge in max_iter
-    sweeps, when a root's relative residual is above 1e-8, or when its
-    constant or leading coefficient is zero or an entry is not finite.
-
-    A flat sequence is the one-row case of the same kernel, after exact
-    deflation of zero roots: it returns the sorted list of roots with
-    multiplicity, raises DynamicsError for a degree below one or a zero
-    leading coefficient, and RootFindingError carrying the partial
-    approximations when the row fails.
+    corrections are below ROOT_TOL or its residuals are small (Bini, Numer.
+    Algorithms 13, 1996).  A row fails, without raising, when it does not
+    converge in MAX_SWEEPS sweeps, when a root's relative residual is above
+    1e-8, or when its constant or leading coefficient is zero or an entry is
+    not finite; so a polynomial with a zero root fails (callers shift such
+    roots out first, as amoeba_sample does).
     """
-    c = np.asarray(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs), dtype=complex)
-    if c.ndim == 2:
-        if c.shape[1] < 2:
-            raise DynamicsError("degree must be at least one")
-        return _batch_roots(c, tol, max_iter)
-    if c.size < 2:
-        raise DynamicsError("degree must be at least one")
-    if c[-1] == 0:
-        raise DynamicsError("leading coefficient must be nonzero")
-    nz = int(np.nonzero(c)[0][0])
-    zeros = [0j] * nz
-    if nz == c.size - 1:
-        return zeros
-    batch = _batch_roots(c[None, nz:], tol, max_iter)
-    roots = zeros + batch.roots[0].tolist()
-    if batch.failed[0]:
-        raise RootFindingError("root iteration did not reach relative residuals below 1e-8", roots)
-    return roots
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] < 2:
+        raise DynamicsError("coefficients must be an (S, d+1) array with degree d >= 1")
+    return _batch_roots(c)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +319,7 @@ def amoeba_sample(
     m: int,
     phase_offset: float = 0.0,
 ) -> PointCloud:
-    """Sample of the 1/m-scaled amoeba of V(f) inside the grid window.
+    """Sample of the 1/m-scaled amoeba of V(f) on the slice lines of the grid.
 
     For each slice value s on an axis the slice variable is set to
     exp(-m*s + i*phi) and the roots of the resulting univariate polynomial are
@@ -363,7 +327,8 @@ def amoeba_sample(
     are phase_offset plus as many equal steps of the circle as the other
     axis has grid points.  The grid box is the window in the scaled Log
     coordinates, so larger m slices at modulus e^(-m*s), matching
-    Log(preimage) = (1/m) Log(Z).
+    Log(preimage) = (1/m) Log(Z).  Only the slice coordinate lies in the
+    window; the root coordinate is not clipped, so callers apply clip_to_box.
 
     All slices of an axis go to polynomial_roots as one (S, d+1) batch, with
     S = slice values x phases, each row balanced by its exponent-spread shift.
@@ -567,11 +532,9 @@ def _libm(fn, a):
 def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
     """log|f(z^m)| for z_j = exp(-x_j + i theta_j), via an exponent shift.
 
-    With (N, n) arrays of points and phases every row is evaluated in one
-    batch, which returns the N values and a mask of the rows where
-    |f(z^m)| < 1e-280 (their values are NaN).  A flat point is the one-row
-    case of the same kernel: it returns a float and raises ZeroDivisionError
-    on a masked row.
+    x and theta are (N, n) arrays of points and phases.  Every row is
+    evaluated in one batch, which returns the N values and a mask of the rows
+    where |f(z^m)| < 1e-280 (their values are NaN).
 
     Per row this is the scalar formula: with L_a = log|c_a| - m <a, x> and
     phi_a = arg c_a + m <a, theta>, top = max L_a, the value is
@@ -580,9 +543,6 @@ def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
     libm's (see _libm), so each row equals that formula bit for bit.
     """
     X, T = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
-    flat = X.ndim == 1
-    if flat:
-        X, T = X[None], T[None]
     if X.shape != T.shape or X.ndim != 2 or X.shape[1] != f.ambient_dim:
         raise DynamicsError("points and phases must be (N, n) arrays matching the polynomial")
     exps = [exp for exp, _ in f.terms]
@@ -598,16 +558,10 @@ def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
     zero = modulus < 1e-280
     vals = top + _libm(math.log, np.where(zero, 1.0, modulus))
     vals[zero] = np.nan
-    if flat:
-        if zero[0]:
-            raise ZeroDivisionError("hit a zero of f(z^m)")
-        return float(vals[0])
     return vals, zero
 
 
-def dequantization_error(
-    f: ComplexPolynomial, m: int, grid: GridSpec, seed: int = 0, max_retries: int = 20
-) -> tuple[float, float]:
+def dequantization_error(f: ComplexPolynomial, m: int, grid: GridSpec, seed: int = 0) -> tuple[float, float]:
     """(sup, mean) of |(1/m) log|f(z^m)| - trop(f)(x)| over the admissible grid.
 
     z_j = exp(-x_j + i theta_j) with seeded random phases.  The tropical
@@ -619,13 +573,14 @@ def dequantization_error(
     one (N, n) batch each.  Point k takes the k-th phase draw of the seeded
     stream, as a loop drawing n phases per point would.  A point where
     f(z^m) is near zero takes the next draw, and every point after it the
-    draws after that; a point may be re-phased up to max_retries times.
+    draws after that; a point may be re-phased up to MAX_RETRIES times.
     """
     if grid.delta <= 0:
         raise DynamicsError("dequantization grids need a positive exclusion radius")
     if m < 1:
         raise DynamicsError("m must be a positive integer")
-    _check_seed(seed)
+    if seed is not None and seed < 0:  # numpy seeds a generator from a nonnegative integer only
+        raise DynamicsError(f"seed must be a nonnegative integer, got {seed}")
     q = tropicalize_poly(f)
     cycle = tropical_hypersurface(q)
     pitch = grid.delta / 8
@@ -649,7 +604,7 @@ def dequantization_error(
         if k == len(vals):
             break
         failures = failures + 1 if k == 0 else 1
-        if failures > max_retries:
+        if failures > MAX_RETRIES:
             raise DynamicsError("exceeded the phase retry budget near a zero")
         done += k
         theta = np.concatenate([theta[k + 1:], rng.uniform(0.0, 2 * np.pi, size=(1, pts.shape[1]))])

@@ -237,22 +237,16 @@ class Polyhedron:
     @classmethod
     def _dehomogenise(cls, n, vrep, hrep):
         """P from the canonical descriptions of its homogenisation (last coordinate t)."""
+        # t >= 0 (or t = 1 on every vertex generator) gives every lineality
+        # vector t = 0, and an equation (0, ..., 0, c) of a nonempty P has c = 0
         (rays_h, lin_h), (ineq_h, eq_h) = vrep, hrep
-        if any(l[n] != 0 for l in lin_h):
-            raise PolyhedralError("unbounded homogenising coordinate")
         vertices = tuple(
             sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays_h if r[n] > 0)
         )
         rec_rays = tuple(sorted(r[:n] for r in rays_h if r[n] == 0))
         lineality = tuple(l[:n] for l in lin_h)
         ineqs = [(a[:n], -a[n]) for a in ineq_h if not is_zero_vector(a[:n])]  # drops t >= 0
-        eqs = []
-        for a in eq_h:
-            if is_zero_vector(a[:n]):
-                if a[n] != 0:
-                    raise PolyhedralError("inconsistent homogenisation")
-                continue
-            eqs.append((a[:n], -a[n]))
+        eqs = [(a[:n], -a[n]) for a in eq_h if not is_zero_vector(a[:n])]
         return cls(n, tuple(sorted(eqs)), tuple(sorted(ineqs)), vertices, rec_rays, lineality)
 
     # -- queries
@@ -433,12 +427,15 @@ def _check_common_faces(members, kind):
 class Fan:
     """Finite collection of cones closed under faces with face-compatible intersections.
 
-    Only maximal cones are stored; faces are generated on demand.
+    Only maximal cones are stored, one per key and sorted by it; faces are
+    generated on demand.
     """
 
     def __init__(self, maximal_cones, ambient_dim, validate=True):
         self.ambient_dim = ambient_dim
-        self.maximal_cones = tuple(sorted(maximal_cones, key=lambda c: c.key))
+        self.maximal_cones = tuple(sorted({c.key: c for c in maximal_cones}.values(), key=lambda c: c.key))
+        if any(c.ambient_dim != ambient_dim for c in self.maximal_cones):
+            raise PolyhedralError("mixed ambient dimensions")
         if validate:
             _check_common_faces(self.maximal_cones, "cones")
 

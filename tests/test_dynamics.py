@@ -11,7 +11,6 @@ from tropdyn.dynamics import (
     DynamicsError,
     GridSpec,
     PointCloud,
-    RootFindingError,
     amoeba_sample,
     clip_to_box,
     convergence_report,
@@ -72,15 +71,6 @@ def test_mth_roots_budget_and_zero():
         mth_roots([1.0, 0.0], 3)
 
 
-def test_mth_roots_sampled_reproducible():
-    a = [2.0 + 1j, -0.5]
-    c1 = mth_roots(a, 7, mode="sampled", k=64, seed=11)
-    c2 = mth_roots(a, 7, mode="sampled", k=64, seed=11)
-    assert np.array_equal(c1.points, c2.points)
-    fwd = c1.points ** 7
-    assert np.allclose(fwd, np.asarray(a)[None, :])
-
-
 # -- Weyl sums
 
 
@@ -113,15 +103,24 @@ def test_star_discrepancy_equispaced():
 # -- polynomial roots
 
 
+def one_row(coeffs):
+    """polynomial_roots of one polynomial as a one-row batch: (its roots as a list, whether it failed)."""
+    batch = polynomial_roots(np.asarray([coeffs], dtype=complex))
+    return batch.roots[0].tolist(), bool(batch.failed[0])
+
+
 def test_roots_basic():
-    roots = polynomial_roots([1, 0, 1])  # z^2 + 1
+    roots, failed = one_row([1, 0, 1])  # z^2 + 1
+    assert not failed
     assert sorted(r.imag for r in roots) == pytest.approx([-1, 1], abs=1e-10)
-    roots = polynomial_roots([2, -3, 1])  # z^2 - 3z + 2
+    roots, failed = one_row([2, -3, 1])  # z^2 - 3z + 2
+    assert not failed
     assert sorted(r.real for r in roots) == pytest.approx([1, 2], abs=1e-10)
 
 
 def test_roots_match_mth_roots():
-    roots = polynomial_roots([-1, 0, 0, 1])  # z^3 - 1
+    roots, failed = one_row([-1, 0, 0, 1])  # z^3 - 1
+    assert not failed
     expect = sorted(mth_roots([1.0], 3).points[:, 0], key=lambda z: cmath.phase(z))
     got = sorted(roots, key=lambda z: cmath.phase(z))
     assert all(abs(a - b) < 1e-10 for a, b in zip(got, expect))
@@ -131,22 +130,27 @@ def test_roots_against_numpy_oracle():
     rng = np.random.default_rng(5)
     for deg in (1, 2, 5, 9, 17):
         c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        mine = sorted(polynomial_roots(c.tolist()), key=lambda z: (z.real, z.imag))
+        roots, failed = one_row(c)
+        assert not failed
+        mine = sorted(roots, key=lambda z: (z.real, z.imag))
         ref = sorted(np.roots(c[::-1]).tolist(), key=lambda z: (z.real, z.imag))
         assert all(abs(a - b) < 1e-7 for a, b in zip(mine, ref))
 
 
 def test_roots_vieta():
     c = [6, -5, 1]  # (z-2)(z-3)
-    roots = polynomial_roots(c)
+    roots, failed = one_row(c)
+    assert not failed
     prod = abs(np.prod(roots))
     assert prod == pytest.approx(abs(c[0] / c[-1]), rel=1e-8)
 
 
 def test_roots_deflation_and_multiplicity():
-    roots = polynomial_roots([0, 0, 1])  # z^2
-    assert roots == [0j, 0j]
-    roots = polynomial_roots([1, 2, 1])  # (z+1)^2
+    # z^2: a zero constant term fails the row (amoeba_sample shifts zero roots out first)
+    _, failed = one_row([0, 0, 1])
+    assert failed
+    roots, failed = one_row([1, 2, 1])  # (z+1)^2
+    assert not failed
     assert all(abs(r + 1) < 1e-6 for r in roots)
 
 
@@ -177,19 +181,21 @@ def test_batch_roots_property(d, rows, seed):
     assert batch.roots.shape == (rows, d) and batch.failed.shape == (rows,)
     assert len(batch) == d * int(np.count_nonzero(~batch.failed))
     for r in range(rows):
+        # the batch row is the one-row call (same roots, same flag), and agrees with numpy
+        alone = polynomial_roots(c[r:r + 1])
+        assert alone.failed[0] == batch.failed[r]
+        assert np.array_equal(alone.roots[0], batch.roots[r], equal_nan=True)
         if batch.failed[r]:
-            with pytest.raises(RootFindingError):
-                polynomial_roots(c[r])
             continue
-        # the batch row is the one-row call, and both agree with numpy
-        assert batch.roots[r].tolist() == polynomial_roots(c[r])
         assert _matches(batch.roots[r], np.roots(c[r, ::-1]), 1e-7)
         if d == 1:
             assert batch.roots[r, 0] == -c[r, 0] / c[r, 1]
             assert batch.iterations[r] == 0
     # one Aberth sweep does not converge: rows of degree >= 3 come back failed
     if d >= 3:
-        assert polynomial_roots(c, max_iter=1).failed.all()
+        with pytest.MonkeyPatch.context() as mp:  # a function-scoped fixture is refused under @given
+            mp.setattr(tropdyn.dynamics, "MAX_SWEEPS", 1)
+            assert polynomial_roots(c).failed.all()
 
 
 def test_batch_roots_unstartable_rows_fail():
@@ -272,9 +278,9 @@ def test_amoeba_cancelled_bucket_keeps_degree(monkeypatch):
         logmag[0, -1], present[0, -1] = -np.inf, False
         return logmag, phase, present
 
-    def recording(c, **kwargs):
+    def recording(c):
         shapes.append(np.shape(c))
-        return solve(c, **kwargs)
+        return solve(c)
 
     monkeypatch.setattr(tropdyn.dynamics, "_slice_matrix", cancel_first_top)
     monkeypatch.setattr(tropdyn.dynamics, "polynomial_roots", recording)
@@ -377,7 +383,7 @@ def test_hausdorff_examples():
 def test_dequantization_probe_value():
     # phase-0 value at the probe x = (1, 2); random phases can only shrink it
     hand = math.log(1 + math.e ** -8 + math.e ** -16) / 8
-    probe = log_abs_power_pullback(LINE, (1.0, 2.0), (0.0, 0.0), 8) / 8
+    probe = log_abs_power_pullback(LINE, np.array([(1.0, 2.0)]), np.zeros((1, 2)), 8)[0][0] / 8
     assert probe == pytest.approx(hand, rel=1e-9)
     grid = GridSpec(box=((1.0, 3.0), (2.0, 4.0)), resolution=(2, 2), delta=0.2)
     linf, l1 = dequantization_error(LINE, 8, grid, seed=3)
@@ -418,7 +424,7 @@ def test_dequantized_sum_matches_phase_zero_log():
     x = (0.7, -1.3)
     for m in (1, 4, 16):
         h = 1.0 / m
-        direct = log_abs_power_pullback(f, x, (0.0, 0.0), m) / m
+        direct = log_abs_power_pullback(f, np.array([x]), np.zeros((1, 2)), m)[0][0] / m
         values = [
             sum(-a * xi for a, xi in zip(exp, x)) + h * math.log(abs(c))
             for exp, c in f.terms
@@ -462,8 +468,8 @@ def test_pullback_batch_bit_equal_to_scalar_oracle(inputs):
             assert masked
             continue
         assert not masked and val == expected
-        if i < len(X) - 200:  # the flat call on the drawn rows
-            assert log_abs_power_pullback(f, x, theta, m) == expected
+        if i < len(X) - 200:  # the one-row call on the drawn rows
+            assert log_abs_power_pullback(f, np.array([x]), np.array([theta]), m)[0][0] == expected
 
 
 def test_pullback_subnormal_phase_bit_equal_to_scalar_oracle():
@@ -489,8 +495,8 @@ def test_pullback_masks_an_exact_zero():
     vals, zero = log_abs_power_pullback(f, X, T, 1)
     assert zero.tolist() == [True, False] and math.isnan(vals[0])
     assert vals[1] == log_abs_power_pullback_scalar(f, X[1], T[1], 1)
-    with pytest.raises(ZeroDivisionError):
-        log_abs_power_pullback(f, X[0], T[0], 1)
+    vals, zero = log_abs_power_pullback(f, X[:1], T[:1], 1)
+    assert zero.tolist() == [True] and math.isnan(vals[0])
 
 
 RETRY_GRID = GridSpec(box=((1.0, 3.0), (2.0, 4.0)), resolution=(4, 4), delta=0.2)
@@ -545,7 +551,8 @@ def test_dequantization_retry_takes_the_next_draws(monkeypatch):
     # point 0 fails draws 0 and 1, point 2 then draw 4, point 7 draw 10
     bad = {(0, 0), (0, 1), (2, 4), (7, 10)}
     points = _masking_kernel(monkeypatch, 5, bad)
-    got = dequantization_error(LINE, 8, RETRY_GRID, seed=5, max_retries=2)
+    monkeypatch.setattr(tropdyn.dynamics, "MAX_RETRIES", 2)
+    got = dequantization_error(LINE, 8, RETRY_GRID, seed=5)
     assert len(points) >= 8
     expected, hits = _sequential_reference(LINE, 8, points, 5, bad, max_retries=2)
     assert hits == len(bad)
@@ -553,15 +560,16 @@ def test_dequantization_retry_takes_the_next_draws(monkeypatch):
 
 
 def test_dequantization_retry_budget_is_per_point(monkeypatch):
-    # point 1 fails on max_retries + 1 draws in a row: 1, 2, 3, 4
+    # point 1 fails on MAX_RETRIES + 1 draws in a row: 1, 2, 3, 4
+    monkeypatch.setattr(tropdyn.dynamics, "MAX_RETRIES", 3)
     bad = {(1, d) for d in range(1, 5)}
     _masking_kernel(monkeypatch, 5, bad)
     with pytest.raises(DynamicsError, match="retry budget"):
-        dequantization_error(LINE, 8, RETRY_GRID, seed=5, max_retries=3)
+        dequantization_error(LINE, 8, RETRY_GRID, seed=5)
     # spread over two points, the same failures stay within budget
     bad = {(1, 1), (1, 2), (1, 3), (2, 5), (2, 6), (2, 7)}
     points = _masking_kernel(monkeypatch, 5, bad)
-    got = dequantization_error(LINE, 8, RETRY_GRID, seed=5, max_retries=3)
+    got = dequantization_error(LINE, 8, RETRY_GRID, seed=5)
     assert got == _sequential_reference(LINE, 8, points, 5, bad, max_retries=3)[0]
 
 

@@ -245,6 +245,22 @@ def test_fan_rejects_bad_intersection():
         Fan.from_cones(overlapping)
 
 
+def test_fan_collapses_a_repeated_cone():
+    cones = list(p2_fan().maximal_cones)
+    doubled = Fan(cones + [cones[0]], 2)
+    assert doubled.maximal_cones == tuple(cones)
+    assert doubled == Fan(cones, 2)
+    assert is_complete(doubled)
+
+
+def test_fan_rejects_a_cone_of_another_dimension():
+    octant = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    with pytest.raises(PolyhedralError, match="mixed ambient dimensions"):
+        Fan([octant], 2)
+    with pytest.raises(PolyhedralError, match="mixed ambient dimensions"):
+        Fan([octant, Cone.from_generators([(1, 0), (0, 1)])], 2)
+
+
 def test_refinement_octants():
     rotated = Fan.from_cones(
         [
