@@ -46,11 +46,6 @@ class RootFindingError(DynamicsError):
     """Never raised; bench/spans.py names it as polynomial_roots' failure type and fails without it."""
 
 
-def log_map(z):
-    """Coordinatewise Log = -log|z|; the single place the sign convention lives."""
-    return LOG_SIGN * np.log(np.abs(z))
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling window: per-axis [lo, hi], per-axis resolution, exclusion radius."""

@@ -14,6 +14,15 @@ fast for the ambient dimensions this engine supports (<= MAX_AMBIENT_DIM).
 Equations and lineality are fixed rows of every kernel; the subsets are drawn
 from the inequalities only.  Cones are converted in their ambient dimension;
 other polyhedra are homogenised one dimension higher.
+
+Fans and weighted complexes check that every two members are disjoint or
+meet in a common face.  A pair is first tried by integer sign tests on the
+rows of each member: a row a.x >= b of one with the other in a.x <= b shows
+the pair disjoint, or meeting in the intersection of the two faces that
+a.x = b exposes, a common face when those are equal.  Only the pairs no row
+settles get one H -> V conversion of their intersection, which is a face of
+a member when it equals the face cut out by the member's inequalities tight
+on it (the smallest face containing it).
 """
 
 from __future__ import annotations
@@ -98,19 +107,42 @@ def _h_cone_generators(normals, dim, eqs=()):
     return tuple(_pointed_extreme_rays(normals, dim, fixed=lin + hnf_basis(eqs))), lin
 
 
-def _canonical(rows, d, eqs=(), is_empty=None):
+def _canonical(rows, d, eqs=()):
     """Both canonical descriptions of the cone {x in R^d : r . x >= 0, e . x = 0}.
 
     H -> V, then V -> H with the lineality as equations: returns
     ((rays, lineality), (normals, equation normals)).  By duality, generators
     and lineality in place of normals and equations give the H-description
-    first.  When is_empty accepts the rays, None comes back before the second
-    conversion.
+    first.
     """
     rays, lin = _h_cone_generators(rows, d, eqs)
-    if is_empty is not None and is_empty(rays):
-        return None
     return (rays, lin), _h_cone_generators(rays, d, eqs=lin)
+
+
+def _homogenised_vrep(n, eqs, ineqs):
+    """H -> V half of Polyhedron.from_constraints for {x in R^n : a . x >= b, e . x = c}.
+
+    Returns the canonical rays and lineality of the homogenisation in
+    R^(n+1), last coordinate t, or None when the polyhedron is empty.
+    """
+    # a row with a zero normal is vacuous or, on its own, infeasible
+    if any(b > 0 for a, b in ineqs if not any(a)) or any(b != 0 for a, b in eqs if not any(a)):
+        return None
+    rows = [_frac_primitive((*a, -b)) for a, b in ineqs if any(a)]
+    rows.append(tuple([0] * n + [1]))  # t >= 0
+    eq_rows = [_frac_primitive((*a, -b)) for a, b in eqs if any(a)]
+    rays, lin = _h_cone_generators(rows, n + 1, eq_rows)
+    if all(r[n] == 0 for r in rays):
+        return None
+    return rays, lin
+
+
+def _dehomogenised_vkey(n, rays_h, lin_h):
+    """V-data key (vertices, rays, lineality) of P from the canonical V-data of its homogenisation."""
+    # t >= 0 (or t = 1 on every vertex generator) gives every lineality vector t = 0
+    vertices = tuple(sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays_h if r[n] > 0))
+    rays = tuple(sorted(r[:n] for r in rays_h if r[n] == 0))
+    return vertices, rays, tuple(l[:n] for l in lin_h)
 
 
 def _vrep_dim(vertices, rays, lineality):
@@ -195,6 +227,7 @@ class Polyhedron:
         self.key = (ambient_dim, vertices, rays, lineality)
         self._quotient = None
         self._faces = None
+        self._signs = None
 
     # -- construction
 
@@ -202,20 +235,11 @@ class Polyhedron:
     def from_constraints(cls, ambient_dim, eqs=(), ineqs=()):
         if not 0 <= ambient_dim <= MAX_AMBIENT_DIM:
             raise PolyhedralError("ambient dimension unsupported")
-        n, eqs, ineqs = ambient_dim, tuple(eqs), tuple(ineqs)
-        # a row with a zero normal is vacuous or, on its own, infeasible
-        if any(b > 0 for a, b in ineqs if not any(a)) or any(b != 0 for a, b in eqs if not any(a)):
+        n = ambient_dim
+        vrep = _homogenised_vrep(n, tuple(eqs), tuple(ineqs))
+        if vrep is None:
             return cls._empty(n)
-        rows = [_frac_primitive((*a, -b)) for a, b in ineqs if any(a)]
-        rows.append(tuple([0] * n + [1]))  # t >= 0
-        eq_rows = [_frac_primitive((*a, -b)) for a, b in eqs if any(a)]
-        canon = _canonical(
-            rows, n + 1, eqs=eq_rows, is_empty=lambda rays: all(r[n] == 0 for r in rays)
-        )
-        if canon is None:
-            return cls._empty(n)
-        vrep, hrep = canon
-        return cls._dehomogenise(n, vrep, hrep)
+        return cls._dehomogenise(n, vrep, _h_cone_generators(vrep[0], n + 1, eqs=vrep[1]))
 
     @classmethod
     def from_generators(cls, ambient_dim, vertices=(), rays=(), lineality=()):
@@ -237,14 +261,9 @@ class Polyhedron:
     @classmethod
     def _dehomogenise(cls, n, vrep, hrep):
         """P from the canonical descriptions of its homogenisation (last coordinate t)."""
-        # t >= 0 (or t = 1 on every vertex generator) gives every lineality
-        # vector t = 0, and an equation (0, ..., 0, c) of a nonempty P has c = 0
-        (rays_h, lin_h), (ineq_h, eq_h) = vrep, hrep
-        vertices = tuple(
-            sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays_h if r[n] > 0)
-        )
-        rec_rays = tuple(sorted(r[:n] for r in rays_h if r[n] == 0))
-        lineality = tuple(l[:n] for l in lin_h)
+        # an equation (0, ..., 0, c) of a nonempty P has c = 0
+        ineq_h, eq_h = hrep
+        vertices, rec_rays, lineality = _dehomogenised_vkey(n, *vrep)
         ineqs = [(a[:n], -a[n]) for a in ineq_h if not is_zero_vector(a[:n])]  # drops t >= 0
         eqs = [(a[:n], -a[n]) for a in eq_h if not is_zero_vector(a[:n])]
         return cls(n, tuple(sorted(eqs)), tuple(sorted(ineqs)), vertices, rec_rays, lineality)
@@ -282,6 +301,25 @@ class Polyhedron:
 
     def vkey(self):
         return (self.vertices, self.rays, self.lineality)
+
+    def _sign_data(self):
+        """Rows and generators for sign tests, each as an integer vector of R^(n+1).
+
+        Returns (rows, vertices, rays, lineality).  A row a.x >= b is (a, -b),
+        inequalities first and then each equation once per sign; a vertex v is
+        a positive multiple of (v, 1), a ray or lineality vector r is (r, 0),
+        so a row's sign on a generator is one integer dot product.
+        """
+        if self._signs is None:
+            rows = [(*a, -b) for a, b in self.ineqs]
+            rows += [row for a, b in self.eqs for row in ((*a, -b), (*vec_neg(a), b))]
+            self._signs = (
+                rows,
+                [_integral((*v, 1)) for v in self.vertices],
+                [(*r, 0) for r in self.rays],
+                [(*l, 0) for l in self.lineality],
+            )
+        return self._signs
 
     def face_vkeys(self):
         """V-data keys of all faces (the polyhedron itself included)."""
@@ -409,15 +447,73 @@ def _faces_of(members):
     return sorted(faces, key=lambda f: (-f.dim, f.key))
 
 
-def _check_common_faces(members, kind):
-    """Raise unless every two members are disjoint or meet in a common face."""
-    for P, Q in itertools.combinations(members, 2):
-        inter = P.intersect(Q)
-        if inter.is_empty:
+def _sign_test(P, Q):
+    """Which sign test on a row of P settles the pair P, Q, or None.
+
+    A row a.x >= b of P (an equation gives two) with Q in a.x <= b puts
+    P cap Q on the hyperplane a.x = b.  The pair is disjoint when Q lies
+    strictly below it ("separated") or no vertex of P is on it ("misses");
+    otherwise P cap Q is the intersection of the two faces it exposes, a
+    common face when their V-data keys are equal ("common face").
+    """
+    rows, pv, pr, _ = P._sign_data()
+    _, qv, qr, ql = Q._sign_data()
+    for h in rows:
+        if any(dot(h, g) for g in ql) or any(dot(h, g) > 0 for g in qr):
             continue
-        k = inter.vkey()
-        if k not in P.face_vkeys() or k not in Q.face_vkeys():
-            raise PolyhedralError(f"{kind} do not intersect in a common face")
+        sv = [dot(h, g) for g in qv]
+        if any(s > 0 for s in sv):
+            continue
+        if all(s < 0 for s in sv):
+            return "separated"
+        on_p = tuple(v for v, g in zip(P.vertices, pv) if not dot(h, g))
+        if not on_p:
+            return "misses"
+        face_p = (on_p, tuple(r for r, g in zip(P.rays, pr) if not dot(h, g)), P.lineality)
+        on_q = tuple(v for v, s in zip(Q.vertices, sv) if not s)
+        face_q = (on_q, tuple(r for r, g in zip(Q.rays, qr) if not dot(h, g)), Q.lineality)
+        if face_p == face_q:
+            return "common face"
+    return None
+
+
+def _meet_vkey(P, Q):
+    """V-data key of P cap Q by one H -> V conversion, or None when it is empty."""
+    n = P.ambient_dim
+    if isinstance(P, Cone) and isinstance(Q, Cone):  # stays in dimension n
+        normals, eq_normals = P.ineq_normals + Q.ineq_normals, P.eq_normals + Q.eq_normals
+        return (P.vertices, *_h_cone_generators(normals, n, eq_normals))
+    vrep = _homogenised_vrep(n, P.eqs + Q.eqs, P.ineqs + Q.ineqs)
+    return None if vrep is None else _dehomogenised_vkey(n, *vrep)
+
+
+def _is_face(P, k):
+    """Whether the V-data key k of a nonempty subset of P is a face of P.
+
+    The inequalities of P tight on all of k's generators cut out the
+    smallest face of P containing k; k is a face iff that face's key is k.
+    """
+    rows, pv, pr, _ = P._sign_data()
+    gens = [_integral((*v, 1)) for v in k[0]] + [(*r, 0) for r in k[1]]
+    tight = [h for h in rows[: len(P.ineqs)] if not any(dot(h, g) for g in gens)]
+    face_vertices = tuple(v for v, g in zip(P.vertices, pv) if not any(dot(h, g) for h in tight))
+    face_rays = tuple(r for r, g in zip(P.rays, pr) if not any(dot(h, g) for h in tight))
+    return (face_vertices, face_rays, P.lineality) == k
+
+
+def _check_common_faces(members, kind):
+    """Raise unless every two members are disjoint or meet in a common face.
+
+    A pair that a row of either member settles by sign tests costs no
+    conversion; any other pair gets one H -> V conversion of P cap Q, whose
+    V-data is then tested as an exposed face of both members.
+    """
+    for (i, P), (j, Q) in itertools.combinations(enumerate(members), 2):
+        if _sign_test(P, Q) or _sign_test(Q, P):
+            continue
+        k = _meet_vkey(P, Q)
+        if k is not None and not (_is_face(P, k) and _is_face(Q, k)):
+            raise PolyhedralError(f"{kind} do not intersect in a common face (members {i} and {j})")
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +524,9 @@ class Fan:
     """Finite collection of cones closed under faces with face-compatible intersections.
 
     Only maximal cones are stored, one per key and sorted by it; faces are
-    generated on demand.
+    generated on demand.  validate checks that every two maximal cones meet
+    in a common face (see the module docstring for which pairs get a
+    conversion); a failure names the pair by its indices in maximal_cones.
     """
 
     def __init__(self, maximal_cones, ambient_dim, validate=True):
@@ -528,7 +626,8 @@ class WeightedComplex:
     """Pure-dimensional rational cells with nonzero integer weights.
 
     Only maximal cells are stored; codimension-one faces are generated on
-    demand.  Cells must pairwise intersect in common faces.
+    demand.  Cells must pairwise intersect in common faces; validate checks
+    it as Fan does and names a failing pair by its indices in cells.
     """
 
     def __init__(self, ambient_dim, dim, cells, validate=True):

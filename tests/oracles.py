@@ -257,3 +257,19 @@ def hypersurface_cells_all_pairs(q):
     return [
         (cell, math.gcd(*vec_sub(tying[-1], tying[0]))) for tying, cell in sorted(cells.items())
     ]
+
+
+def check_common_faces_unfiltered(members, kind):
+    """Raise unless every two members are disjoint or meet in a common face.
+
+    Oracle for `_check_common_faces`: every pair is intersected by both
+    conversions of a double description, and the intersection is looked up
+    in the whole face lattice of each member.
+    """
+    for (i, P), (j, Q) in itertools.combinations(enumerate(members), 2):
+        inter = P.intersect(Q)
+        if inter.is_empty:
+            continue
+        k = inter.vkey()
+        if k not in P.face_vkeys() or k not in Q.face_vkeys():
+            raise PolyhedralError(f"{kind} do not intersect in a common face (members {i} and {j})")

@@ -117,6 +117,23 @@ def test_add_command(tmp_path):
     assert sorted(c["weight"] for c in data["cells"]) == [2, 2, 2]
 
 
+def test_add_names_the_failing_pair(tmp_path, capsys):
+    """A tropical plane plus the classical plane x1 - x2 = c: the known add_cycles defect."""
+    planes = {
+        "tropical": {(0, 0, 0): 0.0, (1, 0, 0): 0.25, (0, 1, 0): -0.125, (0, 0, 1): 0.1875},
+        "classical": {(1, 0, 0): 0.0, (0, 1, 0): 0.125},
+    }
+    cycles = []
+    for name, terms in planes.items():
+        src, out = tmp_path / f"{name}.json", tmp_path / f"{name}_cycle.json"
+        src.write_text(json.dumps({"terms": [{"exp": list(e), "coeff": c} for e, c in terms.items()]}))
+        assert run(["hypersurface", "-i", str(src), "-o", str(out)]) == 0
+        cycles += ["-i", str(out)]
+    capsys.readouterr()
+    assert run(["add", *cycles, "-o", str(tmp_path / "sum.json")]) == 1
+    assert capsys.readouterr().err == "tropdyn: cells do not intersect in a common face (members 0 and 7)\n"
+
+
 def test_amoeba_command_csv_and_svg(tmp_path, line_path):
     out = tmp_path / "cloud.csv"
     svg = tmp_path / "cloud.svg"

@@ -19,7 +19,6 @@ from tropdyn.dynamics import (
     empirical_fourier,
     hausdorff,
     log_abs_power_pullback,
-    log_map,
     mth_roots,
     polynomial_roots,
     sample_tropical_support,
@@ -211,7 +210,14 @@ def test_batch_roots_unstartable_rows_fail():
 
 
 def test_log_map_convention():
-    assert log_map(np.array([math.e])) == pytest.approx(-1.0)
+    """Points land at -(1/m) log|root|: on 1 + z1 + z2 the root of a slice z1 is -(1 + z1)."""
+    m, grid = 2, GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3))
+    z1 = [cmath.exp(complex(-m * s, 2 * math.pi * k / 3)) for s in (-1, 0, 1) for k in range(3)]
+    slice_s = [s for s in (-1, 0, 1) for _ in range(3)]
+    log_root = [-math.log(abs(1 + z)) / m for z in z1]
+    expected = [(s, y) for s, y in zip(slice_s, log_root)] + [(y, s) for s, y in zip(slice_s, log_root)]
+    assert tropdyn.dynamics.LOG_SIGN == -1.0
+    assert amoeba_sample(LINE, grid, m).points == pytest.approx(np.array(expected), abs=1e-12)
 
 
 def test_amoeba_slice_example():

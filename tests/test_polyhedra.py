@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,10 +20,10 @@ from tropdyn.polyhedra import (
     is_complete,
     is_unimodular,
 )
-from tropdyn.lattice import rank_int, smith_normal_form, vec_sub
+from tropdyn.lattice import primitive, rank_int, smith_normal_form, vec_sub
 from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
 
-from oracles import balancing_violations_ambient
+from oracles import balancing_violations_ambient, check_common_faces_unfiltered
 
 
 def quadrant_fan():
@@ -490,10 +491,209 @@ def test_non_pure_complex_rejected():
 
 
 def test_complex_rejects_non_face_overlap():
+    a, b = _segments_sharing_a_line()
+    message = r"^cells do not intersect in a common face \(members 0 and 1\)$"
+    with pytest.raises(PolyhedralError, match=message):
+        WeightedComplex(2, 1, [(a, 1), (b, 1)])
+
+
+# -- common-face validation: sign tests first, one conversion for the rest
+
+
+def _segments_sharing_a_line():
     a = Polyhedron.from_constraints(2, eqs=(((0, 1), 0),), ineqs=(((1, 0), 0), ((-1, 0), -2)))
     b = Polyhedron.from_constraints(2, eqs=(((0, 1), 0),), ineqs=(((1, 0), 1), ((-1, 0), -3)))
-    with pytest.raises(PolyhedralError):
-        WeightedComplex(2, 1, [(a, 1), (b, 1)])
+    return [a, b]
+
+
+def _verdict(check, *args):
+    """The validation error's message, or None when the check passes."""
+    try:
+        check(*args)
+    except PolyhedralError as e:
+        return str(e)
+    return None
+
+
+P3_RAYS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+
+
+def _stellar_p3(data, steps):
+    """Maximal cones (ray tuples) of the fan of P^3 after stellar subdivisions at drawn faces."""
+    cones = list(itertools.combinations(P3_RAYS, 3))
+    for _ in range(steps):
+        sigma = data.draw(st.sampled_from(cones))
+        face = data.draw(st.lists(st.sampled_from(sigma), min_size=2, max_size=3, unique=True))
+        rho = primitive(tuple(map(sum, zip(*face))))[0]
+        cones = [
+            cone
+            for tau in cones
+            for cone in (
+                [tuple(r for r in tau if r != s) + (rho,) for s in face]
+                if set(face) <= set(tau)
+                else [tau]
+            )
+        ]
+    return cones
+
+
+def _hypersurface_cells(data, n, flat):
+    """Cells of a drawn tropical hypersurface; flat exponents give every cell the lineality e_n."""
+    exp = st.tuples(*[st.integers(0, 2)] * (n - 1), st.just(0) if flat else st.integers(0, 2))
+    exps = data.draw(st.lists(exp, min_size=3, max_size=4, unique=True))
+    coeffs = data.draw(st.lists(st.integers(-16, 16), min_size=len(exps), max_size=len(exps)))
+    q = TropicalPolynomial({e: Fraction(c, 8) for e, c in zip(exps, coeffs)}, n)
+    return [cell for cell, _ in tropical_hypersurface(q).cells]
+
+
+def _translated(cell, shift):
+    return Polyhedron.from_generators(
+        cell.ambient_dim,
+        vertices=[tuple(x + y for x, y in zip(v, shift)) for v in cell.vertices],
+        rays=cell.rays,
+        lineality=cell.lineality,
+    )
+
+
+@st.composite
+def validation_cases(draw):
+    """(kind, ambient_dim, dim, members, label): valid complexes and fans, some broken."""
+    data = draw(st.data())
+    labels = ["hypersurface", "flat hypersurface", "bergman", "stellar", "lineality fan", "segments"]
+    label = draw(st.sampled_from(labels))
+    if label == "segments":  # they share a hyperplane but not a face
+        n, dim, kind, members = 2, 1, "cells", _segments_sharing_a_line()
+    elif label in ("hypersurface", "flat hypersurface"):
+        n = 3 if label == "flat hypersurface" else draw(st.integers(2, 3))
+        kind, members = "cells", _hypersurface_cells(data, n, label == "flat hypersurface")
+        assume(members)
+        dim = n - 1
+    elif label == "bergman":
+        n = draw(st.integers(2, 4))
+        dim = draw(st.integers(1, min(n, 2)))
+        kind, members = "cells", [c for c, _ in uniform_bergman_fan(dim, n).cells]
+    else:
+        n, dim, kind = 3, 3, "cones"
+        if label == "stellar":
+            members = [Cone.from_generators(rays) for rays in _stellar_p3(data, draw(st.integers(0, 3)))]
+        else:  # the fan of P^2 times the line spanned by e_3
+            rays = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+            pairs = itertools.combinations(rays, 2)
+            members = [Cone.from_generators(pair, lineality=[(0, 0, 1)]) for pair in pairs]
+    broken = draw(st.sampled_from([None, "overlap", "along hull"]))
+    if broken == "overlap" and kind == "cones":
+        c = draw(st.sampled_from(members))
+        v = draw(st.tuples(*[st.integers(-1, 1)] * 3).filter(any))
+        extra = Cone.from_generators(c.rays[1:] + (v,), 3, lineality=c.lineality)
+        if extra.dim < 3:  # v lies in the span of the kept rays: keep them all
+            extra = Cone.from_generators(c.rays + (v,), 3, lineality=c.lineality)
+        members.append(extra)
+    elif broken == "overlap":
+        shift = draw(st.tuples(*[st.fractions(-1, 1, max_denominator=2)] * n))
+        members.append(_translated(draw(st.sampled_from(members)), shift))
+    elif broken == "along hull":
+        i = draw(st.integers(0, len(members) - 1))
+        basis = members[i].direction_basis()
+        factor = st.fractions(-1, 1, max_denominator=2)
+        factors = draw(st.lists(factor, min_size=len(basis), max_size=len(basis)))
+        shift = tuple(sum(f * b[j] for f, b in zip(factors, basis)) for j in range(n))
+        members[i] = _translated(members[i], shift)
+    return kind, n, dim, members, f"{label}, {broken or 'unchanged'}"
+
+
+@settings(max_examples=120, deadline=None)
+@given(validation_cases())
+def test_validation_matches_unfiltered_oracle(case):
+    """Fan and WeightedComplex raise exactly when intersect-then-face-lattice does, on the same pair."""
+    kind, n, dim, members, label = case
+    if kind == "cones":
+        build = lambda validate: Fan(members, n, validate=validate)  # noqa: E731
+        ordered = build(False).maximal_cones
+    else:
+        cells = [(c, 1) for c in members]
+        build = lambda validate: WeightedComplex(n, dim, cells, validate=validate)  # noqa: E731
+        ordered = [c for c, _ in build(False).cells]
+    for P, Q in itertools.combinations(ordered, 2):
+        event(polyhedra._sign_test(P, Q) or polyhedra._sign_test(Q, P) or "fallback")
+    expected = _verdict(check_common_faces_unfiltered, ordered, kind)
+    event(f"{label}: {'rejected' if expected else 'valid'}")
+    assert _verdict(build, True) == expected
+
+
+def test_each_separation_branch():
+    """One fixed pair per outcome of the sign tests, each also passed by the unfiltered oracle."""
+    def seg(x0, x1, y):
+        return Polyhedron.from_generators(2, vertices=[(x0, y), (x1, y)])
+
+    half_line = Polyhedron.from_generators(2, vertices=[(0, 1)], rays=[(1, 0)])
+    cases = {
+        "separated": (seg(0, 1, 0), seg(2, 3, 0)),
+        # y >= -1 is tight on the half-line y = 1 only at infinity
+        "misses": (half_line, seg(0, 1, -1)),
+        "common face": (Cone.from_generators([(1, 0), (0, 1)]), Cone.from_generators([(0, 1), (-1, 0)])),
+        # the cones meet in the ray e_1, which no facet hyperplane of either exposes
+        None: (
+            Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+            Cone.from_generators([(1, 0, 0), (0, -1, 0), (0, 0, -1)]),
+        ),
+    }
+    for outcome, (P, Q) in cases.items():
+        assert (polyhedra._sign_test(P, Q) or polyhedra._sign_test(Q, P)) == outcome
+        assert _verdict(check_common_faces_unfiltered, [P, Q], "cells") is None
+        assert _verdict(polyhedra._check_common_faces, [P, Q], "cells") is None
+    assert polyhedra._meet_vkey(*cases[None]) == Cone.from_generators([(1, 0, 0)]).vkey()
+
+
+@st.composite
+def small_polyhedra(draw, n):
+    vec = st.tuples(*[st.integers(-1, 1)] * n)
+    rays = draw(st.lists(vec, max_size=3))
+    lin = draw(st.lists(vec, max_size=1))
+    if draw(st.booleans()):
+        return Cone.from_generators(rays, n, lineality=lin)
+    point = st.tuples(*[st.fractions(-1, 1, max_denominator=2)] * n)
+    vertices = draw(st.lists(point, min_size=1, max_size=3))
+    return Polyhedron.from_generators(n, vertices=vertices, rays=rays, lineality=lin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exposed_face_test_matches_face_lattice(data):
+    """On random pairs in R^1..R^3, P cap Q is a face exactly when it is in the face
+    lattice, and a pair the sign tests settle passes the unfiltered check."""
+    n = data.draw(st.integers(1, 3))
+    P = data.draw(small_polyhedra(n))
+    if data.draw(st.booleans()):
+        Q = data.draw(small_polyhedra(n))
+    else:  # a face of P plus a point: P cap Q is often that face
+        F = data.draw(st.sampled_from(P.faces()))
+        point = data.draw(st.tuples(*[st.fractions(-2, 2, max_denominator=2)] * n))
+        Q = Polyhedron.from_generators(n, vertices=F.vertices + (point,), rays=F.rays, lineality=F.lineality)
+    settled = polyhedra._sign_test(P, Q) or polyhedra._sign_test(Q, P)
+    event(settled or "fallback")
+    if settled:
+        assert _verdict(check_common_faces_unfiltered, [P, Q], "cells") is None
+    inter = P.intersect(Q)
+    if inter.is_empty:
+        assert polyhedra._meet_vkey(P, Q) is None
+        return
+    k = inter.vkey()
+    assert polyhedra._meet_vkey(P, Q) == k
+    for X in (P, Q):
+        event("face" if k in X.face_vkeys() else "not a face")
+        assert polyhedra._is_face(X, k) == (k in X.face_vkeys())
+
+
+def test_exposed_face_test_fixed_cases():
+    square = Polyhedron.from_generators(2, vertices=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    half_facet = Polyhedron.from_generators(2, vertices=[(0, 0), (Fraction(1, 2), 0)])
+    facet = Polyhedron.from_generators(2, vertices=[(0, 0), (1, 0)])
+    assert not polyhedra._is_face(square, half_facet.vkey())
+    assert polyhedra._is_face(square, facet.vkey())
+    assert polyhedra._is_face(square, square.vkey())
+    quadrant = Cone.from_generators([(1, 0), (0, 1)])
+    assert polyhedra._is_face(quadrant, quadrant.vkey())
+    assert not polyhedra._is_face(quadrant, Cone.from_generators([(1, 1)]).vkey())
 
 
 # -- cycle addition
