@@ -144,7 +144,7 @@ def cmd_tropicalize(args):
 
 def cmd_hypersurface(args):
     q = _as_tropical(serialize.poly_from_json(_single_input(args)))
-    cycle = tropical_hypersurface(q)  # a cycle: balancing was checked on the way
+    cycle = tropical_hypersurface(q)  # balanced by theorem (see tropical_hypersurface)
     _emit(args, serialize.cycle_to_json(cycle, extra={"balanced": True}))
     return 0
 
@@ -164,7 +164,7 @@ def cmd_balance(args):
 
 
 def cmd_bergman(args):
-    cycle = uniform_bergman_fan(args.p, args.n)
+    cycle = uniform_bergman_fan(args.p, args.n)  # balanced by theorem (see uniform_bergman_fan)
     _emit(args, serialize.cycle_to_json(cycle, extra={"balanced": True}))
     return 0
 

@@ -308,19 +308,14 @@ def _slice_matrix(f: ComplexPolynomial, axis: int, log_w, phi):
     return logmag, phase, present
 
 
-def amoeba_sample(
-    f: ComplexPolynomial,
-    grid: GridSpec,
-    m: int,
-    phase_offset: float = 0.0,
-) -> PointCloud:
+def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, m: int) -> PointCloud:
     """Sample of the 1/m-scaled amoeba of V(f) on the slice lines of the grid.
 
     For each slice value s on an axis the slice variable is set to
     exp(-m*s + i*phi) and the roots of the resulting univariate polynomial are
     emitted as (1/m) Log(z); both variable roles are swept.  The phases phi
-    are phase_offset plus as many equal steps of the circle as the other
-    axis has grid points.  The grid box is the window in the scaled Log
+    are as many equal steps of the circle, from 0, as the other axis has
+    grid points.  The grid box is the window in the scaled Log
     coordinates, so larger m slices at modulus e^(-m*s), matching
     Log(preimage) = (1/m) Log(Z).  Only the slice coordinate lies in the
     window; the root coordinate is not clipped, so callers apply clip_to_box.
@@ -348,7 +343,7 @@ def amoeba_sample(
     for axis in (0, 1):
         other = 1 - axis
         nphi = grid.resolution[other]
-        phis = phase_offset + 2 * np.pi * np.arange(nphi) / nphi
+        phis = 2 * np.pi * np.arange(nphi) / nphi
         values = grid.axis(axis)
         s = np.repeat(values, nphi)  # row r: slice value r // nphi, phase r % nphi
         logmag, phase, present = _slice_matrix(f, axis, -m * s, np.tile(phis, len(values)))

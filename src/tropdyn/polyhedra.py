@@ -338,10 +338,11 @@ class Polyhedron:
         return self._faces
 
     def _face(self, vertices, rays):
-        """The face with these canonical generators, as the same kind of object."""
-        return Polyhedron.from_generators(
-            self.ambient_dim, vertices=vertices, rays=rays, lineality=self.lineality
-        )
+        """The face on a sorted subset of our canonical generators, by one V -> H conversion."""
+        n = self.ambient_dim
+        gens = [_integral((*v, 1)) for v in vertices] + [(*r, 0) for r in rays]
+        lin = [(*l, 0) for l in self.lineality]
+        return Polyhedron._dehomogenise(n, (gens, lin), _h_cone_generators(gens, n + 1, eqs=lin))
 
     def facets(self):
         return [self._face(v, r) for v, r, _ in _face_data_of(*self.vkey(), self.ineqs)]
@@ -425,7 +426,8 @@ class Cone(Polyhedron):
         return not self.lineality
 
     def _face(self, vertices, rays):
-        return Cone.from_generators(rays, self.ambient_dim, lineality=self.lineality)
+        hrep = _h_cone_generators(rays, self.ambient_dim, eqs=self.lineality)
+        return Cone._through_origin(self.ambient_dim, (rays, self.lineality), hrep)
 
 
 def _facet_owners(cells):
@@ -530,6 +532,9 @@ class Fan:
     """
 
     def __init__(self, maximal_cones, ambient_dim, validate=True):
+        maximal_cones = list(maximal_cones)
+        if not all(isinstance(c, Cone) for c in maximal_cones):
+            raise PolyhedralError("fan members must be cones")
         self.ambient_dim = ambient_dim
         self.maximal_cones = tuple(sorted({c.key: c for c in maximal_cones}.values(), key=lambda c: c.key))
         if any(c.ambient_dim != ambient_dim for c in self.maximal_cones):
@@ -696,7 +701,9 @@ def check_balancing(C: WeightedComplex) -> BalancingReport:
 
     Runs at every codimension-one cell tau of the complex, summing in the
     coordinates of one quotient lattice per tau; each violation carries tau
-    and that sum, the residual class.
+    and that sum, the residual class.  u_{sigma/tau} is read off one
+    generator of sigma outside tau: tau is cut from sigma by a supporting
+    hyperplane, which every other generator lies strictly above.
     """
     if not isinstance(C, WeightedComplex):
         raise PolyhedralError("expected a WeightedComplex")
@@ -705,10 +712,11 @@ def check_balancing(C: WeightedComplex) -> BalancingReport:
     n = C.ambient_dim
     for (verts, rays, lin), incident in sorted(owners.items()):
         quotient = _vrep_quotient(n, verts, rays, lin)
-        tau_pt = _vrep_relint(verts, rays)
         residual = (0,) * quotient.quotient_rank
         for cell, w in (C.cells[i] for i in incident):
-            u = quotient_outward_generator(quotient, vec_sub(cell.relint_point(), tau_pt))
+            off = [r for r in cell.rays if r not in rays]
+            off = off or [vec_sub(v, verts[0]) for v in cell.vertices if v not in verts]
+            u = quotient_outward_generator(quotient, off[0])
             residual = tuple(r + w * x for r, x in zip(residual, u))
         if any(residual):
             tau = Polyhedron.from_generators(n, vertices=verts, rays=rays, lineality=lin)

@@ -12,7 +12,7 @@ import cmath
 import itertools
 import math
 
-from .lattice import QuotientLattice, dot
+from .lattice import dot
 from .polyhedra import Cone, Fan
 
 
@@ -21,27 +21,20 @@ class ToricError(ValueError):
 
 
 class Orbit:
-    """Torus orbit attached to a cone; dim(orbit) = n - dim(cone)."""
+    """Torus of Z^n/(H_sigma cap Z^n) attached to a cone; dim = n - dim(cone) by rank-nullity."""
 
-    def __init__(self, cone: Cone, quotient: QuotientLattice):
+    def __init__(self, cone: Cone):
         self.cone = cone
-        self.quotient = quotient
-        self.dim = quotient.quotient_rank
+        self.quotient = cone.quotient()
+        self.dim = self.quotient.quotient_rank
 
     def __repr__(self):
         return f"Orbit(cone_dim={self.cone.dim}, dim={self.dim})"
 
 
-def _orbit_of_cone(cone: Cone) -> Orbit:
-    orbit = Orbit(cone, cone.quotient())
-    if orbit.dim + cone.dim != cone.ambient_dim:
-        raise ToricError("orbit dimension bookkeeping failed")
-    return orbit
-
-
 def orbits(F: Fan) -> tuple[Orbit, ...]:
     """One orbit per cone of the fan, the zero cone included."""
-    return tuple(_orbit_of_cone(c) for c in F.all_cones())
+    return tuple(Orbit(c) for c in F.all_cones())
 
 
 def distinguished_point(sigma: Cone, probes) -> tuple[int, ...]:
@@ -80,7 +73,7 @@ class OrbitPoint:
 
 
 def orbit_point(sigma: Cone, coords) -> OrbitPoint:
-    return OrbitPoint(_orbit_of_cone(sigma), coords)
+    return OrbitPoint(Orbit(sigma), coords)
 
 
 def _check_on_orbit(sigma: Cone, z: OrbitPoint):

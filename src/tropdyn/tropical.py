@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .lattice import identity, primitive, vec_sub
-from .polyhedra import Polyhedron, WeightedComplex, check_balancing
+from .polyhedra import Polyhedron, WeightedComplex
 
 
 def _lazy_numpy():
@@ -243,14 +243,6 @@ def tropicalize_poly(f: ComplexPolynomial) -> TropicalPolynomial:
 TropicalCycle = WeightedComplex
 
 
-def as_tropical_cycle(C: WeightedComplex) -> TropicalCycle:
-    """Validate the balancing condition; a cycle is a balanced complex."""
-    report = check_balancing(C)
-    if not report.balanced:
-        raise TropicalError(f"weighted complex is not balanced: {report.violations}")
-    return C
-
-
 def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     """Non-differentiability locus of q as a weighted, balanced complex.
 
@@ -259,7 +251,9 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     that ties on a cell found already cuts out that cell and is skipped.  A
     cell's weight is the lattice length between the extreme exponents tying
     there; on a codimension-one cell those are collinear (their differences
-    live in the rank-one normal lattice).
+    live in the rank-one normal lattice).  With these weights the complex is
+    balanced (Maclagan-Sturmfels, Introduction to Tropical Geometry,
+    Prop. 3.3.2), so it is returned without a balancing check.
     """
     n = q.ambient_dim
     if n > MAX_HYPERSURFACE_DIM:
@@ -284,15 +278,16 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     weighted = [
         (cell, math.gcd(*vec_sub(tying[-1], tying[0]))) for tying, cell in sorted(cells.items())
     ]
-    complex_ = WeightedComplex(n, n - 1, weighted, validate=False)
-    return as_tropical_cycle(complex_)
+    return WeightedComplex(n, n - 1, weighted, validate=False)
 
 
 def uniform_bergman_fan(p: int, n: int) -> TropicalCycle:
     """Weight-one fan on all p-subsets of {e_1..e_n, -(e_1+...+e_n)}.
 
     This is the union of the p-dimensional cones of the standard complete
-    simplicial fan on n+1 rays; balanced with all weights one.
+    simplicial fan on n+1 rays, the Bergman fan of the uniform matroid
+    U(p+1, n+1).  With all weights one it is balanced (Ardila-Klivans,
+    JCTB 96, 2006), so it is returned without a balancing check.
     """
     if not 1 <= p <= n:
         raise TropicalError("need 1 <= p <= n")
@@ -301,8 +296,7 @@ def uniform_bergman_fan(p: int, n: int) -> TropicalCycle:
     cells = [
         (subset, 1) for subset in itertools.combinations(rays, p)
     ]
-    complex_ = WeightedComplex.from_cone_cells(n, p, cells, validate=False)
-    return as_tropical_cycle(complex_)
+    return WeightedComplex.from_cone_cells(n, p, cells, validate=False)
 
 
 def fiber_binomial(beta, c) -> tuple[ComplexPolynomial, int]:

@@ -244,10 +244,14 @@ def test_amoeba_scaling_identity():
     assert np.array_equal(np.sort(c_m.points, axis=0), np.sort(c_1.points / 8, axis=0))
 
 
-def test_amoeba_phase_offset_invariance():
+def test_amoeba_torus_rotation_invariance():
+    """LINE(e^{0.3i} z) has LINE's amoeba; the fixed phases sample it at other points."""
     grid = GridSpec(box=((-2, 2), (-2, 2)), resolution=(41, 41))
+    turn = cmath.exp(0.3j)
+    rotated = ComplexPolynomial({(1, 0): turn, (0, 1): turn, (0, 0): 1})
     a = amoeba_sample(LINE, grid, 1)
-    b = amoeba_sample(LINE, grid, 1, phase_offset=0.3)
+    b = amoeba_sample(rotated, grid, 1)
+    assert not np.array_equal(a.points, b.points)
     pitch = 4 / 40
     assert hausdorff(a, b) <= 2 * pitch
 

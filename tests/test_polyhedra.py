@@ -262,6 +262,19 @@ def test_fan_rejects_a_cone_of_another_dimension():
         Fan([octant, Cone.from_generators([(1, 0), (0, 1)])], 2)
 
 
+def test_fan_rejects_a_member_that_is_not_a_cone():
+    """A translated quadrant is a Polyhedron; validated or not, it never enters a fan."""
+    members = [
+        Polyhedron.from_generators(2, vertices=[(1, 1)], rays=[(1, 0), (0, 1)]),
+        Cone.from_generators([(-1, 0), (0, -1)]),
+    ]
+    for validate in (True, False):
+        with pytest.raises(PolyhedralError, match="fan members must be cones"):
+            Fan(members, 2, validate=validate)
+    with pytest.raises(PolyhedralError, match="fan members must be cones"):
+        Fan.from_cones(members)
+
+
 def test_refinement_octants():
     rotated = Fan.from_cones(
         [
@@ -604,8 +617,17 @@ def validation_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(validation_cases())
 def test_validation_matches_unfiltered_oracle(case):
-    """Fan and WeightedComplex raise exactly when intersect-then-face-lattice does, on the same pair."""
+    """Fan and WeightedComplex raise exactly when intersect-then-face-lattice does, on the same pair.
+
+    A fan member translated along its hull is no longer a cone, which the fan rejects first.
+    """
     kind, n, dim, members, label = case
+    if kind == "cones" and label.endswith("along hull"):  # a translated cone is a Polyhedron
+        event(f"{label}: not cones")
+        for validate in (True, False):
+            with pytest.raises(PolyhedralError, match="fan members must be cones"):
+                Fan(members, n, validate=validate)
+        return
     if kind == "cones":
         build = lambda validate: Fan(members, n, validate=validate)  # noqa: E731
         ordered = build(False).maximal_cones

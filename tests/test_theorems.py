@@ -7,18 +7,32 @@
   of its cone's rays.
 - A pair of exponents that ties on a hypersurface cell found already cuts out
   that same cell, so `tropical_hypersurface` builds each cell once.
+- Tropical hypersurfaces with lattice-length weights and uniform Bergman fans
+  with weight one are balanced, so building them runs no balancing check;
+  the check itself confirms the theorem on drawn hypersurfaces.
+- A face's generators are a subset of its parent's canonical generators, so
+  one V -> H conversion gives the same face as the full round trip.
 """
 
 import itertools
+import sys
 from fractions import Fraction
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from tropdyn import tropical
+from tropdyn import polyhedra, tropical
 from tropdyn.lattice import dot, identity, primitive
-from tropdyn.polyhedra import Cone, Fan, Polyhedron, PolyhedralError, is_complete, is_unimodular
-from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface
+from tropdyn.polyhedra import (
+    Cone,
+    Fan,
+    Polyhedron,
+    PolyhedralError,
+    check_balancing,
+    is_complete,
+    is_unimodular,
+)
+from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
 
 from oracles import hypersurface_cells_all_pairs, is_complete_ridge_pairing
 
@@ -143,3 +157,80 @@ def test_hypersurface_matches_all_pairs_enumeration(q):
     assert [(c.key, c.eqs, c.ineqs, w) for c, w in got.cells] == [
         (c.key, c.eqs, c.ineqs, w) for c, w in want
     ]
+
+
+@st.composite
+def hypersurface_polynomials(draw):
+    """n = 1..3, Laurent exponents, often three collinear ones; float or Fraction coefficients."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    exps = set(draw(st.lists(vec, min_size=2, max_size=6 - n)))
+    if draw(st.booleans()):
+        start, step = draw(vec), draw(vec.filter(any))
+        exps |= {tuple(a + k * d for a, d in zip(start, step)) for k in range(3)}
+    if draw(st.booleans()):
+        coeff = st.floats(-4, 4, allow_subnormal=False)
+        event("float coefficients")
+    else:
+        coeff = st.fractions(-4, 4, max_denominator=8)
+    return TropicalPolynomial({e: draw(coeff) for e in sorted(exps)}, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hypersurface_polynomials())
+def test_hypersurfaces_are_balanced(q):
+    H = tropical_hypersurface(q)
+    event(f"n = {q.ambient_dim}, {'empty' if H.is_empty else 'cells'}")
+    assert check_balancing(H).balanced
+
+
+def test_built_cycles_run_no_balancing_check():
+    code = polyhedra.check_balancing.__code__
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame)
+
+    def count(build):
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            build()
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    q = TropicalPolynomial({(0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): Fraction(1, 2)})
+    H = tropical_hypersurface(q)
+    assert count(lambda: tropical_hypersurface(q)) == 0
+    assert count(lambda: uniform_bergman_fan(2, 3)) == 0
+    assert count(lambda: check_balancing(H)) == 1  # the counter sees a call
+
+
+@st.composite
+def polyhedra_with_faces(draw):
+    """Polyhedra and cones in R^1..R^3 from small generators, with or without lineality."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    rays = draw(st.lists(vec, max_size=4))
+    lineality = draw(st.lists(vec.filter(any), max_size=1))
+    if draw(st.booleans()):
+        event("cone")
+        return Cone.from_generators(rays, n, lineality=lineality)
+    point = st.tuples(*[st.fractions(-2, 2, max_denominator=2)] * n)
+    vertices = draw(st.lists(point, min_size=1, max_size=4))
+    return Polyhedron.from_generators(n, vertices=vertices, rays=rays, lineality=lineality)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polyhedra_with_faces())
+def test_face_from_canonical_generators_matches_round_trip(P):
+    event(f"lineality {len(P.lineality)}")
+    for vertices, rays, lineality in P.face_vkeys():
+        face = P._face(vertices, rays)
+        if isinstance(P, Cone):
+            want = Cone.from_generators(rays, P.ambient_dim, lineality=lineality)
+        else:
+            want = Polyhedron.from_generators(P.ambient_dim, vertices, rays, lineality)
+        assert (type(face), face.key, face.eqs, face.ineqs) == (type(want), want.key, want.eqs, want.ineqs)
