@@ -441,9 +441,9 @@ def quotient_outward_generator(tau_quotient, direction_sample) -> IntVector:
 
     ``tau_quotient`` presents Z^n/(H_tau cap Z^n).  ``direction_sample`` is any
     vector of ints and Fractions in H_sigma minus H_tau pointing to the sigma
-    side (for cells: a generator of sigma outside tau, a vertex taken minus a
-    vertex of tau), so it is a * u_{sigma/tau} plus an element of H_tau for
-    some a > 0.  The quotient is torsion-free, so the image of H_sigma cap
+    side (for cells: a positive multiple of a ray of sigma outside tau, or of
+    a vertex of sigma outside tau minus a vertex of tau), so it is
+    a * u_{sigma/tau} plus an element of H_tau for some a > 0.  The quotient is torsion-free, so the image of H_sigma cap
     Z^n is a saturated rank-one lattice, and its generator on the sample's
     side is the primitive vector along the sample's image.
     """

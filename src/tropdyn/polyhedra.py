@@ -1,12 +1,16 @@
 """Exact rational polyhedral geometry: polyhedra, cones, fans, weighted complexes.
 
-All combinatorics run over exact arithmetic (Python ints plus Fractions for
-vertices), so tie decisions never depend on rounding.  There is one polyhedron
-type: a `Cone` is the `Polyhedron` whose only vertex is the origin.  V- and
-H-descriptions are kept canonical: extreme rays are primitive and orthogonal
-to the lineality space, lineality lattices are stored in Hermite normal form,
-vertices are sorted exact rationals; a cone's origin is integer.  Equal
-sets therefore compare equal as tuples.
+All combinatorics run over exact integer arithmetic, so tie decisions never
+depend on rounding.  There is one polyhedron type: a `Cone` is the
+`Polyhedron` whose only vertex is the origin.  V- and H-descriptions are kept
+canonical.  The V-data is `gens`, the canonical generators of the
+homogenisation in R^(n+1): a vertex p/q is the primitive (p, q) with q > 0, a
+ray r is (r, 0), primitive and orthogonal to the lineality space; vertices
+come first in the order of their rational points, then rays.  Lineality
+lattices are stored in Hermite normal form.  Equal sets therefore compare
+equal as tuples.  A row a.x >= b is the integer vector (a, -b), so its sign
+on any generator is one integer dot product; Fractions appear only in the
+views read outside the engine (`vertices`, `relint_point`, `key`).
 
 Conversions between descriptions use brute-force extreme-ray enumeration
 (kernels of row subsets via signed maximal minors), exact and comfortably
@@ -46,7 +50,6 @@ from .lattice import (
     rank_int,
     saturate_and_complete,
     vec_neg,
-    vec_sub,
 )
 
 MAX_AMBIENT_DIM = 4
@@ -58,11 +61,6 @@ class PolyhedralError(ValueError):
 
 # ---------------------------------------------------------------------------
 # small exact kernels
-
-
-def _frac_primitive(v):
-    """Primitive integer vector with the direction of a rational vector."""
-    return primitive(_integral(v))[0]
 
 
 def _pointed_extreme_rays(rows, d, fixed=()):
@@ -128,9 +126,9 @@ def _homogenised_vrep(n, eqs, ineqs):
     # a row with a zero normal is vacuous or, on its own, infeasible
     if any(b > 0 for a, b in ineqs if not any(a)) or any(b != 0 for a, b in eqs if not any(a)):
         return None
-    rows = [_frac_primitive((*a, -b)) for a, b in ineqs if any(a)]
+    rows = [primitive(_integral((*a, -b)))[0] for a, b in ineqs if any(a)]
     rows.append(tuple([0] * n + [1]))  # t >= 0
-    eq_rows = [_frac_primitive((*a, -b)) for a, b in eqs if any(a)]
+    eq_rows = [primitive(_integral((*a, -b)))[0] for a, b in eqs if any(a)]
     rays, lin = _h_cone_generators(rows, n + 1, eq_rows)
     if all(r[n] == 0 for r in rays):
         return None
@@ -138,67 +136,60 @@ def _homogenised_vrep(n, eqs, ineqs):
 
 
 def _dehomogenised_vkey(n, rays_h, lin_h):
-    """V-data key (vertices, rays, lineality) of P from the canonical V-data of its homogenisation."""
+    """V-data key (gens, lineality) of P from the canonical V-data of its homogenisation.
+
+    Vertex generators are ordered as their points p/q: scaled to the common
+    denominator D, p (D/q) orders as p/q does.
+    """
+    verts = [g for g in rays_h if g[n]]
+    den = math.lcm(*(g[n] for g in verts))
+    verts.sort(key=lambda g: tuple(x * (den // g[n]) for x in g[:n]))
     # t >= 0 (or t = 1 on every vertex generator) gives every lineality vector t = 0
-    vertices = tuple(sorted(tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays_h if r[n] > 0))
-    rays = tuple(sorted(r[:n] for r in rays_h if r[n] == 0))
-    return vertices, rays, tuple(l[:n] for l in lin_h)
+    return tuple(verts) + tuple(sorted(g for g in rays_h if not g[n])), tuple(l[:n] for l in lin_h)
 
 
-def _vrep_dim(vertices, rays, lineality):
-    if not vertices and not rays and not lineality:
-        return -1
-    vecs = list(rays) + list(lineality)
-    if vertices:
-        v0 = vertices[0]
-        vecs += [vec_sub(v, v0) for v in vertices[1:]]
-    if not vecs:
-        return 0
-    return rank_int(vecs)
+def _vrep_dim(gens, lineality):
+    """Dimension of the polyhedron on gens: the rank of its homogenisation, minus one."""
+    return rank_int(list(gens) + [(*l, 0) for l in lineality]) - 1
 
 
-def _vrep_relint(vertices, rays):
-    n = len(vertices[0]) if vertices else len(rays[0])
-    pt = [Fraction(0)] * n
-    for v in vertices:
-        for i in range(n):
-            pt[i] += Fraction(v[i])
-    k = len(vertices) if vertices else 1
-    pt = [x / k for x in pt]
-    for r in rays:
-        for i in range(n):
-            pt[i] += r[i]
-    return tuple(pt)
+def _vrep_quotient(n, gens, lineality):
+    """Z^n over the integer directions of aff(P), P given by its V-data key.
 
-
-def _vrep_quotient(n, vertices, rays, lineality):
-    """Z^n over the integer directions of aff(P), P given by V-data in R^n."""
-    vecs = list(rays) + list(lineality)
-    if vertices:
-        v0 = vertices[0]
-        vecs += [_frac_primitive(vec_sub(v, v0)) for v in vertices[1:]]
+    The spanning vectors are the rays, the lineality, then for each vertex
+    p/q after the first p0/q0 the primitive q0 p - q p0, along v - v0.
+    """
+    vecs = [g[:n] for g in gens if not g[n]] + list(lineality)
+    vecs += [primitive(_direction(n, gens[0], g))[0] for g in gens[1:] if g[n]]
     if not vecs:
         return QuotientLattice(n, (), identity(n))
     return saturate_and_complete(vecs)
 
 
-def _face_data_of(vertices, rays, lineality, parent_ineqs):
-    """Codim-one faces of a face given by active V-data, cut by the parent's inequalities.
+def _direction(n, g0, g):
+    """First n entries of q0 g - g[n] g0, g0 = (p0, q0) a vertex generator.
 
-    Returns the V-data keys (vertices, rays, lineality) of those faces.  The
-    V-data of a face is a subset of the parent's canonical generators, so it
-    is canonical too.
+    A positive multiple of r for a ray g = (r, 0) and of v - v0 for a vertex.
+    """
+    q0, t = g0[n], g[n]
+    return tuple(q0 * x - t * y for x, y in zip(g[:n], g0[:n]))
+
+
+def _face_data_of(P, gens):
+    """Codim-one faces of the face of P on gens, cut by P's inequalities.
+
+    Returns the V-data keys (gens, lineality) of those faces.  The V-data of
+    a face is a subset of the parent's canonical generators, so it is
+    canonical too; a face needs a vertex generator (last entry > 0).
     """
     out = {}
-    p = _vrep_dim(vertices, rays, lineality)
-    for a, b in parent_ineqs:
-        verts = tuple(v for v in vertices if dot(a, v) == b)
-        rs = tuple(r for r in rays if dot(a, r) == 0)
-        if not verts or (verts, rs) == (vertices, rays):
+    p = _vrep_dim(gens, P.lineality)
+    for h in P._rows()[: len(P.ineqs)]:
+        on = tuple(g for g in gens if not dot(h, g))
+        if on == gens or not any(g[-1] for g in on):
             continue
-        if _vrep_dim(verts, rs, lineality) != p - 1:
-            continue
-        out[(verts, rs, lineality)] = True
+        if _vrep_dim(on, P.lineality) == p - 1:
+            out[(on, P.lineality)] = True
     return list(out)
 
 
@@ -212,39 +203,41 @@ class Polyhedron:
     eqs and ineqs are (normal, rhs) pairs of integers meaning a.x = b and
     a.x >= b.  The eqs are the Hermite basis of the homogenised equation
     lattice, so two nonempty polyhedra have the same affine hull exactly when
-    their eqs are equal.  vertices are exact rationals (a cone's origin is
-    integer); rays and lineality are primitive integer tuples, rays reduced
-    modulo the lineality space.
+    their eqs are equal.  gens are the canonical generators of the
+    homogenisation (see the module docstring) and lineality the primitive
+    integer basis of the lineality space.  vertices (exact rationals) and
+    rays are views of gens.
     """
 
-    def __init__(self, ambient_dim, eqs, ineqs, vertices, rays, lineality):
-        self.ambient_dim = ambient_dim
+    def __init__(self, ambient_dim, eqs, ineqs, gens, lineality):
+        n = ambient_dim
+        self.ambient_dim = n
         self.eqs = eqs
         self.ineqs = ineqs
-        self.vertices = vertices
-        self.rays = rays
+        self.gens = gens
         self.lineality = lineality
-        self.key = (ambient_dim, vertices, rays, lineality)
+        self.vertices = tuple(tuple(Fraction(x, g[n]) for x in g[:n]) for g in gens if g[n])
+        self.rays = tuple(g[:n] for g in gens if not g[n])
+        self.key = (n, self.vertices, self.rays, lineality)
         self._quotient = None
         self._faces = None
-        self._signs = None
+        self._row_cache = None
 
     # -- construction
 
     @classmethod
     def from_constraints(cls, ambient_dim, eqs=(), ineqs=()):
-        if not 0 <= ambient_dim <= MAX_AMBIENT_DIM:
-            raise PolyhedralError("ambient dimension unsupported")
         n = ambient_dim
-        vrep = _homogenised_vrep(n, tuple(eqs), tuple(ineqs))
+        eqs, ineqs = tuple(eqs), tuple(ineqs)
+        _check_dims(n, [a for a, _ in eqs + ineqs])
+        vrep = _homogenised_vrep(n, eqs, ineqs)
         if vrep is None:
             return cls._empty(n)
         return cls._dehomogenise(n, vrep, _h_cone_generators(vrep[0], n + 1, eqs=vrep[1]))
 
     @classmethod
     def from_generators(cls, ambient_dim, vertices=(), rays=(), lineality=()):
-        if not 0 <= ambient_dim <= MAX_AMBIENT_DIM:
-            raise PolyhedralError("ambient dimension unsupported")
+        _check_dims(ambient_dim, [*vertices, *rays, *lineality])
         if not vertices:
             return cls._empty(ambient_dim)
         gens = [_integral((*v, 1)) for v in vertices]
@@ -256,23 +249,22 @@ class Polyhedron:
     @classmethod
     def _empty(cls, ambient_dim):
         zero = tuple([0] * ambient_dim)
-        return cls(ambient_dim, ((zero, 1),), (), (), (), ())
+        return cls(ambient_dim, ((zero, 1),), (), (), ())
 
     @classmethod
     def _dehomogenise(cls, n, vrep, hrep):
         """P from the canonical descriptions of its homogenisation (last coordinate t)."""
         # an equation (0, ..., 0, c) of a nonempty P has c = 0
         ineq_h, eq_h = hrep
-        vertices, rec_rays, lineality = _dehomogenised_vkey(n, *vrep)
         ineqs = [(a[:n], -a[n]) for a in ineq_h if not is_zero_vector(a[:n])]  # drops t >= 0
         eqs = [(a[:n], -a[n]) for a in eq_h if not is_zero_vector(a[:n])]
-        return cls(n, tuple(sorted(eqs)), tuple(sorted(ineqs)), vertices, rec_rays, lineality)
+        return cls(n, tuple(sorted(eqs)), tuple(sorted(ineqs)), *_dehomogenised_vkey(n, *vrep))
 
     # -- queries
 
     @property
     def is_empty(self):
-        return not self.vertices
+        return not self.gens
 
     @property
     def dim(self):
@@ -290,9 +282,14 @@ class Polyhedron:
         return self.quotient().sublattice_basis
 
     def relint_point(self):
+        """The mean of the vertices plus the sum of the rays."""
         if self.is_empty:
             raise PolyhedralError("empty polyhedron has no relative interior")
-        return _vrep_relint(self.vertices, self.rays)
+        k = len(self.vertices)
+        return tuple(
+            sum(v[i] for v in self.vertices) / k + sum(r[i] for r in self.rays)
+            for i in range(self.ambient_dim)
+        )
 
     def contains(self, x):
         return all(dot(a, x) == b for a, b in self.eqs) and all(
@@ -300,26 +297,19 @@ class Polyhedron:
         )
 
     def vkey(self):
-        return (self.vertices, self.rays, self.lineality)
+        return (self.gens, self.lineality)
 
-    def _sign_data(self):
-        """Rows and generators for sign tests, each as an integer vector of R^(n+1).
+    def _rows(self):
+        """Each inequality a.x >= b as the row (a, -b) of R^(n+1), then each equation once per sign.
 
-        Returns (rows, vertices, rays, lineality).  A row a.x >= b is (a, -b),
-        inequalities first and then each equation once per sign; a vertex v is
-        a positive multiple of (v, 1), a ray or lineality vector r is (r, 0),
-        so a row's sign on a generator is one integer dot product.
+        A row's sign on a generator is one integer dot product: on (p, q) it
+        is the sign of a.(p/q) - b, on (r, 0) that of a.r.
         """
-        if self._signs is None:
+        if self._row_cache is None:
             rows = [(*a, -b) for a, b in self.ineqs]
             rows += [row for a, b in self.eqs for row in ((*a, -b), (*vec_neg(a), b))]
-            self._signs = (
-                rows,
-                [_integral((*v, 1)) for v in self.vertices],
-                [(*r, 0) for r in self.rays],
-                [(*l, 0) for l in self.lineality],
-            )
-        return self._signs
+            self._row_cache = rows
+        return self._row_cache
 
     def face_vkeys(self):
         """V-data keys of all faces (the polyhedron itself included)."""
@@ -328,8 +318,8 @@ class Polyhedron:
             frontier = [self.vkey()]
             while frontier:
                 nxt = []
-                for k in frontier:
-                    for sub in _face_data_of(*k, self.ineqs):
+                for gens, _ in frontier:
+                    for sub in _face_data_of(self, gens):
                         if sub not in seen:
                             seen.add(sub)
                             nxt.append(sub)
@@ -337,15 +327,14 @@ class Polyhedron:
             self._faces = seen
         return self._faces
 
-    def _face(self, vertices, rays):
-        """The face on a sorted subset of our canonical generators, by one V -> H conversion."""
+    def _face(self, gens):
+        """The face on a subset of our canonical generators, by one V -> H conversion."""
         n = self.ambient_dim
-        gens = [_integral((*v, 1)) for v in vertices] + [(*r, 0) for r in rays]
         lin = [(*l, 0) for l in self.lineality]
         return Polyhedron._dehomogenise(n, (gens, lin), _h_cone_generators(gens, n + 1, eqs=lin))
 
     def facets(self):
-        return [self._face(v, r) for v, r, _ in _face_data_of(*self.vkey(), self.ineqs)]
+        return [self._face(gens) for gens, _ in _face_data_of(self, self.gens)]
 
     def faces(self):
         """All faces, the polyhedron itself included, by decreasing dimension then key."""
@@ -394,15 +383,13 @@ class Cone(Polyhedron):
             if not gens and not lin:
                 raise PolyhedralError("ambient dimension required for the zero cone")
             ambient_dim = len((gens + lin)[0])
-        if not 0 <= ambient_dim <= MAX_AMBIENT_DIM:
-            raise PolyhedralError("ambient dimension unsupported")
-        if any(len(g) != ambient_dim for g in gens + lin):
-            raise PolyhedralError("mixed ambient dimensions")
+        _check_dims(ambient_dim, gens + lin)
         hrep, vrep = _canonical(gens, ambient_dim, eqs=lin)
         return cls._through_origin(ambient_dim, vrep, hrep)
 
     @classmethod
     def from_constraints(cls, ineq_normals, eq_normals, ambient_dim):
+        _check_dims(ambient_dim, [*ineq_normals, *eq_normals])
         vrep, hrep = _canonical(ineq_normals, ambient_dim, eqs=eq_normals)
         return cls._through_origin(ambient_dim, vrep, hrep)
 
@@ -411,7 +398,7 @@ class Cone(Polyhedron):
         (rays, lin), (normals, eq_normals) = vrep, hrep
         eqs = tuple(sorted((a, 0) for a in eq_normals))
         ineqs = tuple(sorted((a, 0) for a in normals))
-        return cls(n, eqs, ineqs, ((0,) * n,), rays, lin)
+        return cls(n, eqs, ineqs, _cone_gens(n, rays), lin)
 
     @property
     def ineq_normals(self):
@@ -425,16 +412,30 @@ class Cone(Polyhedron):
     def is_pointed(self):
         return not self.lineality
 
-    def _face(self, vertices, rays):
+    def _face(self, gens):
+        rays = tuple(g[:-1] for g in gens if not g[-1])
         hrep = _h_cone_generators(rays, self.ambient_dim, eqs=self.lineality)
         return Cone._through_origin(self.ambient_dim, (rays, self.lineality), hrep)
+
+
+def _check_dims(n, vectors):
+    """Raise unless n is a supported ambient dimension and every vector has n entries."""
+    if not 0 <= n <= MAX_AMBIENT_DIM:
+        raise PolyhedralError("ambient dimension unsupported")
+    if any(len(v) != n for v in vectors):
+        raise PolyhedralError("mixed ambient dimensions")
+
+
+def _cone_gens(n, rays):
+    """Canonical generators of a cone: the origin (0, ..., 0, 1), then each ray r as (r, 0)."""
+    return ((0,) * n + (1,),) + tuple((*r, 0) for r in rays)
 
 
 def _facet_owners(cells):
     """V-data key of each facet of the cells -> indices of the cells it bounds."""
     owners = {}
     for i, cell in enumerate(cells):
-        for k in _face_data_of(*cell.vkey(), cell.ineqs):
+        for k in _face_data_of(cell, cell.gens):
             owners.setdefault(k, []).append(i)
     return owners
 
@@ -445,7 +446,7 @@ def _faces_of(members):
     for P in members:
         for k in P.face_vkeys():
             owners.setdefault(k, P)
-    faces = [P if k == P.vkey() else P._face(*k[:2]) for k, P in owners.items()]
+    faces = [P if k == P.vkey() else P._face(k[0]) for k, P in owners.items()]
     return sorted(faces, key=lambda f: (-f.dim, f.key))
 
 
@@ -453,28 +454,22 @@ def _sign_test(P, Q):
     """Which sign test on a row of P settles the pair P, Q, or None.
 
     A row a.x >= b of P (an equation gives two) with Q in a.x <= b puts
-    P cap Q on the hyperplane a.x = b.  The pair is disjoint when Q lies
-    strictly below it ("separated") or no vertex of P is on it ("misses");
-    otherwise P cap Q is the intersection of the two faces it exposes, a
-    common face when their V-data keys are equal ("common face").
+    P cap Q on the hyperplane a.x = b.  The pair is disjoint when no vertex
+    of Q ("separated") or of P ("misses") is on it; otherwise P cap Q is the
+    intersection of the two faces it exposes, a common face when their V-data
+    keys are equal ("common face").
     """
-    rows, pv, pr, _ = P._sign_data()
-    _, qv, qr, ql = Q._sign_data()
-    for h in rows:
-        if any(dot(h, g) for g in ql) or any(dot(h, g) > 0 for g in qr):
+    for h in P._rows():
+        signs = [dot(h, g) for g in Q.gens]
+        if any(s > 0 for s in signs) or any(dot(h, (*l, 0)) for l in Q.lineality):
             continue
-        sv = [dot(h, g) for g in qv]
-        if any(s > 0 for s in sv):
-            continue
-        if all(s < 0 for s in sv):
+        on_q = tuple(g for g, s in zip(Q.gens, signs) if not s)
+        if not any(g[-1] for g in on_q):
             return "separated"
-        on_p = tuple(v for v, g in zip(P.vertices, pv) if not dot(h, g))
-        if not on_p:
+        on_p = tuple(g for g in P.gens if not dot(h, g))
+        if not any(g[-1] for g in on_p):
             return "misses"
-        face_p = (on_p, tuple(r for r, g in zip(P.rays, pr) if not dot(h, g)), P.lineality)
-        on_q = tuple(v for v, s in zip(Q.vertices, sv) if not s)
-        face_q = (on_q, tuple(r for r, g in zip(Q.rays, qr) if not dot(h, g)), Q.lineality)
-        if face_p == face_q:
+        if (on_p, P.lineality) == (on_q, Q.lineality):
             return "common face"
     return None
 
@@ -484,7 +479,8 @@ def _meet_vkey(P, Q):
     n = P.ambient_dim
     if isinstance(P, Cone) and isinstance(Q, Cone):  # stays in dimension n
         normals, eq_normals = P.ineq_normals + Q.ineq_normals, P.eq_normals + Q.eq_normals
-        return (P.vertices, *_h_cone_generators(normals, n, eq_normals))
+        rays, lin = _h_cone_generators(normals, n, eq_normals)
+        return _cone_gens(n, rays), lin
     vrep = _homogenised_vrep(n, P.eqs + Q.eqs, P.ineqs + Q.ineqs)
     return None if vrep is None else _dehomogenised_vkey(n, *vrep)
 
@@ -495,12 +491,9 @@ def _is_face(P, k):
     The inequalities of P tight on all of k's generators cut out the
     smallest face of P containing k; k is a face iff that face's key is k.
     """
-    rows, pv, pr, _ = P._sign_data()
-    gens = [_integral((*v, 1)) for v in k[0]] + [(*r, 0) for r in k[1]]
-    tight = [h for h in rows[: len(P.ineqs)] if not any(dot(h, g) for g in gens)]
-    face_vertices = tuple(v for v, g in zip(P.vertices, pv) if not any(dot(h, g) for h in tight))
-    face_rays = tuple(r for r, g in zip(P.rays, pr) if not any(dot(h, g) for h in tight))
-    return (face_vertices, face_rays, P.lineality) == k
+    tight = [h for h in P._rows()[: len(P.ineqs)] if not any(dot(h, g) for g in k[0])]
+    face = tuple(g for g in P.gens if not any(dot(h, g) for h in tight))
+    return (face, P.lineality) == k
 
 
 def _check_common_faces(members, kind):
@@ -701,42 +694,39 @@ def check_balancing(C: WeightedComplex) -> BalancingReport:
 
     Runs at every codimension-one cell tau of the complex, summing in the
     coordinates of one quotient lattice per tau; each violation carries tau
-    and that sum, the residual class.  u_{sigma/tau} is read off one
-    generator of sigma outside tau: tau is cut from sigma by a supporting
-    hyperplane, which every other generator lies strictly above.
+    and that sum, the residual class.  u_{sigma/tau} is read off the first
+    generator g of sigma outside tau: tau is cut from sigma by a supporting
+    hyperplane, which every other generator lies strictly above, so the
+    direction of g from a vertex generator of tau (`_direction`) points to
+    the sigma side.  Violations come sorted by tau's key.
     """
     if not isinstance(C, WeightedComplex):
         raise PolyhedralError("expected a WeightedComplex")
     owners = _facet_owners([cell for cell, _ in C.cells])
     violations = []
     n = C.ambient_dim
-    for (verts, rays, lin), incident in sorted(owners.items()):
-        quotient = _vrep_quotient(n, verts, rays, lin)
+    for (gens, lin), incident in owners.items():
+        quotient = _vrep_quotient(n, gens, lin)
         residual = (0,) * quotient.quotient_rank
         for cell, w in (C.cells[i] for i in incident):
-            off = [r for r in cell.rays if r not in rays]
-            off = off or [vec_sub(v, verts[0]) for v in cell.vertices if v not in verts]
-            u = quotient_outward_generator(quotient, off[0])
+            off = next(g for g in cell.gens if g not in gens)
+            u = quotient_outward_generator(quotient, _direction(n, gens[0], off))
             residual = tuple(r + w * x for r, x in zip(residual, u))
         if any(residual):
-            tau = Polyhedron.from_generators(n, vertices=verts, rays=rays, lineality=lin)
-            violations.append((tau, residual))
-    return BalancingReport(violations)
+            violations.append((C.cells[incident[0]][0]._face(gens), residual))
+    return BalancingReport(sorted(violations, key=lambda v: v[0].key))
 
 
 def _split_cell(cell, halfspaces, p):
     """Refine a cell by halfspaces (a, b); keep the dimension-p fragments."""
     frags = [cell]
     for a, b in halfspaces:
+        h = (*a, -b)
         nxt = []
         for f in frags:
-            vals = [dot(a, v) - b for v in f.vertices]
-            dirvals = [dot(a, r) for r in f.rays] + [dot(a, l) for l in f.lineality] + [
-                dot(a, vec_neg(l)) for l in f.lineality
-            ]
-            has_above = any(x > 0 for x in vals) or any(x > 0 for x in dirvals)
-            has_below = any(x < 0 for x in vals) or any(x < 0 for x in dirvals)
-            if not (has_above and has_below):
+            signs = [dot(h, g) for g in f.gens]
+            crossed = any(s > 0 for s in signs) and any(s < 0 for s in signs)
+            if not (crossed or any(dot(h, (*l, 0)) for l in f.lineality)):
                 nxt.append(f)
                 continue
             for side in (1, -1):

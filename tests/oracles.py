@@ -8,11 +8,14 @@ from fractions import Fraction
 from tropdyn.lattice import (
     IntVector,
     LatticeError,
+    QuotientLattice,
     _as_int_vector,
+    _integral,
     dot,
     hnf_basis,
     identity,
     integer_kernel,
+    primitive,
     saturate_and_complete,
     solve_rational,
     vec_neg,
@@ -24,8 +27,6 @@ from tropdyn.polyhedra import (
     Polyhedron,
     _face_data_of,
     _vrep_dim,
-    _vrep_quotient,
-    _vrep_relint,
 )
 from tropdyn.tropical import FLOAT_TIE_TOL, TropicalPolynomial, eval_tropical
 
@@ -160,6 +161,33 @@ def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntV
     return u
 
 
+def vertex_and_ray_views(n, gens):
+    """(vertices, rays) of homogenised generators, each view sorted on its own.
+
+    A vertex (p, q), q > 0, is the Fraction point p/q and a ray (r, 0) is r.
+    Oracle for the `vertices` and `rays` views of a polyhedron and for the
+    order of its generators, which must follow these sorted views.
+    """
+    vertices = sorted(tuple(Fraction(x, g[n]) for x in g[:n]) for g in gens if g[n] > 0)
+    return tuple(vertices), tuple(sorted(g[:n] for g in gens if g[n] == 0))
+
+
+def vrep_quotient_fractions(n, vertices, rays, lineality):
+    """Z^n over the integer directions of aff(P), from the Fraction V-data of P.
+
+    Spans by the rays, the lineality and the primitive integer multiple of
+    v - v0 for each vertex v after the first v0.  Oracle for
+    `Polyhedron.quotient`, which reads the same vectors off the generators.
+    """
+    vecs = list(rays) + list(lineality)
+    if vertices:
+        v0 = vertices[0]
+        vecs += [primitive(_integral(vec_sub(v, v0)))[0] for v in vertices[1:]]
+    if not vecs:
+        return QuotientLattice(n, (), identity(n))
+    return saturate_and_complete(vecs)
+
+
 def balancing_violations_ambient(C):
     """(tau key, residual) of each violation, the generators summed in Z^n.
 
@@ -169,13 +197,15 @@ def balancing_violations_ambient(C):
     """
     groups = {}
     for cell, w in C.cells:
-        for k in _face_data_of(*cell.vkey(), cell.ineqs):
+        for k in _face_data_of(cell, cell.gens):
             groups.setdefault(k, []).append((cell, w))
     violations = []
     n = C.ambient_dim
-    for (verts, rays, lin), incident in sorted(groups.items()):
-        tau_dirs = _vrep_quotient(n, verts, rays, lin).sublattice_basis
-        tau_pt = _vrep_relint(verts, rays)
+    for (gens, lin), incident in groups.items():
+        vertices, rays = vertex_and_ray_views(n, gens)
+        tau = Polyhedron.from_generators(n, vertices=vertices, rays=rays, lineality=lin)
+        tau_dirs = vrep_quotient_fractions(n, vertices, rays, lin).sublattice_basis
+        tau_pt = tau.relint_point()
         total = [0] * n
         for cell, w in incident:
             sample = vec_sub(cell.relint_point(), tau_pt)
@@ -186,9 +216,8 @@ def balancing_violations_ambient(C):
         else:
             residual = tuple(total)
         if any(residual):
-            tau = Polyhedron.from_generators(n, vertices=verts, rays=rays, lineality=lin)
             violations.append((tau.key, residual))
-    return violations
+    return sorted(violations)
 
 
 def is_complete_ridge_pairing(F) -> bool:
@@ -209,7 +238,7 @@ def is_complete_ridge_pairing(F) -> bool:
         return False
     owners = {}
     for idx, c in enumerate(full):
-        for k in _face_data_of(*c.vkey(), c.ineqs):
+        for k in _face_data_of(c, c.gens):
             owners.setdefault(k, []).append(idx)
     ridges = {k for c in F.maximal_cones for k in c.face_vkeys() if _vrep_dim(*k) == n - 1}
     if any(len(owners.get(k, ())) != 2 for k in ridges):

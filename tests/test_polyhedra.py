@@ -90,6 +90,26 @@ def test_dual_description_dim_cap():
         Cone.from_generators([(1, 0, 0, 0, 0)])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Polyhedron.from_generators(2, vertices=[(1, 2, 3)]), "mixed ambient dimensions"),
+        (lambda: Polyhedron.from_generators(2, vertices=[(1,)]), "mixed ambient dimensions"),
+        (lambda: Polyhedron.from_generators(2, vertices=[(0, 0)], rays=[(1,)]), "mixed ambient dimensions"),
+        (lambda: Polyhedron.from_generators(5, vertices=[(0,) * 5]), "ambient dimension unsupported"),
+        (lambda: Cone.from_constraints([(1, 0, 0)], [], 2), "mixed ambient dimensions"),
+        (lambda: Cone.from_constraints([], [(1,)], 2), "mixed ambient dimensions"),
+        (lambda: Cone.from_constraints([], [], 7), "ambient dimension unsupported"),
+        (lambda: Polyhedron.from_constraints(2, ineqs=[((1, 0, 0), 0)]), "mixed ambient dimensions"),
+        (lambda: Polyhedron.from_constraints(2, eqs=[((1,), 0)]), "mixed ambient dimensions"),
+        (lambda: Polyhedron.from_constraints(-1), "ambient dimension unsupported"),
+    ],
+)
+def test_constructors_check_dimension_and_lengths(build, message):
+    with pytest.raises(PolyhedralError, match=message):
+        build()
+
+
 def test_cone_is_the_origin_vertex_polyhedron():
     c = Cone.from_generators([(1, 0), (1, 2)])
     cell = Polyhedron.from_generators(2, vertices=((0, 0),), rays=((1, 0), (1, 2)))

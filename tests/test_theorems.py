@@ -34,7 +34,7 @@ from tropdyn.polyhedra import (
 )
 from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
 
-from oracles import hypersurface_cells_all_pairs, is_complete_ridge_pairing
+from oracles import hypersurface_cells_all_pairs, is_complete_ridge_pairing, vertex_and_ray_views
 
 
 def projective_space_fan(n):
@@ -227,8 +227,9 @@ def polyhedra_with_faces(draw):
 @given(polyhedra_with_faces())
 def test_face_from_canonical_generators_matches_round_trip(P):
     event(f"lineality {len(P.lineality)}")
-    for vertices, rays, lineality in P.face_vkeys():
-        face = P._face(vertices, rays)
+    for gens, lineality in P.face_vkeys():
+        face = P._face(gens)
+        vertices, rays = vertex_and_ray_views(P.ambient_dim, gens)
         if isinstance(P, Cone):
             want = Cone.from_generators(rays, P.ambient_dim, lineality=lineality)
         else:
