@@ -241,8 +241,8 @@ class Polyhedron:
         if not vertices:
             return cls._empty(ambient_dim)
         gens = [_integral((*v, 1)) for v in vertices]
-        gens += [tuple(int(x) for x in r) + (0,) for r in rays]
-        lin = [tuple(int(x) for x in l) + (0,) for l in lineality]
+        gens += [_integral(r) + (0,) for r in rays]
+        lin = [_integral(l) + (0,) for l in lineality]
         hrep, vrep = _canonical(gens, ambient_dim + 1, eqs=lin)
         return cls._dehomogenise(ambient_dim, vrep, hrep)
 
@@ -377,8 +377,8 @@ class Cone(Polyhedron):
 
     @classmethod
     def from_generators(cls, generators, ambient_dim=None, lineality=()):
-        gens = [primitive(g)[0] for g in generators if not is_zero_vector(g)]
-        lin = [primitive(l)[0] for l in lineality if not is_zero_vector(l)]
+        gens = [primitive(_integral(g))[0] for g in generators if not is_zero_vector(g)]
+        lin = [primitive(_integral(l))[0] for l in lineality if not is_zero_vector(l)]
         if ambient_dim is None:
             if not gens and not lin:
                 raise PolyhedralError("ambient dimension required for the zero cone")

@@ -5,6 +5,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from tropdyn.lattice import (
     IntVector,
     LatticeError,
@@ -56,6 +58,15 @@ def log_abs_power_pullback_scalar(f, x, theta, m: int) -> float:
     if abs(val) < 1e-280:
         raise ZeroDivisionError("hit a zero of f(z^m)")
     return top + math.log(abs(val))
+
+
+def directed_hausdorff_bruteforce(A, B) -> float:
+    """max over rows a of A of min over rows b of B of |a - b|, over all (N, M, d) pairs at once.
+
+    Oracle for `directed_hausdorff`, which must equal it bit for bit.
+    """
+    d2 = ((A.points[:, None, :] - B.points[None, :, :]) ** 2).sum(axis=-1)
+    return float(np.max(np.sqrt(np.min(d2, axis=1))))
 
 
 def eval_tropical_float_scalar(q, x):

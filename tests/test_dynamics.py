@@ -34,7 +34,7 @@ from tropdyn.tropical import (
     tropicalize_poly,
 )
 
-from oracles import log_abs_power_pullback_scalar, weyl_sum_bruteforce
+from oracles import directed_hausdorff_bruteforce, log_abs_power_pullback_scalar, weyl_sum_bruteforce
 
 LINE = ComplexPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1})
 
@@ -385,6 +385,68 @@ def test_hausdorff_examples():
     assert hausdorff(A, B) == pytest.approx(0.5)
     with pytest.raises(DynamicsError):
         directed_hausdorff(A, PointCloud(1, np.zeros((0, 1))))
+
+
+def test_hausdorff_rejects_complex_clouds():
+    with pytest.raises(DynamicsError, match="real point clouds"):
+        directed_hausdorff(mth_roots([1.0], 4), mth_roots([1.0], 8))
+
+
+@st.composite
+def hausdorff_clouds(draw):
+    """Pairs of clouds with ties, repeated rows, tight far-off clusters, small B, one-row A, A inside B."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["lattice", "cluster", "uniform"]))
+
+    def cloud(size):
+        if kind == "lattice":  # equal distances everywhere
+            return rng.integers(-3, 4, size=(size, d)).astype(float)
+        if kind == "cluster":  # steps of about one ulp at a large offset
+            return 1e8 + rng.integers(-4, 5, size=(size, d)) * 1e-8
+        return rng.uniform(-5.0, 5.0, size=(size, d))
+
+    B = cloud(draw(st.integers(1, 3 * tropdyn.dynamics.PRUNE_STRIDE)))
+    if draw(st.booleans()):
+        B = np.concatenate([B, B[rng.integers(0, len(B), size=len(B))]])  # repeated rows
+    subset = draw(st.booleans())
+    rows = draw(st.integers(1, 40))
+    A = B[rng.integers(0, len(B), size=rows)] if subset else cloud(rows)
+    return PointCloud(d, A), PointCloud(d, B), subset
+
+
+@settings(max_examples=200, deadline=None)
+@given(hausdorff_clouds())
+def test_directed_hausdorff_bit_equal_to_bruteforce(clouds):
+    A, B, subset = clouds
+    got = directed_hausdorff(A, B)
+    assert got == directed_hausdorff_bruteforce(A, B)
+    if subset:
+        assert got == 0.0
+    assert directed_hausdorff(B, A) == directed_hausdorff_bruteforce(B, A)
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_hausdorff_prunes_most_pairs(monkeypatch, m):
+    # the hausdorff-line workload's shape: a generic line, 231 cloud points <-> 825 spine points.
+    # Pruning needs the answer to exceed about half the strided spine's pitch: for LINE at
+    # m = 16 the cloud hugs the spine closer than that and half the pairs are computed.
+    line = ComplexPolynomial({(1, 0): 2, (0, 1): 3j, (0, 0): -1})
+    box = ((-3.0, 3.0), (-3.0, 3.0))
+    spine = clip_to_box(sample_tropical_support(tropical_hypersurface(tropicalize_poly(line)), box, 80.0), box)
+    cloud = clip_to_box(amoeba_sample(line, GridSpec(box=box, resolution=(11, 11)), m), box)
+    pairs = []
+    kernel = tropdyn.dynamics._nearest_distances
+
+    def counting(P, Q):
+        pairs.append(len(P) * len(Q))
+        return kernel(P, Q)
+
+    monkeypatch.setattr(tropdyn.dynamics, "_nearest_distances", counting)
+    assert hausdorff(cloud, spine) == max(
+        directed_hausdorff_bruteforce(cloud, spine), directed_hausdorff_bruteforce(spine, cloud)
+    )
+    assert sum(pairs) <= 0.4 * 2 * len(cloud) * len(spine)
 
 
 # -- dequantization

@@ -120,6 +120,13 @@ def test_cone_is_the_origin_vertex_polyhedron():
     assert all(isinstance(f, Cone) for f in c.faces() + c.facets())
 
 
+def test_non_integral_generators_are_scaled_not_truncated():
+    assert Cone.from_generators([(Fraction(1, 2), 1)]).rays == ((1, 2),)
+    cell = Polyhedron.from_generators(2, vertices=[(0, 0)], rays=[(1, 0)], lineality=[(0.5, 1)])
+    assert cell.lineality == ((1, 2),)
+    assert Polyhedron.from_generators(2, vertices=[(0, 0)], rays=[(Fraction(1, 3), 1)]).rays == ((1, 3),)
+
+
 @st.composite
 def cones_with_lineality(draw):
     n = draw(st.integers(2, 4))
