@@ -20,9 +20,7 @@ from .dynamics import (
     clip_to_box,
     convergence_report,
     dequantization_error,
-    mth_roots,
     spine_segments,
-    star_discrepancy,
 )
 from .lattice import LatticeError
 from .polyhedra import PolyhedralError, add_cycles, check_balancing, common_refinement
@@ -227,12 +225,6 @@ def cmd_dequantize(args):
     return 0
 
 
-def cmd_equidist(args):
-    discrepancies = [star_discrepancy(mth_roots([1.0], m)) for m in args.ms]
-    _emit(args, {"ms": list(args.ms), "discrepancies": discrepancies, "seed": args.seed})
-    return 0
-
-
 def cmd_converge(args):
     f = None
     if args.inputs:
@@ -288,7 +280,6 @@ SUBCOMMANDS = (
     ("orbits", cmd_orbits, IO),
     ("amoeba", cmd_amoeba, IO + ("--ms", "--box", "--res", "--seed", "--svg")),
     ("dequantize", cmd_dequantize, IO + ("--ms", "--box", "--res", "--delta", "--seed")),
-    ("equidist", cmd_equidist, ("-o", "--ms", "--seed")),
     ("refine", cmd_refine, IO),
     ("add", cmd_add, IO),
     ("bergman", cmd_bergman, ("-o", "--p", "--n")),

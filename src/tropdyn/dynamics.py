@@ -207,8 +207,23 @@ def _relative_residuals(c, z):
     return np.abs(_horner(c, z)) / np.maximum(scale, 1e-300)
 
 
-def _batch_roots(c) -> BatchRoots:
-    """The kernel behind polynomial_roots: every row of the (S, d+1) array c at once."""
+def polynomial_roots(coeffs) -> BatchRoots:
+    """All roots of each row sum_k c_k z^k of an (S, d+1) array (ascending), d >= 1.
+
+    Returns a BatchRoots: the (S, d) roots, a per-row failure mask and the
+    per-row sweep counts.  Degree-1 rows are solved in closed form, -c0/c1;
+    higher degrees run simultaneous Aberth--Ehrlich iteration (started on a
+    Cauchy-bound circle) on all rows at once, each row stopping when its
+    corrections are below ROOT_TOL or its residuals are small (Bini, Numer.
+    Algorithms 13, 1996).  A row fails, without raising, when it does not
+    converge in MAX_SWEEPS sweeps, when a root's relative residual is above
+    1e-8, or when its constant or leading coefficient is zero or an entry is
+    not finite; so a polynomial with a zero root fails (callers shift such
+    roots out first, as amoeba_sample does).
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.ndim != 2 or c.shape[1] < 2:
+        raise DynamicsError("coefficients must be an (S, d+1) array with degree d >= 1")
     S, d = c.shape[0], c.shape[1] - 1
     iterations = np.zeros(S, dtype=np.int64)
     started = np.all(np.isfinite(c), axis=1) & (c[:, 0] != 0) & (c[:, -1] != 0)
@@ -249,26 +264,6 @@ def _batch_roots(c) -> BatchRoots:
         ok &= np.max(_relative_residuals(c, z), axis=1) <= 1e-8
     z[~started] = np.nan
     return BatchRoots(z, ~ok, iterations)
-
-
-def polynomial_roots(coeffs) -> BatchRoots:
-    """All roots of each row sum_k c_k z^k of an (S, d+1) array (ascending), d >= 1.
-
-    Returns a BatchRoots: the (S, d) roots, a per-row failure mask and the
-    per-row sweep counts.  Degree-1 rows are solved in closed form, -c0/c1;
-    higher degrees run simultaneous Aberth--Ehrlich iteration (started on a
-    Cauchy-bound circle) on all rows at once, each row stopping when its
-    corrections are below ROOT_TOL or its residuals are small (Bini, Numer.
-    Algorithms 13, 1996).  A row fails, without raising, when it does not
-    converge in MAX_SWEEPS sweeps, when a root's relative residual is above
-    1e-8, or when its constant or leading coefficient is zero or an entry is
-    not finite; so a polynomial with a zero root fails (callers shift such
-    roots out first, as amoeba_sample does).
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 2 or c.shape[1] < 2:
-        raise DynamicsError("coefficients must be an (S, d+1) array with degree d >= 1")
-    return _batch_roots(c)
 
 
 # ---------------------------------------------------------------------------

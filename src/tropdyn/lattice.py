@@ -1,11 +1,11 @@
 """Exact integer-lattice linear algebra.
 
 Everything here works over arbitrary-precision Python ints, so determinants
-and lattice indices never overflow.  Rank and kernels come from fraction-free
-elimination; Fractions are used only in the rational solves (solve_rational
-and QuotientLattice.quotient_coords).  Rational input rows are scaled to
-integer rows first.  The Smith normal form serves saturate_and_complete
-alone.  Vectors are tuples of ints; matrices are tuples of row tuples.
+and lattice indices never overflow.  Ranks, kernels and rational solves come
+from fraction-free elimination on rows scaled to integers; Fractions are built
+only for the quotients solve_rational returns.  The Smith normal form serves
+saturate_and_complete alone.  Vectors are tuples of ints; matrices are tuples
+of row tuples.
 """
 
 from __future__ import annotations
@@ -342,31 +342,6 @@ def integer_kernel(rows) -> tuple[IntVector, ...]:
     return tuple(h[r:] for h in hnf_basis(aug) if not any(h[:r]))
 
 
-def _gauss_jordan(mat, ncols) -> list[int]:
-    """Reduce Fraction rows in place on their first ncols columns; return the pivot columns.
-
-    Pivot rows come first and are not normalised; the elimination stops as
-    soon as every row holds a pivot.  Only solve_rational uses it: ranks
-    and kernels are computed fraction-free.
-    """
-    pivots = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == len(mat):
-            break
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        p = mat[rank][col]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / p
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(col)
-    return pivots
-
-
 def rank_int(rows) -> int:
     """Rank over Q of an integer (or Fraction) matrix, by fraction-free elimination.
 
@@ -379,18 +354,22 @@ def rank_int(rows) -> int:
 def solve_rational(columns, target) -> tuple[Fraction, ...]:
     """Solve sum_j x_j * columns[j] = target exactly; unique solution required.
 
-    ``columns`` is given as a matrix whose rows are coordinates (column-major
-    input: columns[i][j] = i-th coordinate of the j-th basis vector).
+    ``columns`` is column-major: columns[i][j] is the i-th coordinate of the
+    j-th basis vector.  Rows (a_i | b_i) are scaled to integers, Cramer's
+    rule on ncols independent rows gives integer numerators over one
+    determinant, and every row is checked in integers; dependent columns or
+    an inconsistent system raise LatticeError.
     """
     ncols = len(columns[0]) if columns else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(columns, target)]
-    pivots = _gauss_jordan(aug, ncols)
-    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+    rows = [_integral((*row, t)) for row, t in zip(columns, target)]
+    square = [rows[i] for i in _independent_rows([r[:ncols] for r in rows])]
+    if len(square) < ncols:
+        raise LatticeError("linear system has no unique solution")
+    den = _det([r[:ncols] for r in square])
+    num = [_det([r[:j] + r[ncols:] + r[j + 1:ncols] for r in square]) for j in range(ncols)]
+    if any(dot(r[:ncols], num) != r[ncols] * den for r in rows):
         raise LatticeError("inconsistent linear system")
-    sol = [Fraction(0)] * ncols
-    for row, col in zip(aug, pivots):
-        sol[col] = row[ncols] / row[col]
-    return tuple(sol)
+    return tuple(Fraction(x, den) for x in num)
 
 
 def hnf_basis(vectors) -> tuple[IntVector, ...]:

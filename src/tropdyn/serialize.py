@@ -72,10 +72,7 @@ def _vectors(vs, parse, what, n):
 
 
 def cone_to_json(c: Cone) -> dict:
-    out = {"rays": [list(r) for r in c.rays]}
-    if c.lineality:
-        out["lineality"] = [list(l) for l in c.lineality]
-    return out
+    return cell_geometry_to_json(c)  # a cone's only vertex, the origin, is not written
 
 
 def cone_from_json(obj, ambient_dim=None) -> Cone:
@@ -119,10 +116,6 @@ def cell_geometry_to_json(cell: Polyhedron) -> dict:
     return out
 
 
-def _cell_to_json(cell: Polyhedron, weight: int) -> dict:
-    return cell_geometry_to_json(cell) | {"weight": weight}
-
-
 def _cell_from_json(obj, ambient_dim) -> tuple[Polyhedron, int]:
     weight = _number(int, _field(obj, "weight", "cycle cell"), "cell weight")
     rays = _vectors(obj.get("rays", []), int, "cell ray", ambient_dim)
@@ -141,7 +134,7 @@ def cycle_to_json(C: WeightedComplex, extra: dict | None = None) -> dict:
     out = {
         "ambient_dim": C.ambient_dim,
         "dim": C.dim,
-        "cells": [_cell_to_json(cell, w) for cell, w in C.cells],
+        "cells": [cell_geometry_to_json(cell) | {"weight": w} for cell, w in C.cells],
     }
     if extra:
         out.update(extra)

@@ -106,21 +106,52 @@ def integer_kernel_hermite(rows):
     return tuple(h[m:] for h in hnf_basis(aug) if not any(h[:m]))
 
 
-def rank_gauss_jordan(rows) -> int:
-    """Rank over Q by Gauss-Jordan elimination on Fraction rows; oracle for `rank_int`."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
+def _gauss_jordan(mat, ncols) -> list[int]:
+    """Reduce Fraction rows in place on their first ncols columns; return the pivot columns.
+
+    Pivot rows come first and are not normalised; the elimination stops as
+    soon as every row holds a pivot.
+    """
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
         piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
+        p = mat[rank][col]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / mat[rank][col]
+                f = mat[i][col] / p
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def rank_gauss_jordan(rows) -> int:
+    """Rank over Q by Gauss-Jordan elimination on Fraction rows; oracle for `rank_int`."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0))
+
+
+def solve_gauss_jordan(columns, target) -> tuple[Fraction, ...]:
+    """Solve sum_j x_j * columns[j] = target by Gauss-Jordan on Fraction rows; oracle for `solve_rational`.
+
+    ``columns`` is column-major as in `solve_rational`.  Raises LatticeError
+    on an inconsistent system; a rank-deficient one gets its free variables
+    set to 0.
+    """
+    ncols = len(columns[0]) if columns else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(t)] for row, t in zip(columns, target)]
+    pivots = _gauss_jordan(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        raise LatticeError("inconsistent linear system")
+    sol = [Fraction(0)] * ncols
+    for row, col in zip(aug, pivots):
+        sol[col] = row[ncols] / row[col]
+    return tuple(sol)
 
 
 def quotient_outward_generator(tau_basis, sigma_basis, direction_sample) -> IntVector:

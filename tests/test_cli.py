@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +118,22 @@ def test_add_command(tmp_path):
     assert sorted(c["weight"] for c in data["cells"]) == [2, 2, 2]
 
 
+DUPLICATE_RAY = {
+    "ambient_dim": 2,
+    "dim": 1,
+    "cells": [{"rays": [[1, 0]], "weight": 1}, {"rays": [[1, 0]], "weight": 2}],
+}
+
+
+def test_equal_cells_read_as_one(tmp_path):
+    single = {"ambient_dim": 2, "dim": 1, "cells": [{"rays": [[1, 0]], "weight": 3}]}
+    assert serialize.cycle_from_json(DUPLICATE_RAY) == serialize.cycle_from_json(single)
+    path, out = tmp_path / "dup.json", tmp_path / "sum.json"
+    path.write_text(json.dumps(DUPLICATE_RAY))
+    assert run(["add", "-i", str(path), "-i", str(path), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["cells"] == [{"rays": [[1, 0]], "weight": 6}]
+
+
 def test_add_names_the_failing_pair(tmp_path, capsys):
     """A tropical plane plus the classical plane x1 - x2 = c: the known add_cycles defect."""
     planes = {
@@ -186,9 +203,14 @@ def test_dequantize_coefficient_with_underflowing_phase(tmp_path, re, im):
 
 
 def test_equidist_command(capsys):
-    assert run(["equidist", "--ms", "8,16"]) == 0
+    assert run(["converge", "--experiment", "equidistribution-discrepancy", "--ms", "8,16"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["discrepancies"] == pytest.approx([0.125, 0.0625], abs=1e-12)
+    assert data["errors"] == pytest.approx([0.125, 0.0625], abs=1e-12)
+
+
+def test_equidist_is_not_a_subcommand(capsys):
+    assert run(["equidist", "--ms", "8"]) == 2
+    assert "invalid choice: 'equidist'" in capsys.readouterr().err
 
 
 def test_converge_command(tmp_path):
@@ -412,7 +434,7 @@ def test_plain_value_error_propagates(monkeypatch):
         ["hypersurface", "--density", "3"],
         ["hypersurface", "--svg", "x.svg"],
         ["orbits", "--seed", "1"],
-        ["equidist", "--ms", "8", "-i", "x.json"],
+        ["converge", "--experiment", "equidistribution-discrepancy", "--ms", "8,16", "--n", "2"],
         ["bergman", "--p", "1", "--n", "2", "--ms", "4"],
         ["dequantize", "--ms", "4", "--svg", "x.svg"],
         ["amoeba", "--ms", "4", "--delta", "0.1"],
@@ -427,7 +449,7 @@ def test_unread_flags_are_usage_errors(argv, capsys):
     [
         ["amoeba", "--ms=", "-o", "x.csv"],
         ["dequantize", "--ms="],
-        ["equidist", "--ms="],
+        ["converge", "--experiment", "equidistribution-discrepancy", "--ms="],
         ["converge", "--experiment", "equidistribution-discrepancy", "--ms", ","],
     ],
 )
@@ -484,8 +506,19 @@ def test_usage_messages_unchanged_by_lone_parser(argv, capsys):
 def test_unknown_command_lists_every_subcommand(capsys):
     assert run(["not-a-command"]) == 2
     err = capsys.readouterr().err
-    assert len(cli.COMMANDS) == 11
+    assert len(cli.COMMANDS) == 10
     assert all(f"'{name}'" in err for name in cli.COMMANDS)
+
+
+def test_readme_subcommand_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| subcommand | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        names, flags = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in names.split(", "):
+            documented[name.strip("`")] = set(flags.strip("`").split())
+    assert documented == {name: set(flags) for name, _, flags in cli.SUBCOMMANDS}
 
 
 def test_cloud_csv_roundtrip():

@@ -7,7 +7,7 @@ non-finite number, or a vector made ragged.  Whatever the mutations, the
 command must exit 0, or exit 1 with exactly one diagnostic line, and never
 raise.
 
-Valid `amoeba`, `dequantize`, `converge` and `equidist` runs on small grids
+Valid `amoeba`, `dequantize` and `converge` runs on small grids
 have one numeric flag replaced by a negative, empty, non-finite or oversized
 value.  Each case must exit 0 with nothing on stderr, exit 1 with one
 diagnostic line, or exit 2 with argparse's usage error; an exception or a
@@ -158,8 +158,8 @@ NUMERIC_VALID = {
     "converge": [
         {"--experiment": "dequantization", "--ms": "4,8", **SMALL_GRID},
         {"--experiment": "hausdorff-to-tropical", "--ms": "4,16", **SMALL_GRID, "--res": "7"},
+        {"--experiment": "equidistribution-discrepancy", "--ms": "4,16", "--seed": "3"},
     ],
-    "equidist": [{"--ms": "4,16", "--seed": "3"}],
 }
 # flag -> negative, empty, non-finite and oversized replacement values
 FLAG_VALUES = {
@@ -182,12 +182,10 @@ FLAG_CASES = [
 
 @pytest.mark.parametrize("command, flags", FLAG_CASES)
 def test_mutated_flags_exit_cleanly(tmp_path, command, flags):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(COMPLEX_LINE))
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items()]
-    if command != "equidist":
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps(COMPLEX_LINE))
-        argv += ["-i", str(path)]
-    argv += ["-o", str(tmp_path / "out")]
+    argv += ["-i", str(path), "-o", str(tmp_path / "out")]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")

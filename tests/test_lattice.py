@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import integer_kernel_hermite, rank_gauss_jordan
+from oracles import integer_kernel_hermite, rank_gauss_jordan, solve_gauss_jordan
 from tropdyn import lattice
 from tropdyn.lattice import (
     LatticeError,
@@ -268,6 +268,49 @@ def test_solve_rational():
     assert solve_rational(cols, (1, 2)) == (Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(LatticeError):
         solve_rational([[1], [1]], (1, 2))
+
+
+def test_solve_rational_needs_a_unique_solution():
+    # x + y = 1, 2x + 2y = 2 is consistent, but y is free
+    assert solve_gauss_jordan([[1, 1], [2, 2]], (1, 2)) == (1, 0)
+    with pytest.raises(LatticeError, match="no unique solution"):
+        solve_rational([[1, 1], [2, 2]], (1, 2))
+    with pytest.raises(LatticeError, match="no unique solution"):
+        solve_rational([[1, 2]], (1,))
+
+
+RATIONAL_ENTRY = st.integers(-5, 5) | st.fractions(-5, 5, max_denominator=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_rational_matches_gauss_jordan(data):
+    """Square and overdetermined systems, consistent or not, agree with Fraction Gauss-Jordan."""
+    ncols = data.draw(st.integers(0, 5), label="ncols")
+    nrows = data.draw(st.integers(ncols, ncols + 2), label="nrows")
+    row = st.lists(RATIONAL_ENTRY, min_size=ncols, max_size=ncols)
+    A = data.draw(st.lists(row, min_size=nrows, max_size=nrows), label="A")
+    x = data.draw(row, label="x")
+    b = [sum((a * xj for a, xj in zip(row, x)), Fraction(0)) for row in A]
+    shifted = nrows > 0 and data.draw(st.booleans(), label="shift one entry of b")
+    if shifted:
+        b[data.draw(st.integers(0, nrows - 1))] += 1
+    if rank_gauss_jordan(A) < ncols:
+        event("rank-deficient")
+        with pytest.raises(LatticeError, match="no unique solution"):
+            solve_rational(A, b)
+        return
+    try:
+        expected = solve_gauss_jordan(A, b)
+    except LatticeError:
+        event("inconsistent")
+        with pytest.raises(LatticeError, match="inconsistent"):
+            solve_rational(A, b)
+        return
+    event("solved")
+    assert solve_rational(A, b) == expected
+    if not shifted:
+        assert expected == tuple(x)
 
 
 def test_quotient_coords():

@@ -127,6 +127,13 @@ def test_non_integral_generators_are_scaled_not_truncated():
     assert Polyhedron.from_generators(2, vertices=[(0, 0)], rays=[(Fraction(1, 3), 1)]).rays == ((1, 3),)
 
 
+def test_non_integral_constraints_are_scaled_not_truncated():
+    # (1/2) x + y >= 0 is x + 2y >= 0, and (1/3) x + y = 0 is x + 3y = 0
+    assert Cone.from_constraints([(Fraction(1, 2), 1)], [], 2).ineqs == (((1, 2), 0),)
+    assert Cone.from_constraints([(0.5, 1)], [], 2).ineqs == (((1, 2), 0),)
+    assert Cone.from_constraints([], [(Fraction(1, 3), 1)], 2).eqs == (((1, 3), 0),)
+
+
 @st.composite
 def cones_with_lineality(draw):
     n = draw(st.integers(2, 4))
@@ -760,6 +767,12 @@ def test_add_cycles_cancellation():
     neg = line.scale(-1)
     total = add_cycles(line, neg)
     assert total.is_empty
+
+
+def test_equal_cells_are_one_member_with_summed_weight():
+    ray = Cone.from_generators([(1, 0)])
+    assert WeightedComplex(2, 1, [(ray, 1), (ray, 2)]) == WeightedComplex(2, 1, [(ray, 3)])
+    assert WeightedComplex(2, 1, [(ray, 1), (ray, -1)]).is_empty
 
 
 def test_add_cycles_two_lines_through_origin():
