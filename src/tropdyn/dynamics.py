@@ -27,7 +27,7 @@ from .tropical import (
 #: sign convention for the logarithm map; Log(z) = LOG_SIGN * log|z| coordinatewise
 LOG_SIGN = -1.0
 
-#: most points of an all-mode root set and of a sampling grid
+#: most points of an all-mode root set, a sampling grid and an orbit point's preimages
 ALL_MODE_BUDGET = 10 ** 6
 
 #: an Aberth row stops at corrections below ROOT_TOL (relative) and fails after MAX_SWEEPS sweeps

@@ -9,8 +9,9 @@ ray r is (r, 0), primitive and orthogonal to the lineality space; vertices
 come first in the order of their rational points, then rays.  Lineality
 lattices are stored in Hermite normal form.  Equal sets therefore compare
 equal as tuples.  A row a.x >= b is the integer vector (a, -b), so its sign
-on any generator is one integer dot product; Fractions appear only in the
-views read outside the engine (`vertices`, `relint_point`, `key`).
+on any generator is one integer dot product, and so is each containment test.
+The Fraction views `vertices`, `key` and `relint_point` (kept for float
+sampling and the test oracles) enter no exact decision.
 
 Conversions between descriptions use brute-force extreme-ray enumeration
 (kernels of row subsets via signed maximal minors), exact and comfortably
@@ -478,6 +479,12 @@ def _sign_test(P, Q):
     return None
 
 
+def _subset(P, Q):
+    """Whether P lies in Q: every row of Q is >= 0 on P's generators and 0 on its lineality."""
+    gens = P.gens + tuple((*s, 0) for l in P.lineality for s in (l, vec_neg(l)))
+    return all(dot(h, g) >= 0 for h in Q._rows() for g in gens)
+
+
 def _meet_vkey(P, Q):
     """V-data key of P cap Q by one H -> V conversion, or None when it is empty."""
     n = P.ambient_dim
@@ -522,40 +529,28 @@ def _check_common_faces(members, kind):
 class Fan:
     """Finite collection of cones closed under faces with face-compatible intersections.
 
-    Only maximal cones are stored, one per key and sorted by it; faces are
-    generated on demand.  validate checks that every two maximal cones meet
-    in a common face (see the module docstring for which pairs get a
-    conversion); a failure names the pair by its indices in maximal_cones.
+    Of a nonempty list of cones only the maximal ones are stored, one per key
+    and sorted by it; faces are generated on demand.  validate checks that
+    every two maximal cones meet in a common face (see the module docstring
+    for which pairs get a conversion); a failure names the pair by its
+    indices in maximal_cones.
     """
 
-    def __init__(self, maximal_cones, ambient_dim, validate=True):
-        maximal_cones = list(maximal_cones)
-        if not all(isinstance(c, Cone) for c in maximal_cones):
-            raise PolyhedralError("fan members must be cones")
-        self.ambient_dim = ambient_dim
-        self.maximal_cones = tuple(sorted({c.key: c for c in maximal_cones}.values(), key=lambda c: c.key))
-        if any(c.ambient_dim != ambient_dim for c in self.maximal_cones):
-            raise PolyhedralError("mixed ambient dimensions")
-        if validate:
-            _check_common_faces(self.maximal_cones, "cones")
-
-    @classmethod
-    def from_cones(cls, cones, ambient_dim=None, validate=True):
+    def __init__(self, cones, ambient_dim=None, validate=True):
         cones = list(cones)
+        if not all(isinstance(c, Cone) for c in cones):
+            raise PolyhedralError("fan members must be cones")
         if not cones:
             raise PolyhedralError("a fan needs at least one cone")
-        if ambient_dim is None:
-            ambient_dim = cones[0].ambient_dim
+        cones = list({c.key: c for c in cones}.values())
+        ambient_dim = cones[0].ambient_dim if ambient_dim is None else ambient_dim
         if any(c.ambient_dim != ambient_dim for c in cones):
             raise PolyhedralError("mixed ambient dimensions")
-        cones = list({c.key: c for c in cones}.values())
-
-        def inside(c, o):
-            gens = c.rays + c.lineality + tuple(vec_neg(l) for l in c.lineality)
-            return all(o.contains(g) for g in gens)
-
-        maximal = [c for c in cones if not any(o is not c and inside(c, o) for o in cones)]
-        return cls(maximal, ambient_dim, validate=validate)
+        maximal = [c for c in cones if not any(o is not c and _subset(c, o) for o in cones)]
+        self.ambient_dim = ambient_dim
+        self.maximal_cones = tuple(sorted(maximal, key=lambda c: c.key))
+        if validate:
+            _check_common_faces(self.maximal_cones, "cones")
 
     def all_cones(self):
         """Face closure, sorted by decreasing dimension then key."""
@@ -582,7 +577,7 @@ def common_refinement(A: Fan, B: Fan) -> Fan:
     if A.ambient_dim > MAX_AMBIENT_DIM:
         raise PolyhedralError("ambient dimension unsupported")
     pieces = [c1.intersect(c2) for c1 in A.maximal_cones for c2 in B.maximal_cones]
-    return Fan.from_cones(pieces, A.ambient_dim, validate=False)
+    return Fan(pieces, A.ambient_dim, validate=False)
 
 
 def is_unimodular(x) -> bool:
@@ -771,16 +766,15 @@ def add_cycles(C1: WeightedComplex, C2: WeightedComplex) -> WeightedComplex:
                     cuts.append((vec_neg(a), -b))
         return cuts
 
+    # a fragment was cut by the inequalities of the other's cells on its hull: in each or not
     out = []
     for c1, w1 in C1.cells:
         for frag in _split_cell(c1, cuts_for(c1, C2.cells), p):
-            pt = frag.relint_point()
-            w = w1 + sum(w2 for c2, w2 in C2.cells if c2.eqs == c1.eqs and c2.contains(pt))
+            w = w1 + sum(w2 for c2, w2 in C2.cells if c2.eqs == c1.eqs and _subset(frag, c2))
             out.append((frag, w))
     for c2, w2 in C2.cells:
         for frag in _split_cell(c2, cuts_for(c2, C1.cells), p):
-            pt = frag.relint_point()
-            if any(c1.eqs == c2.eqs and c1.contains(pt) for c1, _ in C1.cells):
+            if any(c1.eqs == c2.eqs and _subset(frag, c1) for c1, _ in C1.cells):
                 continue  # already counted from the C1 side
             out.append((frag, w2))
     return WeightedComplex(n, p, out)

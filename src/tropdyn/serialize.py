@@ -100,7 +100,7 @@ def fan_from_json(obj) -> Fan:
     if ambient is not None:
         ambient = _number(int, ambient, "ambient_dim")
     cones = [cone_from_json(c, ambient_dim=ambient) for c in cones]
-    return Fan.from_cones(cones, ambient_dim=ambient)
+    return Fan(cones, ambient_dim=ambient)
 
 
 # -- weighted complexes

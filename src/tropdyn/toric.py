@@ -12,6 +12,7 @@ import cmath
 import itertools
 import math
 
+from .dynamics import ALL_MODE_BUDGET
 from .lattice import dot
 from .polyhedra import Cone, Fan
 
@@ -44,7 +45,6 @@ def distinguished_point(sigma: Cone, probes) -> tuple[int, ...]:
     generator); membership in sigma-perp is an exact kernel test against the
     generators.
     """
-    gens = list(sigma.rays) + list(sigma.lineality)
     out = []
     for u in probes:
         u = tuple(int(x) for x in u)
@@ -100,8 +100,7 @@ def preimages(sigma: Cone, m: int, z: OrbitPoint) -> tuple[OrbitPoint, ...]:
     if m < 1:
         raise ToricError("m must be a positive integer")
     _check_on_orbit(sigma, z)
+    if m ** z.orbit.dim > ALL_MODE_BUDGET:
+        raise ToricError(f"preimages lists at most {ALL_MODE_BUDGET} points, not {m}^{z.orbit.dim}")
     per_coord = [_roots_of(c, m) for c in z.coords]
-    out = []
-    for combo in itertools.product(*per_coord):
-        out.append(OrbitPoint(z.orbit, combo))
-    return tuple(out)
+    return tuple(OrbitPoint(z.orbit, combo) for combo in itertools.product(*per_coord))

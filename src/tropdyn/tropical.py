@@ -15,7 +15,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import identity, primitive, vec_sub
+from .lattice import identity, primitive, rank_int, vec_sub
 from .polyhedra import Polyhedron, WeightedComplex
 
 
@@ -246,39 +246,36 @@ TropicalCycle = WeightedComplex
 def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     """Non-differentiability locus of q as a weighted, balanced complex.
 
-    Cells come from exact pairwise-tie enumeration: for each exponent pair the
-    region where both attain the max, kept when it has dimension n-1; a pair
-    that ties on a cell found already cuts out that cell and is skipped.  A
-    cell's weight is the lattice length between the extreme exponents tying
-    there; on a codimension-one cell those are collinear (their differences
-    live in the rank-one normal lattice).  With these weights the complex is
-    balanced (Maclagan-Sturmfels, Introduction to Tropical Geometry,
-    Prop. 3.3.2), so it is returned without a balancing check.
+    A cell is dual to an edge of the regular subdivision that the lifted
+    terms (e, c) induce on the Newton polytope, weighted by the edge's lattice
+    length (Maclagan-Sturmfels, Introduction to Tropical Geometry, Sec. 3.1).
+    A term ties at a relative-interior point of the (n-1)-cell where i and j
+    attain the max iff its lifted point is on their line: its affine function
+    minus i's is <= 0 on the cell and 0 there, so it vanishes on the hull, a
+    multiple of j's minus i's; a collinear term ties on the whole hull.  So
+    each lifted line is built once, as its first pair cut by the terms off
+    it, kept at dimension n-1 with weight gcd(last - first) of its sorted
+    exponents.  Balanced by theorem (ibid., Prop. 3.3.2), it is returned
+    without a balancing check.
     """
     n = q.ambient_dim
     if n > MAX_HYPERSURFACE_DIM:
         raise TropicalError("ambient dimension unsupported for hypersurfaces")
     terms = q.exact_terms()
-    if len(terms) == 1:
-        return WeightedComplex(n, n - 1, [])
-    exact = TropicalPolynomial(terms, n)
-    cells = {}
-    for (ei, ci), (ej, cj) in itertools.combinations(terms, 2):
-        if any(ei in tying and ej in tying for tying in cells):
+    lifted = [(*e, c) for e, c in terms]
+    seen, cells = set(), []
+    for i, j in itertools.combinations(range(len(terms)), 2):
+        if (i, j) in seen:
             continue
-        eqs = ((vec_sub(ei, ej), cj - ci),)
-        ineqs = tuple(
-            (vec_sub(ei, ek), ck - ci) for ek, ck in terms if ek not in (ei, ej)
-        )
-        cell = Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs)
-        if cell.dim != n - 1:
-            continue
-        cells[eval_tropical(exact, cell.relint_point()).argmax] = cell
-    # the tying exponents are collinear and sorted, so the first and last are the extremes
-    weighted = [
-        (cell, math.gcd(*vec_sub(tying[-1], tying[0]))) for tying, cell in sorted(cells.items())
-    ]
-    return WeightedComplex(n, n - 1, weighted, validate=False)
+        step = vec_sub(lifted[j], lifted[i])
+        line = [k for k, lk in enumerate(lifted) if rank_int([vec_sub(lk, lifted[i]), step]) == 1]
+        seen.update(itertools.combinations(line, 2))
+        (ei, ci), (ej, cj) = terms[i], terms[j]
+        ineqs = [(vec_sub(ei, ek), ck - ci) for k, (ek, ck) in enumerate(terms) if k not in line]
+        cell = Polyhedron.from_constraints(n, eqs=[(vec_sub(ei, ej), cj - ci)], ineqs=ineqs)
+        if cell.dim == n - 1:
+            cells.append((cell, math.gcd(*vec_sub(terms[line[-1]][0], terms[line[0]][0]))))
+    return WeightedComplex(n, n - 1, cells, validate=False)
 
 
 def uniform_bergman_fan(p: int, n: int) -> TropicalCycle:

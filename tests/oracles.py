@@ -344,3 +344,18 @@ def check_common_faces_unfiltered(members, kind):
         k = inter.vkey()
         if k not in P.face_vkeys() or k not in Q.face_vkeys():
             raise PolyhedralError(f"{kind} do not intersect in a common face (members {i} and {j})")
+
+
+def subset_fractions(P, Q) -> bool:
+    """Whether P lies in Q, by Fraction points; oracle for `polyhedra._subset`.
+
+    Every vertex v of P must be in Q, and every ray r and lineality vector
+    +-l of P a recession direction of Q: w + r in Q for every vertex w of Q.
+    (v + r in Q alone does not show that: a bounded Q can hold both.)  That
+    suffices because each facet of Q holds a vertex w, which w + r leaves
+    when r points out of the facet.
+    """
+    directions = list(P.rays) + list(P.lineality) + [vec_neg(l) for l in P.lineality]
+    return all(Q.contains(v) for v in P.vertices) and all(
+        Q.contains(tuple(x + y for x, y in zip(w, d))) for w in Q.vertices for d in directions
+    )

@@ -246,7 +246,7 @@ def test_criterion_08_dequantized_sum_bound():
 
 def test_criterion_09_toric_combinatorics():
     with criterion(9, "orbit counts, distinguished points, unimodularity", 1.0):
-        p2 = Fan.from_cones(
+        p2 = Fan(
             [
                 Cone.from_generators([(1, 0), (0, 1)]),
                 Cone.from_generators([(0, 1), (-1, -1)]),
@@ -269,7 +269,7 @@ def test_criterion_10_refinement_and_addition():
         doubled = add_cycles(line, line)
         assert doubled == line.scale(2)
         assert check_balancing(doubled).balanced
-        quads = Fan.from_cones(
+        quads = Fan(
             [
                 Cone.from_generators([(1, 0), (0, 1)]),
                 Cone.from_generators([(0, 1), (-1, 0)]),
@@ -277,7 +277,7 @@ def test_criterion_10_refinement_and_addition():
                 Cone.from_generators([(0, -1), (1, 0)]),
             ]
         )
-        rotated = Fan.from_cones(
+        rotated = Fan(
             [
                 Cone.from_generators([(1, 1), (1, -1)]),
                 Cone.from_generators([(1, 1), (-1, 1)]),

@@ -64,7 +64,7 @@ def test_bergman_command(tmp_path):
 
 
 def test_orbits_command(tmp_path):
-    fan = Fan.from_cones(
+    fan = Fan(
         [
             Cone.from_generators([(1, 0), (0, 1)]),
             Cone.from_generators([(0, 1), (-1, -1)]),
@@ -81,7 +81,7 @@ def test_orbits_command(tmp_path):
 
 
 def test_refine_command(tmp_path):
-    quads = Fan.from_cones(
+    quads = Fan(
         [
             Cone.from_generators([(1, 0), (0, 1)]),
             Cone.from_generators([(0, 1), (-1, 0)]),
@@ -89,7 +89,7 @@ def test_refine_command(tmp_path):
             Cone.from_generators([(0, -1), (1, 0)]),
         ]
     )
-    diag = Fan.from_cones(
+    diag = Fan(
         [
             Cone.from_generators([(1, 1), (1, -1)]),
             Cone.from_generators([(1, 1), (-1, 1)]),
@@ -519,6 +519,16 @@ def test_readme_subcommand_table_matches_the_parser():
         for name in names.split(", "):
             documented[name.strip("`")] = set(flags.strip("`").split())
     assert documented == {name: set(flags) for name, _, flags in cli.SUBCOMMANDS}
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert sorted(c.rays for c, _ in namespace["cycle"].cells) == [((-1, -1),), ((0, 1),), ((1, 0),)]
+    assert namespace["doubled"] == namespace["cycle"].scale(2)
+    assert len(namespace["bergman"].cells) == 6
 
 
 def test_cloud_csv_roundtrip():

@@ -50,7 +50,7 @@ SHIFTED_CURVE = serialize.cycle_to_json(
 )
 BERGMAN_LINE = serialize.cycle_to_json(uniform_bergman_fan(1, 2))
 QUADRANT_FAN = serialize.fan_to_json(
-    Fan.from_cones(
+    Fan(
         [
             Cone.from_generators([(1, 0), (0, 1)]),
             Cone.from_generators([(0, 1), (-1, -1)]),

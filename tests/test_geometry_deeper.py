@@ -35,7 +35,7 @@ def cube_fan_3d():
                 v[rest[0]], v[rest[1]] = signs
                 rays.append(tuple(v))
             cones.append(Cone.from_generators(rays))
-    return Fan.from_cones(cones)
+    return Fan(cones)
 
 
 def test_positive_orthant_r4():
@@ -59,12 +59,12 @@ def test_cube_fan_complete_and_not_unimodular():
     assert len(fan.maximal_cones) == 6
     assert is_complete(fan)
     assert not is_unimodular(fan)
-    partial = Fan.from_cones(fan.maximal_cones[:5], ambient_dim=3)
+    partial = Fan(fan.maximal_cones[:5], ambient_dim=3)
     assert not is_complete(partial)
 
 
 def test_octant_fan_r3_refinement():
-    octants = Fan.from_cones(
+    octants = Fan(
         [
             Cone.from_generators([(sx, 0, 0), (0, sy, 0), (0, 0, sz)])
             for sx in (1, -1)
@@ -76,7 +76,7 @@ def test_octant_fan_r3_refinement():
     assert is_unimodular(octants)
     # refining by a fan of two half-spaces along a diagonal plane splits
     # every octant the plane passes through
-    halves = Fan.from_cones(
+    halves = Fan(
         [
             Cone.from_constraints([(1, 1, 0)], [], 3),
             Cone.from_constraints([(-1, -1, 0)], [], 3),
@@ -88,13 +88,13 @@ def test_octant_fan_r3_refinement():
 
 
 def test_refinement_support_r3_sampling():
-    octants = Fan.from_cones(
+    octants = Fan(
         [
             Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
             Cone.from_generators([(-1, 0, 0), (0, 1, 0), (0, 0, 1)]),
         ]
     )
-    halves = Fan.from_cones([Cone.from_constraints([(0, 0, 1)], [], 3)])
+    halves = Fan([Cone.from_constraints([(0, 0, 1)], [], 3)])
     ref = common_refinement(octants, halves)
     rng = random.Random(3)
     for _ in range(300):

@@ -22,7 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LINE = {"terms": [{"exp": [1, 0], "re": 1.0}, {"exp": [0, 1], "re": -2.0}, {"exp": [0, 0], "re": 1.0}]}
 BERGMAN_LINE = serialize.cycle_to_json(uniform_bergman_fan(1, 2))
 FAN = serialize.fan_to_json(
-    Fan.from_cones([Cone.from_generators([(1, 0), (0, 1)]), Cone.from_generators([(0, 1), (-1, -1)])])
+    Fan([Cone.from_generators([(1, 0), (0, 1)]), Cone.from_generators([(0, 1), (-1, -1)])])
 )
 
 # subcommand -> (inputs, extra flags)

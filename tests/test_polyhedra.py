@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from tropdyn import polyhedra
+from tropdyn import polyhedra, serialize
 from tropdyn.polyhedra import (
     Cone,
     Fan,
@@ -23,7 +23,7 @@ from tropdyn.polyhedra import (
 from tropdyn.lattice import primitive, rank_int, smith_normal_form, vec_sub
 from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
 
-from oracles import balancing_violations_ambient, check_common_faces_unfiltered
+from oracles import balancing_violations_ambient, check_common_faces_unfiltered, subset_fractions
 
 
 def quadrant_fan():
@@ -33,7 +33,7 @@ def quadrant_fan():
         Cone.from_generators([(-1, 0), (0, -1)]),
         Cone.from_generators([(0, -1), (1, 0)]),
     ]
-    return Fan.from_cones(quads)
+    return Fan(quads)
 
 
 def p2_fan():
@@ -43,7 +43,7 @@ def p2_fan():
         Cone.from_generators([rays[1], rays[2]]),
         Cone.from_generators([rays[2], rays[0]]),
     ]
-    return Fan.from_cones(cones)
+    return Fan(cones)
 
 
 def tropical_line_cycle(weight=1):
@@ -277,7 +277,7 @@ def test_fan_rejects_bad_intersection():
         Cone.from_generators([(1, 1), (1, -1)]),
     ]
     with pytest.raises(PolyhedralError):
-        Fan.from_cones(overlapping)
+        Fan(overlapping)
 
 
 def test_fan_collapses_a_repeated_cone():
@@ -286,6 +286,22 @@ def test_fan_collapses_a_repeated_cone():
     assert doubled.maximal_cones == tuple(cones)
     assert doubled == Fan(cones, 2)
     assert is_complete(doubled)
+
+
+def test_fan_keeps_only_maximal_cones():
+    """A face listed with its cone is dropped, so it is neither compared nor written."""
+    c = Cone.from_generators([(1, 0), (0, 1)])
+    f = Cone.from_generators([(1, 0)])
+    assert Fan([c, f], 2) == Fan([c], 2)
+    assert serialize.fan_to_json(Fan([f, c], 2))["cones"] == [serialize.cone_to_json(c)]
+    half = Cone.from_generators([(0, 1)], lineality=[(1, 0)])
+    line = Cone.from_generators([], 2, lineality=[(1, 0)])
+    assert Fan([line, half], 2).maximal_cones == (half,)
+
+
+def test_fan_needs_a_cone():
+    with pytest.raises(PolyhedralError, match="a fan needs at least one cone"):
+        Fan([], 2)
 
 
 def test_fan_rejects_a_cone_of_another_dimension():
@@ -306,11 +322,11 @@ def test_fan_rejects_a_member_that_is_not_a_cone():
         with pytest.raises(PolyhedralError, match="fan members must be cones"):
             Fan(members, 2, validate=validate)
     with pytest.raises(PolyhedralError, match="fan members must be cones"):
-        Fan.from_cones(members)
+        Fan(members)
 
 
 def test_refinement_octants():
-    rotated = Fan.from_cones(
+    rotated = Fan(
         [
             Cone.from_generators([(1, 1), (1, -1)]),
             Cone.from_generators([(1, 1), (-1, 1)]),
@@ -337,7 +353,7 @@ def test_refinement_p2_quadrants():
 def test_refinement_support_sampling():
     A = p2_fan()
     B = quadrant_fan()
-    half = Fan.from_cones([Cone.from_generators([(1, 0), (0, 1), (-1, 2)])])
+    half = Fan([Cone.from_generators([(1, 0), (0, 1), (-1, 2)])])
     ref = common_refinement(half, B)
     rng = random.Random(7)
     for _ in range(1000):
@@ -375,11 +391,11 @@ def test_unimodular_matches_smith_invariant_factors(data):
 def test_complete():
     assert is_complete(p2_fan())
     assert is_complete(quadrant_fan())
-    assert not is_complete(Fan.from_cones([Cone.from_generators([(1, 0), (0, 1)])]))
+    assert not is_complete(Fan([Cone.from_generators([(1, 0), (0, 1)])]))
 
 
 def test_complete_whole_line():
-    line = Fan.from_cones([Cone.from_generators([(1,), (-1,)], ambient_dim=1)])
+    line = Fan([Cone.from_generators([(1,), (-1,)], ambient_dim=1)])
     assert is_complete(line)
 
 
@@ -738,6 +754,33 @@ def test_exposed_face_test_matches_face_lattice(data):
     for X in (P, Q):
         event("face" if k in X.face_vkeys() else "not a face")
         assert polyhedra._is_face(X, k) == (k in X.face_vkeys())
+
+
+@st.composite
+def containment_pairs(draw):
+    """(P, Q, label) in R^1..R^3: cones and affine cells, with lineality, some empty, many nested."""
+    n = draw(st.integers(1, 3))
+    Q = draw(small_polyhedra(n))
+    empty = Polyhedron.from_constraints(n, ineqs=[((0,) * n, 1)])
+    label = draw(st.sampled_from(["random", "face", "meet", "empty P", "empty Q"]))
+    if label == "face":
+        P = draw(st.sampled_from(Q.faces()))
+    elif label == "meet":
+        P = Q.intersect(draw(small_polyhedra(n)))
+    elif label == "empty P":
+        P = empty
+    else:
+        P = draw(small_polyhedra(n))
+    return P, empty if label == "empty Q" else Q, label
+
+
+@settings(max_examples=200, deadline=None)
+@given(containment_pairs())
+def test_subset_by_generator_signs_matches_fraction_oracle(pair):
+    P, Q, label = pair
+    expected = subset_fractions(P, Q)
+    event(f"{label}: {'subset' if expected else 'not a subset'}")
+    assert polyhedra._subset(P, Q) == expected
 
 
 def test_exposed_face_test_fixed_cases():

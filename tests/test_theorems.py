@@ -113,23 +113,30 @@ def test_fan_unimodular_from_maximal_cones(fan):
 
 
 def test_hypersurface_builds_each_cell_once(monkeypatch):
-    # max(0, x, 2x, y): the three terms 0, x, 2x tie on the ray x = 0, y <= 0
-    calls = {"build": 0, "eval": 0}
-    build, evaluate = Polyhedron.from_constraints.__func__, tropical.eval_tropical
+    """One polyhedron per line through two lifted terms, and no Fraction point evaluated."""
+    calls = {}
+    build, evaluate, relint = Polyhedron.from_constraints.__func__, tropical.eval_tropical, Polyhedron.relint_point
 
-    def counted_build(cls, *args, **kwargs):
-        calls["build"] += 1
-        return build(cls, *args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counted_eval(*args):
-        calls["eval"] += 1
-        return evaluate(*args)
-
-    monkeypatch.setattr(Polyhedron, "from_constraints", classmethod(counted_build))
-    monkeypatch.setattr(tropical, "eval_tropical", counted_eval)
-    H = tropical_hypersurface(TropicalPolynomial({(0, 0): 0, (1, 0): 0, (2, 0): 0, (0, 1): 0}))
-    assert sorted(w for _, w in H.cells) == [1, 1, 2]
-    assert calls == {"build": 4, "eval": 3}
+    monkeypatch.setattr(Polyhedron, "from_constraints", classmethod(counted("build", build)))
+    monkeypatch.setattr(tropical, "eval_tropical", counted("eval", evaluate))
+    monkeypatch.setattr(Polyhedron, "relint_point", counted("relint", relint))
+    cases = [
+        # max(0, x, 2x, y): the three terms 0, x, 2x tie on the ray x = 0, y <= 0
+        ([(0, 0), (1, 0), (2, 0), (0, 1)], [1, 1, 2], 4),
+        # max(0, x, y, x+y, 2x+2y): the line through 0, x+y, 2x+2y is one build for three pairs
+        ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)], [1, 1, 1, 1], 8),
+    ]
+    for exps, weights, builds in cases:
+        calls.update(build=0, eval=0, relint=0)
+        H = tropical_hypersurface(TropicalPolynomial({e: 0 for e in exps}))
+        assert sorted(w for _, w in H.cells) == weights
+        assert calls == {"build": builds, "eval": 0, "relint": 0}
 
 
 @st.composite

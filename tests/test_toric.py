@@ -2,6 +2,7 @@ import cmath
 
 import pytest
 
+from tropdyn import toric
 from tropdyn.polyhedra import Cone, Fan
 from tropdyn.toric import (
     ToricError,
@@ -15,7 +16,7 @@ from tropdyn.toric import (
 
 def p2_fan():
     rays = [(1, 0), (0, 1), (-1, -1)]
-    return Fan.from_cones(
+    return Fan(
         [
             Cone.from_generators([rays[0], rays[1]]),
             Cone.from_generators([rays[1], rays[2]]),
@@ -25,7 +26,7 @@ def p2_fan():
 
 
 def quadrant_fan():
-    return Fan.from_cones(
+    return Fan(
         [
             Cone.from_generators([(1, 0), (0, 1)]),
             Cone.from_generators([(0, 1), (-1, 0)]),
@@ -45,7 +46,7 @@ def test_orbits_p2():
 
 
 def test_orbits_trivial_fan():
-    trivial = Fan.from_cones([Cone.from_generators([], ambient_dim=3)])
+    trivial = Fan([Cone.from_generators([], ambient_dim=3)])
     obs = orbits(trivial)
     assert len(obs) == 1
     assert obs[0].dim == 3
@@ -108,6 +109,21 @@ def test_preimages_of_coordinate_with_subnormal_phase():
     z = orbit_point(sigma, (8 + 5e-324j,))
     pre = preimages(sigma, 3, z)
     assert all(abs(w.coords[0] ** 3 - 8) < 1e-12 for w in pre)
+
+
+def test_preimages_refuse_more_than_the_budget_before_building(monkeypatch):
+    """m = 10^4 on a 2-D orbit asks for 10^8 points; the check runs before any root is taken."""
+    zero = Cone.from_generators([], ambient_dim=2)
+    z = orbit_point(zero, (1, 1))
+
+    def no_roots(c, m):
+        raise AssertionError("roots taken before the size check")
+
+    monkeypatch.setattr(toric, "_roots_of", no_roots)
+    with pytest.raises(ToricError, match="at most 1000000 points, not 10000\\^2"):
+        preimages(zero, 10 ** 4, z)
+    with pytest.raises(AssertionError, match="before the size check"):  # 1000^2 is within the budget
+        preimages(zero, 1000, z)
 
 
 def test_phi_m_identity():
