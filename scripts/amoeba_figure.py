@@ -12,6 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tropdyn import serialize, svgplot
+from tropdyn.cli import DOMAIN_ERRORS
 from tropdyn.dynamics import GridSpec, amoeba_sample, clip_to_box, spine_segments
 from tropdyn.tropical import ComplexPolynomial, tropical_hypersurface, tropicalize_poly
 
@@ -23,7 +24,15 @@ def main():
     ap.add_argument("--out", default="amoeba_m{m}.svg")
     ap.add_argument("--csv", default=None)
     args = ap.parse_args()
+    try:
+        draw(args)
+    except DOMAIN_ERRORS as exc:
+        print(f"{ap.prog}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def draw(args):
     f = ComplexPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1})
     box = ((-3.0, 3.0), (-3.0, 3.0))
     grid = GridSpec(box=box, resolution=(args.res, args.res))
@@ -42,4 +51,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

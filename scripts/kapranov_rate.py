@@ -13,26 +13,34 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tropdyn import serialize, svgplot
+from tropdyn.cli import DOMAIN_ERRORS, parse_ms
 from tropdyn.dynamics import GridSpec, convergence_report
 from tropdyn.tropical import ComplexPolynomial
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--ms", default="4,8,16,32")
+    ap.add_argument("--ms", type=parse_ms, default="4,8,16,32")
     ap.add_argument("--delta", type=float, default=0.2)
     ap.add_argument("--res", type=int, default=61)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="kapranov_rate.json")
     ap.add_argument("--svg", default=None)
     args = ap.parse_args()
+    try:
+        report(args)
+    except DOMAIN_ERRORS as exc:
+        print(f"{ap.prog}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
+
+def report(args):
     f = ComplexPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1})
     grid = GridSpec(
         box=((-3, 3), (-3, 3)), resolution=(args.res, args.res), delta=args.delta
     )
-    ms = tuple(int(m) for m in args.ms.split(","))
-    rep = convergence_report("dequantization", ms, f=f, grid=grid, seed=args.seed)
+    rep = convergence_report("dequantization", args.ms, f=f, grid=grid, seed=args.seed)
     print(f"{'m':>5}  {'sup error':>12}")
     for m, e in zip(rep.ms, rep.errors):
         print(f"{m:>5}  {e:>12.4e}")
@@ -44,4 +52,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -14,6 +14,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from tropdyn.cli import DOMAIN_ERRORS, parse_ms
 from tropdyn.dynamics import PointCloud, empirical_fourier, mth_roots, star_discrepancy
 from tropdyn.polyhedra import Cone
 from tropdyn.toric import orbit_point, preimages
@@ -21,11 +22,18 @@ from tropdyn.toric import orbit_point, preimages
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--ms", default="8,16,32,64,128")
+    ap.add_argument("--ms", type=parse_ms, default="8,16,32,64,128")
     ap.add_argument("--numax", type=int, default=6)
     args = ap.parse_args()
+    try:
+        report(args.ms, args.numax)
+    except DOMAIN_ERRORS as exc:
+        print(f"{ap.prog}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
-    ms = [int(m) for m in args.ms.split(",")]
+
+def report(ms, numax):
     zero = Cone.from_generators([], ambient_dim=2)
     base = orbit_point(zero, (0.9 + 0.1j, -1.3 + 0.7j))
     print(f"{'m':>5}  {'#preimages':>10}  {'max |fourier|':>14}  {'discrepancy':>12}")
@@ -33,8 +41,8 @@ def main():
         pre = preimages(zero, m, base)
         cloud = PointCloud(2, np.array([p.coords for p in pre]))
         worst = 0.0
-        for n1 in range(-args.numax, args.numax + 1):
-            for n2 in range(-args.numax, args.numax + 1):
+        for n1 in range(-numax, numax + 1):
+            for n2 in range(-numax, numax + 1):
                 if (n1, n2) == (0, 0):
                     continue
                 worst = max(worst, abs(empirical_fourier(cloud, (n1, n2))))
@@ -43,4 +51,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

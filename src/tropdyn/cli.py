@@ -49,7 +49,7 @@ def _parse_ints(text):
     return tuple(int(x) for x in text.split(",") if x != "")
 
 
-def _parse_ms(text):
+def parse_ms(text):
     try:
         ms = _parse_ints(text)
     except ValueError:
@@ -261,7 +261,7 @@ def cmd_add(args):
 FLAGS = {
     "-i": dict(dest="inputs", action="append", metavar="PATH", help="input JSON"),
     "-o": dict(dest="output", metavar="PATH", help="output artifact"),
-    "--ms": dict(type=_parse_ms, required=True),
+    "--ms": dict(type=parse_ms, required=True),
     "--box": dict(default="-3,3"),
     "--res": dict(default="61"),
     "--delta": dict(type=float, default=0.2),

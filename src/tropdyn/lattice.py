@@ -271,14 +271,35 @@ def _det(rows):
 def _cross_kernel(rows, d):
     """Kernel direction of (d-1) x d integer rows via signed maximal minors.
 
-    Returns the primitive cofactor vector, or None when the rows are
-    rank-deficient (kernel not 1-dimensional).
+    Entry i is (-1)^i times the minor that deletes column i.  For d = 2, 3
+    and 4 the minors are written out as closed-form cofactors (for d = 4 the
+    first row is expanded over the six 2 x 2 minors of the last two); other
+    d take _det's Laplace expansion.  Returns the primitive cofactor vector,
+    its sign kept, or None when the rows are rank-deficient (kernel not
+    1-dimensional).
     """
-    v = [_det([row[:i] + row[i + 1:] for row in rows]) for i in range(d)]
-    v[1::2] = [-x for x in v[1::2]]
-    if not any(v):
+    if d == 2:
+        ((a, b),) = rows
+        v = (b, -a)
+    elif d == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        v = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    elif d == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        v = (
+            a1 * m23 - a2 * m13 + a3 * m12,
+            a2 * m03 - a0 * m23 - a3 * m02,
+            a0 * m13 - a1 * m03 + a3 * m01,
+            a1 * m02 - a0 * m12 - a2 * m01,
+        )
+    else:
+        v = tuple((-1) ** i * _det([row[:i] + row[i + 1:] for row in rows]) for i in range(d))
+    g = math.gcd(*v)
+    if g == 0:
         return None
-    return primitive(v)[0]
+    return v if g == 1 else tuple(x // g for x in v)
 
 
 def _independent_rows(rows) -> list[int]:
@@ -286,25 +307,32 @@ def _independent_rows(rows) -> list[int]:
 
     Fraction-free (Bareiss) elimination with row pivoting: every entry stays
     a minor of the input, so each division by the previous pivot is exact.
-    The pivot rows' indices come back in pivot order; their number is the rank.
+    A step rewrites only the columns right of its pivot, the only ones read
+    again.  The pivot rows' indices come back in pivot order; their number is
+    the rank.
     """
     mat = [list(r) for r in rows]
-    order = list(range(len(mat)))
+    m = len(mat)
+    order = list(range(m))
     ncols = len(mat[0]) if mat else 0
     prev, k = 1, 0
     for col in range(ncols):
-        if k == len(mat):
+        if k == m:
             break
-        piv = next((i for i in range(k, len(mat)) if mat[i][col]), None)
-        if piv is None:
+        for piv in range(k, m):
+            if mat[piv][col]:
+                break
+        else:
             continue
         mat[k], mat[piv] = mat[piv], mat[k]
         order[k], order[piv] = order[piv], order[k]
         top = mat[k]
         p = top[col]
-        for i in range(k + 1, len(mat)):
-            a = mat[i][col]
-            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], top)]
+        for i in range(k + 1, m):
+            row = mat[i]
+            a = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (p * row[j] - a * top[j]) // prev
         prev = p
         k += 1
     return order[:k]
@@ -324,8 +352,7 @@ def integer_kernel(rows) -> tuple[IntVector, ...]:
     the kernel, saturated because x -> (B x, x) is injective, and already
     reduced, so hnf_basis returns them unchanged.
     """
-    rows = [_as_int_vector(r) for r in rows]
-    rows = [r for r in rows if any(r)]
+    rows = [r for r in map(_as_int_vector, rows) if any(r)]
     if not rows:
         raise LatticeError("kernel of an empty system is everything; handle upstream")
     n = len(rows[0])

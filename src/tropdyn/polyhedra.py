@@ -13,14 +13,17 @@ on any generator is one integer dot product, and so is each containment test.
 The Fraction views `vertices`, `key` and `relint_point` (kept for float
 sampling and the test oracles) enter no exact decision.
 
-Conversions between descriptions use brute-force extreme-ray enumeration
-(kernels of row subsets via signed maximal minors), exact and comfortably
-fast for the ambient dimensions this engine supports (<= MAX_AMBIENT_DIM).
-Equations and lineality are fixed rows of every kernel; the subsets are drawn
-from the inequalities only.  Cones are converted in their ambient dimension,
-other polyhedra homogenised one dimension higher: a measured choice, as cones
-sent through the homogenised path made the `exact` benchmark 27% slower (8%
-with a K x R>=0 product rule for them).
+Conversions between descriptions use brute-force extreme-ray enumeration,
+exact and comfortably fast for the ambient dimensions this engine supports
+(<= MAX_AMBIENT_DIM): the kernel of each row subset is its signed cofactor
+vector, written out in closed form up to d = 4 (the homogenised dimension
+of R^3), and one pass over the inequalities keeps it, with its sign, or
+drops it at the first row of the opposite sign.  Equations and lineality
+are fixed rows of every kernel; the subsets are drawn from the inequalities
+only.  Cones are converted in their ambient dimension, other polyhedra
+homogenised one dimension higher: a measured choice, as cones sent through
+the homogenised path made the `exact` benchmark 27% slower (8% with a
+K x R>=0 product rule for them).
 
 Fans and weighted complexes check that every two members are disjoint or
 meet in a common face.  A pair is first tried by integer sign tests on the
@@ -71,21 +74,35 @@ def _pointed_extreme_rays(rows, d, fixed=()):
 
     r runs over rows and e over the independent fixed rows (equations and
     lineality); every ray spans the kernel of the fixed rows plus
-    d - 1 - len(fixed) of the rows.  With no room left the cone is {0}.
+    d - 1 - len(fixed) of the rows, the cofactor vector of those d - 1 rows.
+    One pass over the rows fixes the candidate's sign and drops it at the
+    first row of the opposite sign.  With no room left the cone is {0}.
     """
     k = d - 1 - len(fixed)
     if k < 0:
         return []
-    found = {}
+    fixed = list(fixed)
+    found = set()
     for S in itertools.combinations(rows, k):
-        v = _cross_kernel(list(fixed) + list(S), d)
-        if v is None or v in found or vec_neg(v) in found:
+        v = _cross_kernel(fixed + list(S), d)
+        if v is None or v in found:
             continue
-        prods = [dot(r, v) for r in rows]
-        if all(p >= 0 for p in prods):
-            found[v] = True
-        elif all(p <= 0 for p in prods):
-            found[vec_neg(v)] = True
+        neg = vec_neg(v)
+        if neg in found:
+            continue
+        sign = 0
+        for r in rows:
+            p = dot(r, v)
+            if p > 0:
+                if sign < 0:
+                    break
+                sign = 1
+            elif p < 0:
+                if sign > 0:
+                    break
+                sign = -1
+        else:
+            found.add(neg if sign < 0 else v)
     return sorted(found)
 
 

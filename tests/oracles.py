@@ -12,11 +12,13 @@ from tropdyn.lattice import (
     LatticeError,
     QuotientLattice,
     _as_int_vector,
+    _det,
     _integral,
     dot,
     hnf_basis,
     identity,
     integer_kernel,
+    is_zero_vector,
     primitive,
     saturate_and_complete,
     solve_rational,
@@ -104,6 +106,83 @@ def integer_kernel_hermite(rows):
     m, n = len(rows), len(rows[0])
     aug = [tuple(r[j] for r in rows) + e for j, e in enumerate(identity(n))]
     return tuple(h[m:] for h in hnf_basis(aug) if not any(h[:m]))
+
+
+def cross_kernel_laplace(rows, d):
+    """Kernel direction of (d-1) x d integer rows via signed maximal minors.
+
+    Every minor by _det's Laplace expansion.  Oracle for `_cross_kernel`,
+    which must return the same vector, sign included, or None with it.
+    """
+    v = [_det([row[:i] + row[i + 1:] for row in rows]) for i in range(d)]
+    v[1::2] = [-x for x in v[1::2]]
+    if not any(v):
+        return None
+    return primitive(v)[0]
+
+
+def independent_rows_full_bareiss(rows) -> list[int]:
+    """Bareiss row selection that rewrites every column at each step.
+
+    Oracle for `_independent_rows`, which must return the same indices in
+    the same (pivot) order.
+    """
+    mat = [list(r) for r in rows]
+    order = list(range(len(mat)))
+    ncols = len(mat[0]) if mat else 0
+    prev, k = 1, 0
+    for col in range(ncols):
+        if k == len(mat):
+            break
+        piv = next((i for i in range(k, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[k], mat[piv] = mat[piv], mat[k]
+        order[k], order[piv] = order[piv], order[k]
+        top = mat[k]
+        p = top[col]
+        for i in range(k + 1, len(mat)):
+            a = mat[i][col]
+            mat[i] = [(p * x - a * y) // prev for x, y in zip(mat[i], top)]
+        prev = p
+        k += 1
+    return order[:k]
+
+
+def pointed_extreme_rays_two_pass(rows, d, fixed=()):
+    """Extreme rays of {y in R^d : r . y >= 0, e . y = 0}: every product, then two sign tests.
+
+    Kernels by `cross_kernel_laplace`.  Oracle for `_pointed_extreme_rays`.
+    """
+    k = d - 1 - len(fixed)
+    if k < 0:
+        return []
+    found = {}
+    for S in itertools.combinations(rows, k):
+        v = cross_kernel_laplace(list(fixed) + list(S), d)
+        if v is None or v in found or vec_neg(v) in found:
+            continue
+        prods = [dot(r, v) for r in rows]
+        if all(p >= 0 for p in prods):
+            found[v] = True
+        elif all(p <= 0 for p in prods):
+            found[vec_neg(v)] = True
+    return sorted(found)
+
+
+def h_cone_generators_reference(normals, dim, eqs=()):
+    """Canonical extreme rays and lineality of {x : a . x >= 0, e . x = 0}.
+
+    The lineality from `integer_kernel_hermite`, the rays from
+    `pointed_extreme_rays_two_pass`.  Oracle for `_h_cone_generators`.
+    """
+    normals = list(dict.fromkeys(primitive(a)[0] for a in normals if not is_zero_vector(a)))
+    eqs = list(dict.fromkeys(primitive(e)[0] for e in eqs if not is_zero_vector(e)))
+    if not normals and not eqs:
+        return (), identity(dim)
+    lin = integer_kernel_hermite(normals + eqs)
+    rays = pointed_extreme_rays_two_pass(normals, dim, fixed=lin + hnf_basis(eqs))
+    return tuple(rays), lin
 
 
 def _gauss_jordan(mat, ncols) -> list[int]:

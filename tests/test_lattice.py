@@ -5,14 +5,23 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import integer_kernel_hermite, rank_gauss_jordan, solve_gauss_jordan
+from oracles import (
+    cross_kernel_laplace,
+    independent_rows_full_bareiss,
+    integer_kernel_hermite,
+    rank_gauss_jordan,
+    solve_gauss_jordan,
+)
 from tropdyn import lattice
 from tropdyn.lattice import (
     LatticeError,
     QuotientLattice,
+    _cross_kernel,
     _det,
+    _independent_rows,
     identity,
     integer_kernel,
+    dot,
     is_zero_vector,
     primitive,
     quotient_outward_generator,
@@ -261,6 +270,60 @@ def test_rank_int_scales_fraction_rows():
 )
 def test_det_equals_laplace_expansion(M):
     assert _det(M) == det(M)
+
+
+# small entries make ties and rank drops likely; 10^20 keeps floats out
+KERNEL_ENTRY = st.integers(-3, 3) | st.integers(-10**20, 10**20)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_cross_kernel_matches_laplace(data):
+    """Closed-form cofactors give the Laplace cofactor vector, sign included, or None with it."""
+    d = data.draw(st.integers(1, 5), label="d")
+    row = st.lists(KERNEL_ENTRY, min_size=d, max_size=d).map(tuple)
+    rows = data.draw(st.lists(row, min_size=d - 1, max_size=d - 1), label="rows")
+    if rows and data.draw(st.booleans(), label="last row a multiple of the first"):
+        c = data.draw(st.integers(-2, 2), label="multiple")
+        rows[-1] = tuple(c * x for x in rows[0])
+    got = _cross_kernel(rows, d)
+    assert got == cross_kernel_laplace(rows, d)
+    event("rank-deficient" if got is None else f"d = {d}")
+    if got is not None:
+        assert all(type(x) is int for x in got)
+        assert all(dot(r, got) == 0 for r in rows)
+
+
+def test_cross_kernel_fixed_cases():
+    # every term of every d = 4 cofactor is nonzero, so any one sign flip shows
+    assert _cross_kernel([(1, 2, 3, 4), (0, 1, 5, 2), (3, 0, 1, 1)], 4) == (7, 39, 1, -22)
+    assert _cross_kernel([(2, 4)], 2) == (2, -1)
+    assert _cross_kernel([(1, 0, 0), (0, 1, 0)], 3) == (0, 0, 1)
+    assert _cross_kernel([(1, 2, 3), (2, 4, 6)], 3) is None
+    assert _cross_kernel([], 1) == (1,)
+
+
+def test_independent_rows_scales_rows_with_a_zero_in_the_pivot_column():
+    # the third row is 0 under the first pivot 2, but the step must still
+    # scale it by 2, or the next step's exact division by 2 floors it to 0
+    assert _independent_rows([(0, -1, 0), (2, 0, 1), (0, 1, -1)]) == [1, 0, 2]
+    assert _independent_rows([(1, 2), (2, 4), (0, 0), (0, 3)]) == [0, 3]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_independent_rows_match_full_bareiss(data):
+    """Same pivot rows in the same order as Bareiss steps that rewrite every column."""
+    ncols = data.draw(st.integers(1, 5), label="ncols")
+    row = st.lists(KERNEL_ENTRY, min_size=ncols, max_size=ncols).map(tuple)
+    rows = data.draw(st.lists(row, max_size=7), label="rows")
+    if rows and data.draw(st.booleans(), label="add a combination of two rows"):
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        c = data.draw(st.integers(-2, 2), label="multiple")
+        rows.append(tuple(x + c * y for x, y in zip(rows[i], rows[j])))
+    got = _independent_rows(rows)
+    assert got == independent_rows_full_bareiss(rows)
+    event(f"rank {len(got)} of {len(rows)} rows")
 
 
 def test_solve_rational():

@@ -23,7 +23,12 @@ from tropdyn.polyhedra import (
 from tropdyn.lattice import primitive, rank_int, smith_normal_form, vec_sub
 from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
 
-from oracles import balancing_violations_ambient, check_common_faces_unfiltered, subset_fractions
+from oracles import (
+    balancing_violations_ambient,
+    check_common_faces_unfiltered,
+    h_cone_generators_reference,
+    subset_fractions,
+)
 
 
 def quadrant_fan():
@@ -209,6 +214,29 @@ def test_lineality_matches_opposite_generators(data):
         Polyhedron.from_generators(n, vertices=vertices, rays=gens, lineality=lin),
         Polyhedron.from_generators(n, vertices=vertices, rays=gens + _both_signs(lin)),
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_h_cone_generators_match_two_pass_reference(data):
+    """Rays and lineality equal the Laplace-kernel, two-pass-sign-test conversion's.
+
+    Up to the homogenised dimension 5, with equations, lineality pairs
+    (a and -a), duplicate rows and zero rows.
+    """
+    d = data.draw(st.integers(1, 5), label="d")
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+    normals = data.draw(st.lists(vec, max_size=6), label="normals")
+    eqs = data.draw(st.lists(vec, max_size=2), label="eqs")
+    for a in data.draw(st.lists(vec, max_size=2), label="lineality pairs"):
+        normals += [a, tuple(-x for x in a)]
+    if normals and data.draw(st.booleans(), label="a duplicate row"):
+        normals.append(data.draw(st.sampled_from(normals)))
+    if data.draw(st.booleans(), label="a zero row"):
+        normals.append((0,) * d)
+    got = polyhedra._h_cone_generators(normals, d, eqs)
+    assert got == h_cone_generators_reference(normals, d, eqs)
+    event(f"{len(got[0])} rays, lineality {len(got[1])}")
 
 
 def test_h_to_v_enumerates_inequality_subsets_only(monkeypatch):
