@@ -37,6 +37,9 @@ MAX_SWEEPS = 200
 #: most phase redraws of one grid point where f(z^m) is near zero
 MAX_RETRIES = 20
 
+#: the spacing of floats at 1.0
+EPS = math.ulp(1.0)
+
 
 class DynamicsError(ValueError):
     pass
@@ -55,6 +58,8 @@ class GridSpec:
     delta: float = 0.0
 
     def __post_init__(self):
+        if not self.box:
+            raise DynamicsError("a grid needs at least one axis")
         if len(self.box) != len(self.resolution):
             raise DynamicsError("box and resolution must have the same length")
         if not all(math.isfinite(x) for interval in self.box for x in interval):
@@ -450,6 +455,76 @@ def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointClo
     return PointCloud(n, arr)
 
 
+def distance_to_complex(C: WeightedComplex, X) -> np.ndarray:
+    """Euclidean distance from each row of X to the support of C, cells of dimension <= 2.
+
+    The nearest point of a cell P to x lies in the relative interior of a
+    face F of P, and there it is the orthogonal projection of x onto aff(F).
+    So dist(x, P) is the least over P's faces of a closed form:
+    - a segment, ray or line v + t u gives |x - v - t u| at t = (x - v).u / u.u
+      clamped to [0, 1], [0, inf) or R; a vertex is the case u = 0, and
+      enters only as a 0-cell, since the 1-faces hold every other vertex;
+    - a 2-cell gives the distance to its plane, counted only where the
+      projection satisfies P's inequalities.  A projection that rounding
+      puts on the wrong side of P's boundary is that close to a 1-face, so
+      the value moves by no more than the rounding.
+    Each 2-cell's faces come from face_vkeys as generator subsets, with no
+    H -> V conversion.  Rows are taken a block at a time, about BLOCK_PAIRS
+    (row, face) pairs per block.
+    """
+    n = C.ambient_dim
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != n:
+        raise DynamicsError("points must be an (N, n) array matching the complex")
+    if C.dim > 2:
+        raise DynamicsError("distances need cells of dimension at most 2")
+    best = np.full(len(X), np.inf)
+    flats = {}  # face key -> (v, u, lo, hi): the points v + t u with lo <= t <= hi
+    for cell, _ in C.cells:
+        keys = [cell.vkey()]
+        if cell.dim == 2:
+            np.minimum(best, _plane_distance(cell, X), out=best)
+            keys = [k for k in cell.face_vkeys() if len(k[0]) + len(k[1]) == 2]
+        for gens, lin in keys:
+            v = np.array([float(Fraction(x, gens[0][n])) for x in gens[0][:n]])
+            if lin:
+                flats[(gens, lin)] = (v, np.array(lin[0], dtype=float), -np.inf, np.inf)
+            elif len(gens) == 1:
+                flats[(gens, lin)] = (v, np.zeros(n), 0.0, 0.0)
+            elif gens[1][n]:
+                w = np.array([float(Fraction(x, gens[1][n])) for x in gens[1][:n]])
+                flats[(gens, lin)] = (v, w - v, 0.0, 1.0)
+            else:
+                flats[(gens, lin)] = (v, np.array(gens[1][:n], dtype=float), 0.0, np.inf)
+    if flats:
+        V, U, lo, hi = (np.array(col) for col in zip(*flats.values()))
+        uu = np.einsum("kj,kj->k", U, U)
+        uu[uu == 0] = 1.0
+        rows = max(1, BLOCK_PAIRS // len(V))
+        for start in range(0, len(X), rows):
+            D = X[start:start + rows, None, :] - V
+            t = np.clip(np.einsum("rkj,kj->rk", D, U) / uu, lo, hi)
+            D -= t[..., None] * U
+            d2 = np.einsum("rkj,rkj->rk", D, D).min(axis=1)
+            np.minimum(best[start:start + rows], np.sqrt(d2), out=best[start:start + rows])
+    return best
+
+
+def _plane_distance(P: Polyhedron, X):
+    """Distance from each row of X to aff(P) where its projection satisfies P's inequalities, else inf."""
+    Y, h = X, np.zeros(len(X))
+    if P.eqs:  # one equation: P is 2-dimensional in R^3
+        a, b = P.eqs[0]
+        a = np.array(a, dtype=float)
+        norm = math.sqrt(a @ a)
+        h = (X @ a - float(b)) / norm
+        Y = X - h[:, None] * (a / norm)
+    inside = np.ones(len(X), dtype=bool)
+    for a, b in P.ineqs:
+        inside &= Y @ np.array(a, dtype=float) >= float(b)
+    return np.where(inside, np.abs(h), np.inf)
+
+
 #: pairs per block of the nearest-distance loop: two 512 KB buffers, which stay in cache
 BLOCK_PAIRS = 2 ** 16
 #: directed_hausdorff bounds every row by its distance to every PRUNE_STRIDE-th point of B
@@ -566,13 +641,63 @@ def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
     return vals, zero
 
 
+def _outside_exclusion(C: WeightedComplex, support: PointCloud, pts, grid: GridSpec) -> np.ndarray:
+    """The rows of pts at least radius = delta + pitch from every sample: a mask.
+
+    Equal bit for bit to _nearest_distances(pts, support.points) >= radius.
+    A row that distance_to_complex puts at least radius + slack from |C| is
+    kept unmeasured; the others alone go through _nearest_distances, whose
+    value for a row does not depend on the rows beside it.
+
+    slack is derived, not tuned.  C is a fan (trop(f) of the trivial
+    valuation), sampled at pitch = delta / 8 in the box; M is the box's
+    largest |bound|, so |x| <= 2 M for every grid point and sample x.  Let
+    e_s bound the distance from a sample to |C| and e_k the error of
+    distance_to_complex at a grid point.  A point it puts at least
+    radius + e_s + e_k + 8 EPS radius from |C| is at least radius (1 + 8 EPS)
+    from every sample, and _nearest_distances, off by under 4 EPS relative,
+    gives it at least radius.  slack covers each term:
+    - e_k <= 64 EPS M.  Every face of a fan holds the origin, its only
+      vertex, and has integer directions, exact as floats, so each closed
+      form, and the 2-cell test (see distance_to_complex), rounds by a few
+      EPS |x|.
+    - e_s for n <= 2.  A clipped cell K is a point, sampled by its relative
+      interior point rounded (within EPS M), or a segment of a line L through
+      the origin.  K's integer rows a.x >= b are orthogonal to L's equation,
+      so a lies along L and |a| >= 1.  The filter keeps a candidate with
+      a.x >= b - 1e-9 up to the rounding of a.x and b, at most 8 EPS |a| M,
+      so at most (1e-9 + 8 EPS |a| M) / |a| <= 1e-9 + 8 EPS M past K along L.
+      Off L a candidate c + u q is out only by the rounding of c, q and the
+      sum: below 16 EPS (M + pitch), as |u| < 3 M + pitch.  So
+      e_s <= 1e-9 + 32 EPS (M + pitch).
+    - e_s for n = 3.  In a clipped polygon the 1e-9 tolerance grows at a
+      sharp corner by 1 / sin of its angle, and a piece meeting the box only
+      in its boundary has rows off its plane; neither has a small a priori
+      bound.  So e_s is measured: the samples' largest distance_to_complex,
+      plus 64 EPS M for that kernel's own error.
+    """
+    pitch = grid.delta / 8
+    radius = grid.delta + pitch
+    M = max(abs(x) for interval in grid.box for x in interval)
+    slack = 1e-9 + 128 * EPS * (M + pitch) + 8 * EPS * radius
+    if C.ambient_dim == 3:
+        slack += float(np.max(distance_to_complex(C, support.points)))
+    near = distance_to_complex(C, pts) < radius + slack
+    keep = ~near
+    keep[near] = _nearest_distances(pts[near], support.points) >= radius
+    return keep
+
+
 def dequantization_error(f: ComplexPolynomial, m: int, grid: GridSpec, seed: int = 0) -> tuple[float, float]:
     """(sup, mean) of |(1/m) log|f(z^m)| - trop(f)(x)| over the admissible grid.
 
     z_j = exp(-x_j + i theta_j) with seeded random phases.  The tropical
     hypersurface is sampled at pitch delta/8, and grid points closer than
     delta + delta/8 to that sample are skipped (the grid's delta must be
-    positive since trop(f) o Log is non-smooth on the set).
+    positive since trop(f) o Log is non-smooth on the set).  Only the grid
+    points that the exact distance to the hypersurface leaves in doubt are
+    measured against the sample (_outside_exclusion); the rest are certified
+    kept, and the kept set is the brute-force one bit for bit.
 
     The kept points go through eval_tropical and log_abs_power_pullback as
     one (N, n) batch each.  Point k takes the k-th phase draw of the seeded
@@ -594,7 +719,7 @@ def dequantization_error(f: ComplexPolynomial, m: int, grid: GridSpec, seed: int
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
     if len(support) > 0:
-        pts = pts[_nearest_distances(pts, support.points) >= grid.delta + pitch]
+        pts = pts[_outside_exclusion(cycle, support, pts, grid)]
     if len(pts) == 0:
         raise DynamicsError("no grid points outside the exclusion zone")
     target = eval_tropical(q, pts).value

@@ -71,6 +71,19 @@ def directed_hausdorff_bruteforce(A, B) -> float:
     return float(np.max(np.sqrt(np.min(d2, axis=1))))
 
 
+def nearest_distances_bruteforce(P, Q, rows=64):
+    """Distance from each row of P to the nearest row of Q, over all (rows, M, d) pairs of a block at once.
+
+    Oracle for the exclusion in `dequantization_error`: its kept mask must
+    equal `nearest_distances_bruteforce(pts, support) >= radius` bit for bit.
+    """
+    out = np.empty(len(P))
+    for start in range(0, len(P), rows):
+        d2 = ((P[start:start + rows, None, :] - Q[None, :, :]) ** 2).sum(axis=-1)
+        out[start:start + rows] = np.sqrt(np.min(d2, axis=1))
+    return out
+
+
 def eval_tropical_float_scalar(q, x):
     """(value, argmax) of q at one float point, term by term in plain Python.
 

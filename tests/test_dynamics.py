@@ -677,6 +677,8 @@ def test_convergence_hausdorff_decreasing():
 
 
 def test_gridspec_validation():
+    with pytest.raises(DynamicsError, match="at least one axis"):
+        GridSpec(box=(), resolution=())
     with pytest.raises(DynamicsError):
         GridSpec(box=((1, 0),), resolution=(4,))
     with pytest.raises(DynamicsError):
