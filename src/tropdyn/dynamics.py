@@ -7,6 +7,7 @@ clouds carry (m, seed) metadata so artifacts are reproducible byte for byte.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -383,12 +384,16 @@ def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, m: int) -> PointCloud:
 
 
 def box_constraints(box):
-    """The box as inequalities (a, b) meaning a.x >= b, exact in the bounds."""
+    """The box as integer inequalities (a, b) meaning a.x >= b, exact in the bounds.
+
+    A bound p/q (a float taken at its exact binary value) gives q x_i >= p
+    below and -q x_i >= -p above.
+    """
     out = []
     for i, (lo, hi) in enumerate(box):
-        e = tuple(1 if j == i else 0 for j in range(len(box)))
-        out.append((e, Fraction(lo)))
-        out.append((tuple(-x for x in e), -Fraction(hi)))
+        for sign, bound in ((1, Fraction(lo)), (-1, Fraction(hi))):
+            a = tuple(sign * bound.denominator if j == i else 0 for j in range(len(box)))
+            out.append((a, sign * bound.numerator))
     return out
 
 
@@ -413,29 +418,53 @@ def spine_segments(C: WeightedComplex, box):
     return segs
 
 
+def _float_rows(rows):
+    """Integer rows (a, b) as (float array a, float b); DynamicsError where one outgrows a float."""
+    try:
+        return [(np.asarray(a, dtype=float), float(b)) for a, b in rows]
+    except OverflowError:
+        raise DynamicsError(
+            "box bounds too fine to sample: a cell clipped to the box has rows too large for floats"
+        ) from None
+
+
 def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointCloud:
     """Uniform samples on each cell of the complex clipped to the box.
 
     Every cell with nonempty intersection contributes at least its relative
-    interior point; weights play no role in sampling.
+    interior point, the mean of its vertices (a clipped cell is bounded):
+    integer sums over one common denominator, divided once, which rounds as
+    the float of the exact mean does.  The samples are a grid of pitch
+    1/density in an orthonormal basis of the cell's directions, kept where
+    the cell's rows hold to 1e-9; the bases of all cells of one dimension
+    come from one QR factorisation of their stacked integer direction bases.
+    Weights play no role in sampling.
     """
     if not (math.isfinite(density) and density > 0):
         raise DynamicsError("density must be a finite positive number")
     n = C.ambient_dim
     if len(box) != n:
         raise DynamicsError("box dimension mismatch")
-    pts = []
-    for clipped in _clipped_cells(C, box):
-        center = np.array([float(x) for x in clipped.relint_point()])
-        pts.append(center)
-        dirs = clipped.direction_basis()
-        if not dirs:
+    cells = list(_clipped_cells(C, box))
+    dirs = [clipped.direction_basis() for clipped in cells]
+    bases = [None] * len(cells)
+    for p in {len(d) for d in dirs if d}:
+        idx = [k for k, d in enumerate(dirs) if len(d) == p]
+        Qs, _ = np.linalg.qr(np.array([dirs[k] for k in idx], dtype=float).transpose(0, 2, 1))
+        for k, Q in zip(idx, Qs):
+            bases[k] = Q  # n x p
+    step = 1.0 / density
+    blocks = []
+    for clipped, Q in zip(cells, bases):
+        gens = clipped.gens  # all vertices (p, q), q > 0: the box bounds the cell
+        den = math.lcm(*(g[n] for g in gens))
+        total = len(gens) * den
+        center = np.array([sum(g[i] * (den // g[n]) for g in gens) / total for i in range(n)])
+        blocks.append(center[None])
+        if Q is None:
             continue
-        D = np.array(dirs, dtype=float).T  # n x p
-        Q, _ = np.linalg.qr(D)
-        verts = np.array([[float(x) for x in v] for v in clipped.vertices])
+        verts = np.array([[x / g[n] for x in g[:n]] for g in gens])
         coords = (verts - center) @ Q
-        step = 1.0 / density
         ranges = [(coords[:, j].min(), coords[:, j].max() + step / 2) for j in range(Q.shape[1])]
         # np.arange(lo, stop, step) has ceil((stop - lo) / step) entries
         count = math.prod(np.ceil((stop - lo) / step) for lo, stop in ranges)
@@ -446,13 +475,12 @@ def sample_tropical_support(C: WeightedComplex, box, density: float) -> PointClo
         u = np.stack([g.ravel() for g in mesh], axis=-1)
         cand = center + u @ Q.T
         keep = np.ones(len(cand), dtype=bool)
-        for a, b in clipped.ineqs:
-            keep &= cand @ np.asarray(a, dtype=float) >= float(b) - 1e-9
-        for a, b in clipped.eqs:
-            keep &= np.abs(cand @ np.asarray(a, dtype=float) - float(b)) <= 1e-9
-        pts.extend(cand[keep])
-    arr = np.asarray(pts, dtype=float) if pts else np.zeros((0, n))
-    return PointCloud(n, arr)
+        for a, b in _float_rows(clipped.ineqs):
+            keep &= cand @ a >= b - 1e-9
+        for a, b in _float_rows(clipped.eqs):
+            keep &= np.abs(cand @ a - b) <= 1e-9
+        blocks.append(cand[keep])
+    return PointCloud(n, np.concatenate(blocks) if blocks else np.zeros((0, n)))
 
 
 def distance_to_complex(C: WeightedComplex, X) -> np.ndarray:
@@ -618,20 +646,25 @@ def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
 
     Per row this is the scalar formula: with L_a = log|c_a| - m <a, x> and
     phi_a = arg c_a + m <a, theta>, top = max L_a, the value is
-    top + log|sum_a exp(L_a - top + i phi_a)|.  The sums run term by term in
-    f.terms order as sum() would add them, and exp, cos, sin, abs and log are
-    libm's (see _libm), so each row equals that formula bit for bit.
+    top + log|sum_a exp(L_a - top + i phi_a)|.  The exponentials are one map
+    of cmath.exp, the scalar formula's own function: for a finite argument
+    with real part <= 0 it returns exactly e^a cos b + i e^a sin b from
+    libm's exp, cos and sin.  The sums run term by term in f.terms order as
+    sum() would add them, and abs and log are libm's (see _libm), so each
+    row equals that formula bit for bit.
     """
     X, T = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
     if X.shape != T.shape or X.ndim != 2 or X.shape[1] != f.ambient_dim:
         raise DynamicsError("points and phases must be (N, n) arrays matching the polynomial")
     exps = [exp for exp, _ in f.terms]
     L = np.array([math.log(abs(c)) for _, c in f.terms]) - m * exponent_dots(exps, X)
-    phase = np.array([math.atan2(c.imag, c.real) for _, c in f.terms]) + m * exponent_dots(exps, T)
     top = builtin_max(L.T)
-    scale = _libm(math.exp, L - top[:, None])  # cmath.exp(a + ib) = e^a cos b + i e^a sin b
-    re = builtin_sum((scale * _libm(math.cos, phase)).T, COMPLEX_SUM_COMPENSATES)
-    im = builtin_sum((scale * _libm(math.sin, phase)).T, COMPLEX_SUM_COMPENSATES)
+    arg = np.empty(L.shape, dtype=complex)
+    arg.real = L - top[:, None]
+    arg.imag = np.array([math.atan2(c.imag, c.real) for _, c in f.terms]) + m * exponent_dots(exps, T)
+    parts = np.fromiter(map(cmath.exp, arg.ravel().tolist()), complex, count=arg.size).reshape(arg.shape)
+    re = builtin_sum(parts.real.T, COMPLEX_SUM_COMPENSATES)
+    im = builtin_sum(parts.imag.T, COMPLEX_SUM_COMPENSATES)
     val = np.empty(len(X), dtype=complex)
     val.real, val.imag = re, im
     modulus = _libm(abs, val)

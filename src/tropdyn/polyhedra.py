@@ -10,8 +10,9 @@ come first in the order of their rational points, then rays.  Lineality
 lattices are stored in Hermite normal form.  Equal sets therefore compare
 equal as tuples.  A row a.x >= b is the integer vector (a, -b), so its sign
 on any generator is one integer dot product, and so is each containment test.
-The Fraction views `vertices`, `key` and `relint_point` (kept for float
-sampling and the test oracles) enter no exact decision.
+The Fraction views `vertices`, `key` and `relint_point` (kept for the test
+oracles; float sampling takes its centres from `gens`) enter no exact
+decision.
 
 Conversions between descriptions use brute-force extreme-ray enumeration,
 exact and comfortably fast for the ambient dimensions this engine supports

@@ -15,7 +15,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import identity, primitive, rank_int, vec_sub
+from .lattice import identity, primitive, vec_sub
 from .polyhedra import Polyhedron, WeightedComplex
 
 
@@ -257,25 +257,40 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
     it, kept at dimension n-1 with weight gcd(last - first) of its sorted
     exponents.  Balanced by theorem (ibid., Prop. 3.3.2), it is returned
     without a balancing check.
+
+    All of it runs in integers: the coefficients are scaled by the lcm D of
+    their denominators, which maps lifted lines to lifted lines, and the row
+    D (e_i - e_k).x >= D (c_k - c_i) is a positive multiple of the cell's
+    rational row, the same row once made primitive.
     """
     n = q.ambient_dim
     if n > MAX_HYPERSURFACE_DIM:
         raise TropicalError("ambient dimension unsupported for hypersurfaces")
     terms = q.exact_terms()
-    lifted = [(*e, c) for e, c in terms]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    lifted = [(*e, c.numerator * (den // c.denominator)) for e, c in terms]
+
+    def row(i, k):  # (D (e_i - e_k), D (c_k - c_i))
+        d = vec_sub(lifted[i], lifted[k])
+        return tuple(den * x for x in d[:n]), -d[n]
+
     seen, cells = set(), []
-    for i, j in itertools.combinations(range(len(terms)), 2):
+    for i, j in itertools.combinations(range(len(lifted)), 2):
         if (i, j) in seen:
             continue
         step = vec_sub(lifted[j], lifted[i])
-        line = [k for k, lk in enumerate(lifted) if rank_int([vec_sub(lk, lifted[i]), step]) == 1]
+        line = [k for k, lk in enumerate(lifted) if _parallel(vec_sub(lk, lifted[i]), step)]
         seen.update(itertools.combinations(line, 2))
-        (ei, ci), (ej, cj) = terms[i], terms[j]
-        ineqs = [(vec_sub(ei, ek), ck - ci) for k, (ek, ck) in enumerate(terms) if k not in line]
-        cell = Polyhedron.from_constraints(n, eqs=[(vec_sub(ei, ej), cj - ci)], ineqs=ineqs)
+        ineqs = [row(i, k) for k in range(len(lifted)) if k not in line]
+        cell = Polyhedron.from_constraints(n, eqs=[row(i, j)], ineqs=ineqs)
         if cell.dim == n - 1:
             cells.append((cell, math.gcd(*vec_sub(terms[line[-1]][0], terms[line[0]][0]))))
     return WeightedComplex(n, n - 1, cells, validate=False)
+
+
+def _parallel(u, v):
+    """Whether the integer vectors u and v are linearly dependent: every 2 x 2 minor vanishes."""
+    return all(u[a] * v[b] == u[b] * v[a] for a, b in itertools.combinations(range(len(u)), 2))
 
 
 def uniform_bergman_fan(p: int, n: int) -> TropicalCycle:

@@ -32,6 +32,7 @@ from tropdyn.polyhedra import (
     _face_data_of,
     _vrep_dim,
 )
+from tropdyn.dynamics import ALL_MODE_BUDGET, DynamicsError, PointCloud
 from tropdyn.tropical import FLOAT_TIE_TOL, TropicalPolynomial, eval_tropical
 
 
@@ -451,3 +452,67 @@ def subset_fractions(P, Q) -> bool:
     return all(Q.contains(v) for v in P.vertices) and all(
         Q.contains(tuple(x + y for x, y in zip(w, d))) for w in Q.vertices for d in directions
     )
+
+
+def box_constraints_fractions(box):
+    """The box as inequalities (a, b) meaning a.x >= b, with Fraction bounds b."""
+    out = []
+    for i, (lo, hi) in enumerate(box):
+        e = tuple(1 if j == i else 0 for j in range(len(box)))
+        out.append((e, Fraction(lo)))
+        out.append((tuple(-x for x in e), -Fraction(hi)))
+    return out
+
+
+def clipped_cells_fractions(C, box):
+    """The nonempty intersections of the complex's cells with the box, cut by Fraction rows."""
+    box_ineqs = tuple(box_constraints_fractions(box))
+    for cell, _ in C.cells:
+        clipped = Polyhedron.from_constraints(
+            C.ambient_dim, eqs=cell.eqs, ineqs=tuple(cell.ineqs) + box_ineqs
+        )
+        if not clipped.is_empty:
+            yield clipped
+
+
+def sample_tropical_support_per_cell(C, box, density: float) -> PointCloud:
+    """Uniform samples on each cell of the complex clipped to the box, one cell at a time.
+
+    Oracle for `sample_tropical_support`, which must equal it bit for bit:
+    here the centre is the Fraction relint_point rounded, each cell has its
+    own QR factorisation, and rows are gathered one by one.
+    """
+    if not (math.isfinite(density) and density > 0):
+        raise DynamicsError("density must be a finite positive number")
+    n = C.ambient_dim
+    if len(box) != n:
+        raise DynamicsError("box dimension mismatch")
+    pts = []
+    for clipped in clipped_cells_fractions(C, box):
+        center = np.array([float(x) for x in clipped.relint_point()])
+        pts.append(center)
+        dirs = clipped.direction_basis()
+        if not dirs:
+            continue
+        D = np.array(dirs, dtype=float).T  # n x p
+        Q, _ = np.linalg.qr(D)
+        verts = np.array([[float(x) for x in v] for v in clipped.vertices])
+        coords = (verts - center) @ Q
+        step = 1.0 / density
+        ranges = [(coords[:, j].min(), coords[:, j].max() + step / 2) for j in range(Q.shape[1])]
+        # np.arange(lo, stop, step) has ceil((stop - lo) / step) entries
+        count = math.prod(np.ceil((stop - lo) / step) for lo, stop in ranges)
+        if not count <= ALL_MODE_BUDGET:  # also catches an infinite count
+            raise DynamicsError(f"a cell would take more than {ALL_MODE_BUDGET} samples at density {density:g}")
+        axes = [np.arange(lo, stop, step) for lo, stop in ranges]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        u = np.stack([g.ravel() for g in mesh], axis=-1)
+        cand = center + u @ Q.T
+        keep = np.ones(len(cand), dtype=bool)
+        for a, b in clipped.ineqs:
+            keep &= cand @ np.asarray(a, dtype=float) >= float(b) - 1e-9
+        for a, b in clipped.eqs:
+            keep &= np.abs(cand @ np.asarray(a, dtype=float) - float(b)) <= 1e-9
+        pts.extend(cand[keep])
+    arr = np.asarray(pts, dtype=float) if pts else np.zeros((0, n))
+    return PointCloud(n, arr)

@@ -308,6 +308,10 @@ def test_missing_key_exit_one(tmp_path, capsys, key):
     assert f"needs {article} '{key}' field" in err
 
 
+BINOMIAL_JSON = {
+    "terms": [{"exp": [0, 0], "re": 1.45, "im": 0.9}, {"exp": [0, 1], "re": 0.56, "im": 0.52}]
+}
+
 MALFORMED_CASES = {
     "term-not-object": ("hypersurface", {"terms": [5]}, [], "terms must be objects"),
     "ray-too-long": (
@@ -402,6 +406,19 @@ MALFORMED_CASES = {
         LINE_JSON,
         ["--ms", "4", "--res", "11", "--delta", "1e-300", "-o", "x.json"],
         "a cell would take more than 1000000 samples",
+    ),
+    # the bound's denominator 2^1065 makes the clipped cell's integer rows overflow a float
+    "box-bound-huge-denominator-dequantize": (
+        "dequantize",
+        BINOMIAL_JSON,
+        ["--box=1.9435456893309723e-305,0.5,0,0.5", "--res", "15", "--delta", "0.02", "--ms", "4"],
+        "rows too large for floats",
+    ),
+    "box-bound-huge-denominator-converge": (
+        "converge",
+        BINOMIAL_JSON,
+        ["--experiment", "hausdorff-to-tropical", "--box=1.9435456893309723e-305,0.5,0,0.5", "--ms", "4,8"],
+        "rows too large for floats",
     ),
 }
 

@@ -1,9 +1,10 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tropdyn.dynamics
@@ -32,9 +33,15 @@ from tropdyn.tropical import (
     eval_tropical,
     tropical_hypersurface,
     tropicalize_poly,
+    uniform_bergman_fan,
 )
 
-from oracles import directed_hausdorff_bruteforce, log_abs_power_pullback_scalar, weyl_sum_bruteforce
+from oracles import (
+    directed_hausdorff_bruteforce,
+    log_abs_power_pullback_scalar,
+    sample_tropical_support_per_cell,
+    weyl_sum_bruteforce,
+)
 
 LINE = ComplexPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1})
 
@@ -370,6 +377,47 @@ def test_support_sampling_weighted_line():
     cycle = tropical_hypersurface(q)
     cloud = sample_tropical_support(cycle, ((-2, 2), (-2, 2)), 8.0)
     assert np.max(np.abs(cloud.points[:, 0])) < 1e-9
+
+
+@st.composite
+def sampled_complexes(draw):
+    """A complex, a box and a density for sample_tropical_support, n = 1..3.
+
+    The complex is a tropical hypersurface: 2-cells in R^3 take the p = 2
+    QR batch, exponents in fewer than n coordinates give cells with
+    lineality, and a single term gives the empty complex.  Sometimes it is
+    the 1-dimensional uniform Bergman fan in R^3 instead.  Box bounds are
+    floats with long binary expansions (0.1, 1/3) or Fractions such as 1/3.
+    """
+    n = draw(st.integers(1, 3))
+    if n == 3 and draw(st.integers(0, 4)) == 0:
+        C = uniform_bergman_fan(1, 3)
+    else:
+        # exponents use the first span coordinates only
+        span = n if draw(st.booleans()) else draw(st.integers(1, n))
+        vec = st.tuples(*[st.integers(-2, 2)] * span, *[st.just(0)] * (n - span))
+        exps = draw(st.lists(vec, min_size=2, max_size=5, unique=True))
+        if draw(st.integers(0, 9)) == 0:
+            exps = exps[:1]
+        coeff = st.sampled_from([0, 0, 1, -1, Fraction(1, 2), Fraction(1, 3), 0.1, -0.7])
+        C = tropical_hypersurface(TropicalPolynomial({e: draw(coeff) for e in exps}, n))
+    bound = st.sampled_from([0.1, 1 / 3, 1.7, 2, 2.9, Fraction(1, 3), Fraction(7, 3)]) | st.fractions(
+        Fraction(1, 10), 3, max_denominator=97
+    )
+    shift = draw(st.sampled_from([0, 0, 0, 0.1, Fraction(-1, 3)]))
+    box = tuple((shift - draw(bound), shift + draw(bound)) for _ in range(n))
+    event(f"n = {n}, cell dim {C.dim}" + (", lineality" if any(c.lineality for c, _ in C.cells) else ""))
+    return C, box, draw(st.floats(0.5, 6.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_complexes())
+def test_support_sampling_bit_equal_to_per_cell_oracle(case):
+    C, box, density = case
+    got = sample_tropical_support(C, box, density).points
+    want = sample_tropical_support_per_cell(C, box, density).points
+    event("empty" if len(want) == 0 else "samples")
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_hausdorff_examples():

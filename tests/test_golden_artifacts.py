@@ -9,8 +9,8 @@ is checked on other rationals too.
 
 The `hausdorff-line` and `dequantize` artifacts hold floats computed with
 numpy and libm (exp, log, cos, sin, atan2), so their digests depend on the
-host's numpy and libm: the pins were taken with numpy 2.4 on x86-64 Linux
-with glibc 2.36, under Python 3.11.  The `dequantize` pin also depends on
+host's numpy and libm: the pins, at seeds 1-3, were taken with numpy 2.4 on
+x86-64 Linux with glibc 2.36, under Python 3.11.  The `dequantize` pin also depends on
 the interpreter: its complex sums follow the running sum(), which adds
 complex numbers with compensation from Python 3.14 on
 (`tropical.COMPLEX_SUM_COMPENSATES`); forcing that flag to True moves the
@@ -37,9 +37,13 @@ EXACT_DIGESTS = {
     2: "45c656f6a875483a78fcd9884b73c3b0185245f13b7b9447d33e113d286e6b8f",
     3: "9f1f2aa06e900c86a34bf5611e267d8553194917bbeec8a5631ad191d51e9b63",
 }
-NUMERIC_SEED1_DIGESTS = {
-    "hausdorff-line": "11094b718f24cf463cc4aeb13047cf55a776e052de09e3336cef0b9e7f4edb48",
-    "dequantize": "e2093c93b99d28d29a951f6c4d7b3ff1e648cfad2861f535a3baaf48c16b7965",
+NUMERIC_DIGESTS = {
+    ("hausdorff-line", 1): "11094b718f24cf463cc4aeb13047cf55a776e052de09e3336cef0b9e7f4edb48",
+    ("hausdorff-line", 2): "4145c3fd257f97464b120d22320016c722301a3ff8e5c59d87933c852ac1eced",
+    ("hausdorff-line", 3): "00bc63393c5795b231ee8e858f143457e437bc26262191ffb5ae2d31921c665a",
+    ("dequantize", 1): "e2093c93b99d28d29a951f6c4d7b3ff1e648cfad2861f535a3baaf48c16b7965",
+    ("dequantize", 2): "d1744ce2dc76c4b3e35c80bb5d2c9875589b81f64cfe08be3a5c83e35745fef7",
+    ("dequantize", 3): "f6f4567cb6c242aa7f87806764014d211ffc5f4483ca0a90e3943e8e0fdd70f4",
 }
 
 
@@ -72,6 +76,6 @@ def test_exact_artifacts_unchanged(seed, tmp_path, capsys):
     assert digest == EXACT_DIGESTS[seed]
 
 
-@pytest.mark.parametrize("workload", sorted(NUMERIC_SEED1_DIGESTS))
-def test_numeric_seed1_artifacts_unchanged(workload, tmp_path):
-    assert _digest(workload, 1, tmp_path) == NUMERIC_SEED1_DIGESTS[workload]
+@pytest.mark.parametrize("workload, seed", sorted(NUMERIC_DIGESTS))
+def test_numeric_artifacts_unchanged(workload, seed, tmp_path):
+    assert _digest(workload, seed, tmp_path) == NUMERIC_DIGESTS[workload, seed]

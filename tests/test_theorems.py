@@ -153,9 +153,7 @@ def tied_polynomials(draw):
     return TropicalPolynomial({e: dot(slope, e) + draw(noise) for e in sorted(exps)}, n)
 
 
-@settings(max_examples=150, deadline=None)
-@given(tied_polynomials())
-def test_hypersurface_matches_all_pairs_enumeration(q):
+def assert_matches_all_pairs(q):
     got = tropical_hypersurface(q)
     want = sorted(hypersurface_cells_all_pairs(q), key=lambda cw: cw[0].key)
     exact = TropicalPolynomial(q.exact_terms(), q.ambient_dim)
@@ -164,6 +162,43 @@ def test_hypersurface_matches_all_pairs_enumeration(q):
     assert [(c.key, c.eqs, c.ineqs, w) for c, w in got.cells] == [
         (c.key, c.eqs, c.ineqs, w) for c, w in want
     ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_polynomials())
+def test_hypersurface_matches_all_pairs_enumeration(q):
+    assert_matches_all_pairs(q)
+
+
+@st.composite
+def large_denominator_polynomials(draw):
+    """n = 1..3 with coefficients whose denominators have a large lcm.
+
+    A unit such as the float 0.1 or 1/3 (exact binary values with
+    denominators near 2^55) or a Fraction with a denominator up to 10^6,
+    times a slope dotted with the exponent, plus sparse noise of either
+    kind; with three collinear exponents, so that ties of three terms
+    survive the scaling by the lcm.
+    """
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    start, step = draw(vec), draw(vec.filter(any))
+    exps = {tuple(a + k * d for a, d in zip(start, step)) for k in range(3)}
+    exps |= set(draw(st.lists(vec, max_size=4 - n)))
+    unit = draw(
+        st.sampled_from([0.1, 1 / 3, 0.7, Fraction(1, 3), Fraction(2, 7)])
+        | st.fractions(-1, 1, max_denominator=10 ** 6).filter(bool)
+    )
+    event(f"{type(unit).__name__} unit")
+    slope = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    noise = st.sampled_from([0, 0, 0, 1, 0.1, 1 / 3, Fraction(1, 3), Fraction(-5, 999983)])
+    return TropicalPolynomial({e: dot(slope, e) * unit + draw(noise) for e in sorted(exps)}, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_denominator_polynomials())
+def test_hypersurface_with_large_denominators_matches_all_pairs_enumeration(q):
+    assert_matches_all_pairs(q)
 
 
 @st.composite
