@@ -153,23 +153,6 @@ def tied_polynomials(draw):
     return TropicalPolynomial({e: dot(slope, e) + draw(noise) for e in sorted(exps)}, n)
 
 
-def assert_matches_all_pairs(q):
-    got = tropical_hypersurface(q)
-    want = sorted(hypersurface_cells_all_pairs(q), key=lambda cw: cw[0].key)
-    exact = TropicalPolynomial(q.exact_terms(), q.ambient_dim)
-    ties = [len(tropical.eval_tropical(exact, c.relint_point()).argmax) for c, _ in want]
-    event(f"largest tie {max(ties, default=0)}")
-    assert [(c.key, c.eqs, c.ineqs, w) for c, w in got.cells] == [
-        (c.key, c.eqs, c.ineqs, w) for c, w in want
-    ]
-
-
-@settings(max_examples=150, deadline=None)
-@given(tied_polynomials())
-def test_hypersurface_matches_all_pairs_enumeration(q):
-    assert_matches_all_pairs(q)
-
-
 @st.composite
 def large_denominator_polynomials(draw):
     """n = 1..3 with coefficients whose denominators have a large lcm.
@@ -195,10 +178,17 @@ def large_denominator_polynomials(draw):
     return TropicalPolynomial({e: dot(slope, e) * unit + draw(noise) for e in sorted(exps)}, n)
 
 
-@settings(max_examples=150, deadline=None)
-@given(large_denominator_polynomials())
-def test_hypersurface_with_large_denominators_matches_all_pairs_enumeration(q):
-    assert_matches_all_pairs(q)
+@settings(max_examples=300, deadline=None)
+@given(tied_polynomials() | large_denominator_polynomials())
+def test_hypersurface_matches_all_pairs_enumeration(q):
+    got = tropical_hypersurface(q)
+    want = sorted(hypersurface_cells_all_pairs(q), key=lambda cw: cw[0].key)
+    exact = TropicalPolynomial(q.exact_terms(), q.ambient_dim)
+    ties = [len(tropical.eval_tropical(exact, c.relint_point()).argmax) for c, _ in want]
+    event(f"largest tie {max(ties, default=0)}")
+    assert [(c.key, c.eqs, c.ineqs, w) for c, w in got.cells] == [
+        (c.key, c.eqs, c.ineqs, w) for c, w in want
+    ]
 
 
 @st.composite
