@@ -59,16 +59,20 @@ def parse_ms(text):
     return ms
 
 
-def _parse_box(text):
+def _parse_box(text, axes):
+    """One (lo, hi) pair per axis of the input; a lone pair covers every axis."""
     try:
         vals = [float(x) for x in text.split(",") if x != ""]
     except ValueError:
         raise SchemaError(f"--box needs numbers: {text!r}") from None
-    if len(vals) == 2:
-        vals = vals * 2
     if len(vals) % 2 != 0:
         raise SchemaError("--box needs lo,hi pairs")
-    return tuple((vals[i], vals[i + 1]) for i in range(0, len(vals), 2))
+    pairs = [(vals[i], vals[i + 1]) for i in range(0, len(vals), 2)]
+    if len(pairs) == 1:
+        pairs *= axes
+    if len(pairs) != axes:
+        raise SchemaError(f"--box has {len(pairs)} lo,hi pairs for an input in {axes} variables")
+    return tuple(pairs)
 
 
 def _parse_res(text, axes):
@@ -182,7 +186,7 @@ def cmd_orbits(args):
 
 def cmd_amoeba(args):
     f = _as_complex(serialize.poly_from_json(_single_input(args)))
-    box = _parse_box(args.box)
+    box = _parse_box(args.box, f.ambient_dim)
     res = _parse_res(args.res, len(box))
     grid = GridSpec(box=box, resolution=res)
     if not args.output:
@@ -204,7 +208,7 @@ def cmd_amoeba(args):
 
 def cmd_dequantize(args):
     f = _as_complex(serialize.poly_from_json(_single_input(args)))
-    box = _parse_box(args.box)
+    box = _parse_box(args.box, f.ambient_dim)
     res = _parse_res(args.res, len(box))
     grid = GridSpec(box=box, resolution=res, delta=args.delta)
     linfs, l1s = [], []
@@ -230,8 +234,9 @@ def cmd_converge(args):
     if args.inputs:
         f = _as_complex(serialize.poly_from_json(_single_input(args)))
     grid = None
-    if args.experiment in ("hausdorff-to-tropical", "dequantization"):  # only these sample a grid
-        box = _parse_box(args.box)
+    if f is not None and args.experiment in ("hausdorff-to-tropical", "dequantization"):
+        # only these sample a grid, on the input's axes
+        box = _parse_box(args.box, f.ambient_dim)
         grid = GridSpec(box=box, resolution=_parse_res(args.res, len(box)), delta=args.delta)
     rep = convergence_report(
         args.experiment, args.ms, f=f, grid=grid, seed=args.seed, density=args.density

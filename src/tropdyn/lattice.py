@@ -271,12 +271,14 @@ def _det(rows):
 def _cross_kernel(rows, d):
     """Kernel direction of (d-1) x d integer rows via signed maximal minors.
 
-    Entry i is (-1)^i times the minor that deletes column i.  For d = 2, 3
-    and 4 the minors are written out as closed-form cofactors (for d = 4 the
-    first row is expanded over the six 2 x 2 minors of the last two); other
-    d take _det's Laplace expansion.  Returns the primitive cofactor vector,
-    its sign kept, or None when the rows are rank-deficient (kernel not
-    1-dimensional).
+    Entry i is (-1)^i times the minor that deletes column i.  For d = 2 to 5
+    the minors are written out as closed-form cofactors: for d = 4 the first
+    row is expanded over the six 2 x 2 minors of the last two, for d = 5 each
+    4 x 4 minor is the Laplace sum over the column pairs of rows 0-1, six
+    products of a 2 x 2 minor of rows 0-1 and the complementary one of rows
+    2-3; other d take _det's Laplace expansion.  Returns the primitive
+    cofactor vector, its sign kept, or None when the rows are rank-deficient
+    (kernel not 1-dimensional).
     """
     if d == 2:
         ((a, b),) = rows
@@ -293,6 +295,21 @@ def _cross_kernel(rows, d):
             a2 * m03 - a0 * m23 - a3 * m02,
             a0 * m13 - a1 * m03 + a3 * m01,
             a1 * m02 - a0 * m12 - a2 * m01,
+        )
+    elif d == 5:
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), (d0, d1, d2, d3, d4) = rows
+        p01, p02, p03, p04 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0, a0 * b4 - a4 * b0
+        p12, p13, p14 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a1 * b4 - a4 * b1
+        p23, p24, p34 = a2 * b3 - a3 * b2, a2 * b4 - a4 * b2, a3 * b4 - a4 * b3
+        q01, q02, q03, q04 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0, c0 * d4 - c4 * d0
+        q12, q13, q14 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c1 * d4 - c4 * d1
+        q23, q24, q34 = c2 * d3 - c3 * d2, c2 * d4 - c4 * d2, c3 * d4 - c4 * d3
+        v = (
+            p12 * q34 - p13 * q24 + p14 * q23 + p23 * q14 - p24 * q13 + p34 * q12,
+            p03 * q24 - p02 * q34 - p04 * q23 - p23 * q04 + p24 * q03 - p34 * q02,
+            p01 * q34 - p03 * q14 + p04 * q13 + p13 * q04 - p14 * q03 + p34 * q01,
+            p02 * q14 - p01 * q24 - p04 * q12 - p12 * q04 + p14 * q02 - p24 * q01,
+            p01 * q23 - p02 * q13 + p03 * q12 + p12 * q03 - p13 * q02 + p23 * q01,
         )
     else:
         v = tuple((-1) ** i * _det([row[:i] + row[i + 1:] for row in rows]) for i in range(d))

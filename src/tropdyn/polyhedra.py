@@ -10,21 +10,20 @@ come first in the order of their rational points, then rays.  Lineality
 lattices are stored in Hermite normal form.  Equal sets therefore compare
 equal as tuples.  A row a.x >= b is the integer vector (a, -b), so its sign
 on any generator is one integer dot product, and so is each containment test.
-The Fraction views `vertices`, `key` and `relint_point` (kept for the test
-oracles; float sampling takes its centres from `gens`) enter no exact
-decision.
+The Fraction views `vertices` and `key` enter no exact decision; float
+sampling takes its centres from `gens`.
 
 Conversions between descriptions use brute-force extreme-ray enumeration,
 exact and comfortably fast for the ambient dimensions this engine supports
 (<= MAX_AMBIENT_DIM): the kernel of each row subset is its signed cofactor
-vector, written out in closed form up to d = 4 (the homogenised dimension
-of R^3), and one pass over the inequalities keeps it, with its sign, or
-drops it at the first row of the opposite sign.  Equations and lineality
-are fixed rows of every kernel; the subsets are drawn from the inequalities
-only.  Cones are converted in their ambient dimension, other polyhedra
-homogenised one dimension higher: a measured choice, as cones sent through
-the homogenised path made the `exact` benchmark 27% slower (8% with a
-K x R>=0 product rule for them).
+vector, written out in closed form up to d = 5 (the homogenised dimension
+of R^4, and that of a hypersurface's lifted hull in R^3), and one pass over
+the inequalities keeps it, with its sign, or drops it at the first row of
+the opposite sign.  Equations and lineality are fixed rows of every kernel;
+the subsets are drawn from the inequalities only.  Cones are converted in
+their ambient dimension, other polyhedra homogenised one dimension higher:
+a measured choice, as cones sent through the homogenised path made the
+`exact` benchmark 27% slower (8% with a K x R>=0 product rule for them).
 
 Fans and weighted complexes check that every two members are disjoint or
 meet in a common face.  A pair is first tried by integer sign tests on the
@@ -301,16 +300,6 @@ class Polyhedron:
     def direction_basis(self):
         """Saturated integer basis of the linear space parallel to aff(P)."""
         return self.quotient().sublattice_basis
-
-    def relint_point(self):
-        """The mean of the vertices plus the sum of the rays."""
-        if self.is_empty:
-            raise PolyhedralError("empty polyhedron has no relative interior")
-        k = len(self.vertices)
-        return tuple(
-            sum(v[i] for v in self.vertices) / k + sum(r[i] for r in self.rays)
-            for i in range(self.ambient_dim)
-        )
 
     def contains(self, x):
         return all(dot(a, x) == b for a, b in self.eqs) and all(

@@ -15,8 +15,8 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import identity, primitive, vec_sub
-from .polyhedra import Polyhedron, WeightedComplex
+from .lattice import dot, identity, primitive, rank_int, vec_sub
+from .polyhedra import Polyhedron, WeightedComplex, _h_cone_generators
 
 
 def _lazy_numpy():
@@ -248,20 +248,18 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
 
     A cell is dual to an edge of the regular subdivision that the lifted
     terms (e, c) induce on the Newton polytope, weighted by the edge's lattice
-    length (Maclagan-Sturmfels, Introduction to Tropical Geometry, Sec. 3.1).
-    A term ties at a relative-interior point of the (n-1)-cell where i and j
-    attain the max iff its lifted point is on their line: its affine function
-    minus i's is <= 0 on the cell and 0 there, so it vanishes on the hull, a
-    multiple of j's minus i's; a collinear term ties on the whole hull.  So
-    each lifted line is built once, as its first pair cut by the terms off
-    it, kept at dimension n-1 with weight gcd(last - first) of its sorted
-    exponents.  Balanced by theorem (ibid., Prop. 3.3.2), it is returned
-    without a balancing check.
+    length (Maclagan-Sturmfels, Introduction to Tropical Geometry, Prop.
+    3.1.6).  The terms on an edge (its tie set, indices ascending) tie on the
+    relative interior of its cell, which is built once, as the edge's first
+    pair cut by the terms off it, with weight gcd(last - first) of its sorted
+    exponents.  `_subdivision_edges` finds the edges without building a
+    polyhedron, so every build is a cell.  Balanced by theorem (ibid., Prop.
+    3.3.2), the cycle is returned without a balancing check.
 
     All of it runs in integers: the coefficients are scaled by the lcm D of
-    their denominators, which maps lifted lines to lifted lines, and the row
-    D (e_i - e_k).x >= D (c_k - c_i) is a positive multiple of the cell's
-    rational row, the same row once made primitive.
+    their denominators, which scales the lift and keeps its subdivision, and
+    the row D (e_i - e_k).x >= D (c_k - c_i) is a positive multiple of the
+    cell's rational row, the same row once made primitive.
     """
     n = q.ambient_dim
     if n > MAX_HYPERSURFACE_DIM:
@@ -274,23 +272,40 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
         d = vec_sub(lifted[i], lifted[k])
         return tuple(den * x for x in d[:n]), -d[n]
 
-    seen, cells = set(), []
-    for i, j in itertools.combinations(range(len(lifted)), 2):
-        if (i, j) in seen:
-            continue
-        step = vec_sub(lifted[j], lifted[i])
-        line = [k for k, lk in enumerate(lifted) if _parallel(vec_sub(lk, lifted[i]), step)]
-        seen.update(itertools.combinations(line, 2))
-        ineqs = [row(i, k) for k in range(len(lifted)) if k not in line]
-        cell = Polyhedron.from_constraints(n, eqs=[row(i, j)], ineqs=ineqs)
-        if cell.dim == n - 1:
-            cells.append((cell, math.gcd(*vec_sub(terms[line[-1]][0], terms[line[0]][0]))))
+    cells = []
+    for edge in _subdivision_edges(lifted, n):
+        ineqs = [row(edge[0], k) for k in range(len(lifted)) if k not in edge]
+        cell = Polyhedron.from_constraints(n, eqs=[row(edge[0], edge[1])], ineqs=ineqs)
+        cells.append((cell, math.gcd(*vec_sub(terms[edge[-1]][0], terms[edge[0]][0]))))
     return WeightedComplex(n, n - 1, cells, validate=False)
 
 
-def _parallel(u, v):
-    """Whether the integer vectors u and v are linearly dependent: every 2 x 2 minor vanishes."""
-    return all(u[a] * v[b] == u[b] * v[a] for a, b in itertools.combinations(range(len(u)), 2))
+def _subdivision_edges(lifted, n):
+    """Tie set of each edge of the regular subdivision of the lifted points (e, c) in Z^(n+1).
+
+    Affinely independent exponents span a simplex, and every pair of its
+    vertices is an edge of every subdivision of it, with no other term on
+    it.  Otherwise one V -> H conversion of the cone over the points (e, c, 1)
+    and the ray (0, ..., 0, -1, 0) gives the upper hull.  The smallest face
+    holding the points i and j is cut out by the facets tight on both; it is
+    an edge when those facets and the equations have rank n, so that the
+    face is a 2-dimensional cone, and its tie set is the points tight on all
+    those facets.  Such a face is upper: the ray and two points with
+    distinct exponents are linearly independent, so a face holding all three
+    has dimension at least 3.  An edge is listed at its first pair only.
+    """
+    pairs = itertools.combinations(range(len(lifted)), 2)
+    if rank_int([vec_sub(p, lifted[0])[:n] for p in lifted[1:]]) == len(lifted) - 1:
+        return [list(pair) for pair in pairs]
+    facets, eqs = _h_cone_generators([(*p, 1) for p in lifted] + [(0,) * n + (-1, 0)], n + 2)
+    tight = [{f for f, h in enumerate(facets) if not dot(h, (*p, 1))} for p in lifted]
+    edges = []
+    for i, j in pairs:
+        common = tight[i] & tight[j]
+        ties = [k for k, t in enumerate(tight) if common <= t]
+        if ties[:2] == [i, j] and rank_int([facets[f] for f in common] + list(eqs)) == n:
+            edges.append(ties)
+    return edges
 
 
 def uniform_bergman_fan(p: int, n: int) -> TropicalCycle:

@@ -36,6 +36,16 @@ from tropdyn.dynamics import ALL_MODE_BUDGET, DynamicsError, PointCloud
 from tropdyn.tropical import FLOAT_TIE_TOL, TropicalPolynomial, eval_tropical
 
 
+def relint_point(P):
+    """The mean of P's vertices plus the sum of its rays: a point of its relative interior."""
+    if P.is_empty:
+        raise PolyhedralError("empty polyhedron has no relative interior")
+    k = len(P.vertices)
+    return tuple(
+        sum(v[i] for v in P.vertices) / k + sum(r[i] for r in P.rays) for i in range(P.ambient_dim)
+    )
+
+
 def weyl_sum_bruteforce(m: int, nu) -> complex:
     """Direct summation over all root-of-unity tuples; oracle for `weyl_sum`."""
     nu = [int(x) for x in nu]
@@ -340,10 +350,10 @@ def balancing_violations_ambient(C):
         vertices, rays = vertex_and_ray_views(n, gens)
         tau = Polyhedron.from_generators(n, vertices=vertices, rays=rays, lineality=lin)
         tau_dirs = vrep_quotient_fractions(n, vertices, rays, lin).sublattice_basis
-        tau_pt = tau.relint_point()
+        tau_pt = relint_point(tau)
         total = [0] * n
         for cell, w in incident:
-            sample = vec_sub(cell.relint_point(), tau_pt)
+            sample = vec_sub(relint_point(cell), tau_pt)
             u = quotient_outward_generator(tau_dirs, cell.direction_basis(), sample)
             total = [t + w * x for t, x in zip(total, u)]
         if tau_dirs:
@@ -417,7 +427,7 @@ def hypersurface_cells_all_pairs(q):
         cell = Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs)
         if cell.dim != n - 1:
             continue
-        cells[eval_tropical(exact, cell.relint_point()).argmax] = cell
+        cells[eval_tropical(exact, relint_point(cell)).argmax] = cell
     return [
         (cell, math.gcd(*vec_sub(tying[-1], tying[0]))) for tying, cell in sorted(cells.items())
     ]
@@ -489,7 +499,7 @@ def sample_tropical_support_per_cell(C, box, density: float) -> PointCloud:
         raise DynamicsError("box dimension mismatch")
     pts = []
     for clipped in clipped_cells_fractions(C, box):
-        center = np.array([float(x) for x in clipped.relint_point()])
+        center = np.array([float(x) for x in relint_point(clipped)])
         pts.append(center)
         dirs = clipped.direction_basis()
         if not dirs:

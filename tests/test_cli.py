@@ -188,6 +188,29 @@ def test_dequantize_command(tmp_path, line_path):
     assert data["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "exps",
+    [[[0], [1]], [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+    ids=["n = 1", "n = 3"],
+)
+def test_lone_box_pair_spans_every_axis(tmp_path, exps):
+    """A lone lo,hi pair is the box on every axis, the same as one pair per axis written out."""
+    src = tmp_path / "f.json"
+    src.write_text(json.dumps({"terms": [{"exp": e, "re": 1.0} for e in exps]}))
+    lone, spelled = tmp_path / "lone.json", tmp_path / "spelled.json"
+    argv = ["dequantize", "-i", str(src), "--ms", "4", "--res", "5"]
+    assert run(argv + ["--box=-1,1", "-o", str(lone)]) == 0
+    assert run(argv + ["--box=" + ",".join(["-1,1"] * len(exps[0])), "-o", str(spelled)]) == 0
+    assert lone.read_text() == spelled.read_text()
+    assert json.loads(lone.read_text())["linf"][0] > 0
+
+
+def test_box_pairs_must_match_the_input(line_path, capsys):
+    argv = ["dequantize", "-i", line_path, "--ms", "4", "--res", "5", "--box=-1,1,-1,1,-1,1"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "tropdyn: --box has 3 lo,hi pairs for an input in 2 variables\n"
+
+
 @pytest.mark.parametrize("re, im", [(2.0, 5e-324), (1e300, 1e-300)])
 def test_dequantize_coefficient_with_underflowing_phase(tmp_path, re, im):
     # the phase of such a coefficient underflows to a subnormal or zero

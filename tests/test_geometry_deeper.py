@@ -21,6 +21,8 @@ from tropdyn.polyhedra import (
 )
 from tropdyn.tropical import ComplexPolynomial, TropicalPolynomial, tropical_hypersurface, tropicalize_poly
 
+from oracles import relint_point
+
 
 def cube_fan_3d():
     """Face fan of the cube: six square cones over the facets."""
@@ -164,7 +166,7 @@ def test_polyhedron_canonical_roundtrip(data):
             assert sum(x * y for x, y in zip(a, r)) >= 0
         for l in P.lineality:
             assert sum(x * y for x, y in zip(a, l)) == 0
-    assert P.contains(P.relint_point())
+    assert P.contains(relint_point(P))
     Q = Polyhedron.from_generators(
         n, vertices=P.vertices, rays=P.rays, lineality=P.lineality
     )

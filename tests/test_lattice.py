@@ -297,6 +297,9 @@ def test_cross_kernel_matches_laplace(data):
 def test_cross_kernel_fixed_cases():
     # every term of every d = 4 cofactor is nonzero, so any one sign flip shows
     assert _cross_kernel([(1, 2, 3, 4), (0, 1, 5, 2), (3, 0, 1, 1)], 4) == (7, 39, 1, -22)
+    # d = 5: every 2 x 2 minor of rows 0-1 and of rows 2-3 is nonzero, and the vector is primitive
+    d5 = [(-1, -2, 4, 4, 4), (-1, -1, 1, 0, -1), (2, 0, 1, 3, 1), (0, 1, -3, 1, 4)]
+    assert _cross_kernel(d5, 5) == (38, -63, -10, -27, 15)
     assert _cross_kernel([(2, 4)], 2) == (2, -1)
     assert _cross_kernel([(1, 0, 0), (0, 1, 0)], 3) == (0, 0, 1)
     assert _cross_kernel([(1, 2, 3), (2, 4, 6)], 3) is None

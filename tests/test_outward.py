@@ -10,6 +10,8 @@ from tropdyn.lattice import (
 )
 from tropdyn.polyhedra import Cone
 
+from oracles import relint_point
+
 
 def tau_quotient(tau):
     dirs = tau.direction_basis()
@@ -20,7 +22,7 @@ def tau_quotient(tau):
 
 def outward(tau, sigma):
     """Class of u_{sigma/tau} as the balancing check computes it for a face tau of sigma."""
-    sample = vec_sub(sigma.relint_point(), tau.relint_point())
+    sample = vec_sub(relint_point(sigma), relint_point(tau))
     return quotient_outward_generator(tau_quotient(tau), sample)
 
 

@@ -27,6 +27,7 @@ from oracles import (
     balancing_violations_ambient,
     check_common_faces_unfiltered,
     h_cone_generators_reference,
+    relint_point,
     subset_fractions,
 )
 
@@ -439,7 +440,7 @@ def test_polyhedron_from_constraints_segment():
     assert seg.dim == 1
     assert seg.vertices == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
     assert seg.rays == ()
-    pt = seg.relint_point()
+    pt = relint_point(seg)
     assert seg.contains(pt)
     assert len(seg.facets()) == 2
 
@@ -892,7 +893,7 @@ def test_add_cycles_dim_mismatch():
 
 def _same_affine_hull(P, Q):
     span = list(P.direction_basis()) + list(Q.direction_basis())
-    span.append(vec_sub(Q.relint_point(), P.relint_point()))
+    span.append(vec_sub(relint_point(Q), relint_point(P)))
     return P.dim == Q.dim == rank_int(span)
 
 

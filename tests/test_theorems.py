@@ -5,8 +5,9 @@
   the reference pairs every ridge and walks the facet graph.
 - A fan is unimodular iff its maximal cones are: a face's rays are a subset
   of its cone's rays.
-- A pair of exponents that ties on a hypersurface cell found already cuts out
-  that same cell, so `tropical_hypersurface` builds each cell once.
+- The cells of a tropical hypersurface are dual to the edges of the regular
+  subdivision of its lifted terms, so `tropical_hypersurface` decides the
+  edges first and builds each cell once; the reference builds every pair.
 - Tropical hypersurfaces with lattice-length weights and uniform Bergman fans
   with weight one are balanced, so building them runs no balancing check;
   the check itself confirms the theorem on drawn hypersurfaces.
@@ -17,6 +18,7 @@
 import itertools
 import sys
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,12 @@ from tropdyn.polyhedra import (
 )
 from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
 
-from oracles import hypersurface_cells_all_pairs, is_complete_ridge_pairing, vertex_and_ray_views
+from oracles import (
+    hypersurface_cells_all_pairs,
+    is_complete_ridge_pairing,
+    relint_point,
+    vertex_and_ray_views,
+)
 
 
 def projective_space_fan(n):
@@ -112,31 +119,64 @@ def test_fan_unimodular_from_maximal_cones(fan):
     assert _outcome(is_unimodular, fan) == expected
 
 
+def _builds(q):
+    """tropical_hypersurface(q) and the number of Polyhedron.from_constraints calls it made."""
+    calls = []
+    build = Polyhedron.from_constraints.__func__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(cls)
+        return build(cls, *args, **kwargs)
+
+    with mock.patch.object(Polyhedron, "from_constraints", classmethod(counted)):
+        H = tropical_hypersurface(q)
+    return H, len(calls)
+
+
+def _plane_product():
+    """The tropical product of two generic planes in R^3: 10 terms, 20 cells."""
+    a = {(0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 0): 3, (0, 0, 1): 7}
+    b = {(0, 0, 0): 0, (1, 0, 0): -2, (0, 1, 0): 5, (0, 0, 1): 2}
+    terms = {}
+    for (ea, ca), (eb, cb) in itertools.product(a.items(), b.items()):
+        e = tuple(x + y for x, y in zip(ea, eb))
+        terms[e] = max(terms.get(e, ca + cb), ca + cb)
+    return terms
+
+
+# terms -> sorted weights; one build per cell, so as many builds as weights
+ONE_BUILD_PER_CELL = {
+    # max(0, x, 2x, y): the three terms 0, x, 2x tie on the ray x = 0, y <= 0
+    "three on a ray": ({(0, 0): 0, (1, 0): 0, (2, 0): 0, (0, 1): 0}, [1, 1, 2]),
+    # max(0, x, y, x+y, 2x+2y): the line through 0, x+y, 2x+2y is one edge, not three pairs
+    "three on an edge": ({(0, 0): 0, (1, 0): 0, (0, 1): 0, (1, 1): 0, (2, 2): 0}, [1, 1, 1, 1]),
+    "n = 1, a term never on top": ({(0,): 0, (1,): -1, (2,): 0}, [2]),
+    "n = 1, four vertices": ({(0,): 0, (1,): 1, (2,): 0, (3,): -5}, [1, 1, 1]),
+    "a single term": ({(1, 2): 3}, []),
+    "a binomial": ({(0, 0): 0, (2, 4): 1}, [2]),
+    "collinear in R^2, one edge": ({(0, 0): 0, (1, 1): 0, (2, 2): 0}, [2]),
+    "collinear in R^2, two edges": ({(0, 0): 0, (1, 1): 1, (2, 2): 0}, [1, 1]),
+    "collinear in R^3": ({(0, 0, 0): 0, (1, 0, 1): 0, (2, 0, 2): -1}, [1, 1]),
+    # (0, 0) is inside the triangle and second in term order, so the first two
+    # terms share an upper face without spanning an edge of it
+    "Laurent, interior term lifted": ({(-1, 0): 0, (0, 0): 1, (1, -1): 0, (1, 1): 0}, [1] * 5 + [2]),
+    "Laurent, interior term on the facet": ({(-1, 0): 0, (0, 0): 0, (1, -1): 0, (1, 1): 0}, [1, 1, 2]),
+    "product of two planes in R^3": (_plane_product(), [1] * 20),
+}
+
+
 def test_hypersurface_builds_each_cell_once(monkeypatch):
-    """One polyhedron per line through two lifted terms, and no Fraction point evaluated."""
-    calls = {}
-    build, evaluate, relint = Polyhedron.from_constraints.__func__, tropical.eval_tropical, Polyhedron.relint_point
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Polyhedron, "from_constraints", classmethod(counted("build", build)))
-    monkeypatch.setattr(tropical, "eval_tropical", counted("eval", evaluate))
-    monkeypatch.setattr(Polyhedron, "relint_point", counted("relint", relint))
-    cases = [
-        # max(0, x, 2x, y): the three terms 0, x, 2x tie on the ray x = 0, y <= 0
-        ([(0, 0), (1, 0), (2, 0), (0, 1)], [1, 1, 2], 4),
-        # max(0, x, y, x+y, 2x+2y): the line through 0, x+y, 2x+2y is one build for three pairs
-        ([(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)], [1, 1, 1, 1], 8),
-    ]
-    for exps, weights, builds in cases:
-        calls.update(build=0, eval=0, relint=0)
-        H = tropical_hypersurface(TropicalPolynomial({e: 0 for e in exps}))
-        assert sorted(w for _, w in H.cells) == weights
-        assert calls == {"build": builds, "eval": 0, "relint": 0}
+    """One polyhedron per cell, the cells of the all-pairs enumeration, and no point evaluated."""
+    evaluated = []
+    for case, (terms, weights) in ONE_BUILD_PER_CELL.items():
+        q = TropicalPolynomial(terms)
+        with monkeypatch.context() as patch:
+            patch.setattr(tropical, "eval_tropical", lambda *args: evaluated.append(args))
+            H, builds = _builds(q)
+        assert sorted(w for _, w in H.cells) == weights, case
+        assert (builds, evaluated) == (len(weights), []), case
+        want = sorted(hypersurface_cells_all_pairs(q), key=lambda cw: cw[0].key)
+        assert [(c.key, w) for c, w in H.cells] == [(c.key, w) for c, w in want], case
 
 
 @st.composite
@@ -178,13 +218,36 @@ def large_denominator_polynomials(draw):
     return TropicalPolynomial({e: dot(slope, e) * unit + draw(noise) for e in sorted(exps)}, n)
 
 
+@st.composite
+def interior_term_polynomials(draw):
+    """n = 2, 3: the first term alone on x_1 = -1, the origin second, the rest on x_1 = 1.
+
+    With coefficients linear in the exponents plus sparse noise, the first two
+    terms often lie on one upper face of the lift without spanning an edge.
+    """
+    n = draw(st.integers(2, 3))
+    far = st.tuples(st.just(1), *[st.integers(-1, 1)] * (n - 1))
+    exps = {(-1,) + (0,) * (n - 1), (0,) * n} | set(draw(st.lists(far, min_size=n, max_size=4)))
+    slope = draw(st.tuples(*[st.integers(-2, 2)] * n))
+    noise = st.sampled_from([0, 0, 0, 1, -1])
+    return TropicalPolynomial({e: dot(slope, e) + draw(noise) for e in sorted(exps)}, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_polynomials() | large_denominator_polynomials() | interior_term_polynomials())
+def test_hypersurface_builds_once_per_cell(q):
+    H, builds = _builds(q)
+    event(f"{builds} builds")
+    assert builds == len(H.cells) == len(hypersurface_cells_all_pairs(q))
+
+
 @settings(max_examples=300, deadline=None)
 @given(tied_polynomials() | large_denominator_polynomials())
 def test_hypersurface_matches_all_pairs_enumeration(q):
     got = tropical_hypersurface(q)
     want = sorted(hypersurface_cells_all_pairs(q), key=lambda cw: cw[0].key)
     exact = TropicalPolynomial(q.exact_terms(), q.ambient_dim)
-    ties = [len(tropical.eval_tropical(exact, c.relint_point()).argmax) for c, _ in want]
+    ties = [len(tropical.eval_tropical(exact, relint_point(c)).argmax) for c, _ in want]
     event(f"largest tie {max(ties, default=0)}")
     assert [(c.key, c.eqs, c.ineqs, w) for c, w in got.cells] == [
         (c.key, c.eqs, c.ineqs, w) for c, w in want
