@@ -24,6 +24,9 @@ the subsets are drawn from the inequalities only.  Cones are converted in
 their ambient dimension, other polyhedra homogenised one dimension higher:
 a measured choice, as cones sent through the homogenised path made the
 `exact` benchmark 27% slower (8% with a K x R>=0 product rule for them).
+`Polyhedron.from_constraints` with every right-hand side 0 (each cell of a
+hypersurface with constant coefficients) builds a cone, so it stays in
+dimension n too, and returns a Polyhedron all the same.
 
 Fans and weighted complexes check that every two members are disjoint or
 meet in a common face.  A pair is first tried by integer sign tests on the
@@ -250,6 +253,8 @@ class Polyhedron:
         n = ambient_dim
         eqs, ineqs = tuple(eqs), tuple(ineqs)
         _check_dims(n, [a for a, _ in eqs + ineqs])
+        if all(b == 0 for _, b in eqs + ineqs):  # a cone: converted in dimension n
+            return cls._from_normals(n, [a for a, _ in ineqs], [a for a, _ in eqs])
         vrep = _homogenised_vrep(n, eqs, ineqs)
         if vrep is None:
             return cls._empty(n)
@@ -265,6 +270,22 @@ class Polyhedron:
         lin = [_integral(l) + (0,) for l in lineality]
         hrep, vrep = _canonical(gens, ambient_dim + 1, eqs=lin)
         return cls._dehomogenise(ambient_dim, vrep, hrep)
+
+    @classmethod
+    def _from_normals(cls, n, ineq_normals, eq_normals):
+        """The cone {x in R^n : a . x >= 0, e . x = 0}, converted in dimension n."""
+        ineq_normals = [_integral(a) for a in ineq_normals]
+        eq_normals = [_integral(e) for e in eq_normals]
+        vrep, hrep = _canonical(ineq_normals, n, eqs=eq_normals)
+        return cls._through_origin(n, vrep, hrep)
+
+    @classmethod
+    def _through_origin(cls, n, vrep, hrep):
+        """A cone from the canonical descriptions of itself in R^n (no homogenising)."""
+        (rays, lin), (normals, eq_normals) = vrep, hrep
+        eqs = tuple(sorted((a, 0) for a in eq_normals))
+        ineqs = tuple(sorted((a, 0) for a in normals))
+        return cls(n, eqs, ineqs, _cone_gens(n, rays), lin)
 
     @classmethod
     def _empty(cls, ambient_dim):
@@ -400,17 +421,7 @@ class Cone(Polyhedron):
     @classmethod
     def from_constraints(cls, ineq_normals, eq_normals, ambient_dim):
         _check_dims(ambient_dim, [*ineq_normals, *eq_normals])
-        ineq_normals = [_integral(a) for a in ineq_normals]
-        eq_normals = [_integral(e) for e in eq_normals]
-        vrep, hrep = _canonical(ineq_normals, ambient_dim, eqs=eq_normals)
-        return cls._through_origin(ambient_dim, vrep, hrep)
-
-    @classmethod
-    def _through_origin(cls, n, vrep, hrep):
-        (rays, lin), (normals, eq_normals) = vrep, hrep
-        eqs = tuple(sorted((a, 0) for a in eq_normals))
-        ineqs = tuple(sorted((a, 0) for a in normals))
-        return cls(n, eqs, ineqs, _cone_gens(n, rays), lin)
+        return cls._from_normals(ambient_dim, ineq_normals, eq_normals)
 
     @property
     def ineq_normals(self):

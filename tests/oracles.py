@@ -29,7 +29,10 @@ from tropdyn.polyhedra import (
     MAX_AMBIENT_DIM,
     PolyhedralError,
     Polyhedron,
+    _check_dims,
     _face_data_of,
+    _h_cone_generators,
+    _homogenised_vrep,
     _vrep_dim,
 )
 from tropdyn.dynamics import ALL_MODE_BUDGET, DynamicsError, PointCloud
@@ -207,6 +210,21 @@ def h_cone_generators_reference(normals, dim, eqs=()):
     lin = integer_kernel_hermite(normals + eqs)
     rays = pointed_extreme_rays_two_pass(normals, dim, fixed=lin + hnf_basis(eqs))
     return tuple(rays), lin
+
+
+def polyhedron_from_constraints_homogenised(ambient_dim, eqs=(), ineqs=()):
+    """Polyhedron.from_constraints by the homogenisation in R^(n+1), for cones too.
+
+    Oracle for `Polyhedron.from_constraints`, which converts a cone (every
+    right-hand side 0) in dimension n instead.
+    """
+    n = ambient_dim
+    eqs, ineqs = tuple(eqs), tuple(ineqs)
+    _check_dims(n, [a for a, _ in eqs + ineqs])
+    vrep = _homogenised_vrep(n, eqs, ineqs)
+    if vrep is None:
+        return Polyhedron._empty(n)
+    return Polyhedron._dehomogenise(n, vrep, _h_cone_generators(vrep[0], n + 1, eqs=vrep[1]))
 
 
 def _gauss_jordan(mat, ncols) -> list[int]:

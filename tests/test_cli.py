@@ -543,6 +543,33 @@ def test_usage_messages_unchanged_by_lone_parser(argv, capsys):
     assert _run_captured(argv, capsys) == _parse_with_full_parser(argv, capsys)
 
 
+def test_reused_parsers_keep_runs_independent(tmp_path, line_path, capsys):
+    """Each parser is built once per process; no run's arguments reach the next run."""
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps(serialize.cycle_to_json(uniform_bergman_fan(1, 2))))
+    two = ["-i", str(cycle), "-i", str(cycle)]
+    assert run(["add", *two, "-o", str(tmp_path / "sum.json")]) == 0
+    assert run(["hypersurface", *two]) == 1
+    assert "exactly one -i" in capsys.readouterr().err
+
+    out = tmp_path / "deq.json"
+    deq = ["dequantize", "-i", line_path, "--ms", "4", "--res", "7", "--box=-2,2", "-o", str(out)]
+    assert run(deq + ["--seed", "7"]) == 0
+    assert json.loads(out.read_text())["seed"] == 7
+    builds = cli.build_parser.cache_info().misses
+    assert run(deq) == 0
+    assert json.loads(out.read_text())["seed"] == 0
+    assert cli.build_parser.cache_info().misses == builds
+
+    first = _run_captured(["--help"], capsys)
+    assert first[0] == 0 and first[1].startswith("usage: tropdyn")
+    assert _run_captured(["--help"], capsys) == first
+
+    assert run(["bergman", "--p", "1", "--n", "2", "-o", str(tmp_path / "b.json")]) == 0
+    code, _, err = _run_captured(["bergman", "--p", "1"], capsys)
+    assert code == 2 and "the following arguments are required: --n" in err
+
+
 def test_unknown_command_lists_every_subcommand(capsys):
     assert run(["not-a-command"]) == 2
     err = capsys.readouterr().err

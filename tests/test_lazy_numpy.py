@@ -102,6 +102,21 @@ print("ok")
     assert _python(script, json.dumps([exact, numeric])) == "ok\n"
 
 
+def test_import_builds_no_parser(tmp_path):
+    """Parsers are built on first use, never at import; a one-shot run builds one."""
+    script = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tropdyn.cli
+built = [tropdyn.cli.build_parser.cache_info().currsize]
+assert tropdyn.cli.run(json.loads(sys.argv[2])) == 0
+built.append(tropdyn.cli.build_parser.cache_info().currsize)
+print(built)
+"""
+    argv = _argv(tmp_path, "bergman", *EXACT_RUNS["bergman"])
+    assert _python(script, json.dumps(argv)) == "[0, 1]\n"
+
+
 def test_numpy_imported_first_is_used():
     script = """
 import sys

@@ -27,6 +27,7 @@ from oracles import (
     balancing_violations_ambient,
     check_common_faces_unfiltered,
     h_cone_generators_reference,
+    polyhedron_from_constraints_homogenised,
     relint_point,
     subset_fractions,
 )
@@ -238,6 +239,52 @@ def test_h_cone_generators_match_two_pass_reference(data):
     got = polyhedra._h_cone_generators(normals, d, eqs)
     assert got == h_cone_generators_reference(normals, d, eqs)
     event(f"{len(got[0])} rays, lineality {len(got[1])}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_zero_rhs_constraints_match_the_homogenised_route(data):
+    """A cone given by Polyhedron.from_constraints, built in R^n, equals the homogenised build.
+
+    Every right-hand side 0, n = 0 to 4, with equations, Fraction entries,
+    duplicate rows and zero rows; both give a Polyhedron, not a Cone.
+    """
+    n = data.draw(st.integers(0, 4), label="n")
+    entry = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3)
+    vec = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    ineqs = data.draw(st.lists(vec, max_size=6), label="inequality normals")
+    eqs = data.draw(st.lists(vec, max_size=2), label="equation normals")
+    if ineqs and data.draw(st.booleans(), label="a duplicate row"):
+        ineqs.append(data.draw(st.sampled_from(ineqs)))
+    if data.draw(st.booleans(), label="a zero row"):
+        ineqs.append((0,) * n)
+    eqs = [(e, 0) for e in eqs]
+    ineqs = [(a, 0) for a in ineqs]
+    got = Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs)
+    want = polyhedron_from_constraints_homogenised(n, eqs=eqs, ineqs=ineqs)
+    assert type(got) is type(want) is Polyhedron
+    assert (got.eqs, got.ineqs, got.gens, got.lineality) == (
+        want.eqs, want.ineqs, want.gens, want.lineality
+    )
+    event(f"dim {got.dim}, lineality {len(got.lineality)}")
+
+
+def test_zero_rhs_constraints_stay_in_dimension_n(monkeypatch):
+    """Every right-hand side 0: no conversion in R^(n+1); any other is homogenised."""
+    dims = []
+    convert = polyhedra._h_cone_generators
+
+    def recording(rows, d, eqs=()):
+        dims.append(d)
+        return convert(rows, d, eqs)
+
+    monkeypatch.setattr(polyhedra, "_h_cone_generators", recording)
+    quadrant = Polyhedron.from_constraints(2, ineqs=(((1, 0), 0), ((0, 1), Fraction(0))))
+    assert dims == [2, 2] and type(quadrant) is Polyhedron
+    assert quadrant.rays == ((0, 1), (1, 0)) and quadrant.vertices == ((0, 0),)
+    dims.clear()
+    Polyhedron.from_constraints(2, ineqs=(((1, 0), 0), ((0, 1), -1)))
+    assert dims == [3, 3]
 
 
 def test_h_to_v_enumerates_inequality_subsets_only(monkeypatch):
