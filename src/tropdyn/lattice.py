@@ -31,14 +31,15 @@ def _integral(v) -> IntVector:
     """A rational vector times the lcm of its denominators: an integer vector.
 
     Integer vectors come back as they are; entries other than ints and
-    Fractions (floats, say) are taken exactly as Fractions first.
+    Fractions (floats and numpy integers, say) are taken exactly as Fractions
+    first.  Every entry returned is a Python int.
     """
     v = tuple(v)
     if all(type(x) is int for x in v):
         return v
     v = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in v]
     den = math.lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (den // x.denominator) for x in v)
+    return tuple(int(x.numerator) * (den // x.denominator) for x in v)
 
 
 def dot(a, b):

@@ -20,13 +20,19 @@ vector, written out in closed form up to d = 5 (the homogenised dimension
 of R^4, and that of a hypersurface's lifted hull in R^3), and one pass over
 the inequalities keeps it, with its sign, or drops it at the first row of
 the opposite sign.  Equations and lineality are fixed rows of every kernel;
-the subsets are drawn from the inequalities only.  Cones are converted in
+the subsets are drawn from the inequalities only.  Each conversion makes
+its rows primitive once, by math.gcd alone: the public constructors hand it
+tuples of Python ints (`_integral`, `primitive`).  Cones are converted in
 their ambient dimension, other polyhedra homogenised one dimension higher:
 a measured choice, as cones sent through the homogenised path made the
 `exact` benchmark 27% slower (8% with a K x R>=0 product rule for them).
 `Polyhedron.from_constraints` with every right-hand side 0 (each cell of a
 hypersurface with constant coefficients) builds a cone, so it stays in
 dimension n too, and returns a Polyhedron all the same.
+
+Faces come by incidence, with no rank test: the facets of a face F are the
+inclusion-maximal proper on-sets that P's inequalities cut from F's
+generators and that hold a vertex generator (`_face_data_of`).
 
 Fans and weighted complexes check that every two members are disjoint or
 meet in a common face.  A pair is first tried by integer sign tests on the
@@ -43,6 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 from .lattice import (
     QuotientLattice,
@@ -56,7 +63,6 @@ from .lattice import (
     is_zero_vector,
     primitive,
     quotient_outward_generator,
-    rank_int,
     saturate_and_complete,
     vec_neg,
 )
@@ -81,13 +87,13 @@ def _pointed_extreme_rays(rows, d, fixed=()):
     One pass over the rows fixes the candidate's sign and drops it at the
     first row of the opposite sign.  With no room left the cone is {0}.
     """
+    fixed = tuple(fixed)
     k = d - 1 - len(fixed)
     if k < 0:
         return []
-    fixed = list(fixed)
     found = set()
     for S in itertools.combinations(rows, k):
-        v = _cross_kernel(fixed + list(S), d)
+        v = _cross_kernel(fixed + S, d)
         if v is None or v in found:
             continue
         neg = vec_neg(v)
@@ -95,7 +101,7 @@ def _pointed_extreme_rays(rows, d, fixed=()):
             continue
         sign = 0
         for r in rows:
-            p = dot(r, v)
+            p = sum(map(mul, r, v))
             if p > 0:
                 if sign < 0:
                     break
@@ -109,23 +115,38 @@ def _pointed_extreme_rays(rows, d, fixed=()):
     return sorted(found)
 
 
+def _primitive_rows(rows):
+    """The distinct primitive multiples of the nonzero rows, in first-occurrence order.
+
+    Rows are tuples of Python ints: every public constructor makes them so
+    (`_integral`, `primitive`), so math.gcd alone normalises them.
+    """
+    out = {}
+    for a in rows:
+        g = math.gcd(*a)
+        if g:
+            out[a if g == 1 else tuple(x // g for x in a)] = None
+    return list(out)
+
+
 def _h_cone_generators(normals, dim, eqs=()):
     """Canonical extreme rays and lineality of {x : a . x >= 0, e . x = 0}.
 
-    a runs over normals and e over eqs; with neither the whole space comes
-    back as pure lineality.  Rays are primitive and orthogonal to the
-    lineality space L: they are the extreme rays of the pointed cone cut by
-    L . x = 0, which are the orthogonal projections of the cone's rays.  L
-    and the equations are the fixed rows (independent, as L is orthogonal to
-    the equations' span), so subsets come from the inequalities only.  The
-    lineality basis is in Hermite normal form.
+    a runs over normals and e over eqs, tuples of ints; with neither the
+    whole space comes back as pure lineality.  Rays are primitive and
+    orthogonal to the lineality space L: they are the extreme rays of the
+    pointed cone cut by L . x = 0, which are the orthogonal projections of
+    the cone's rays.  L and the equations are the fixed rows (independent,
+    as L is orthogonal to the equations' span), so subsets come from the
+    inequalities only.  The lineality basis is in Hermite normal form.
     """
-    normals = list(dict.fromkeys(primitive(a)[0] for a in normals if not is_zero_vector(a)))
-    eqs = list(dict.fromkeys(primitive(e)[0] for e in eqs if not is_zero_vector(e)))
+    normals = _primitive_rows(normals)
+    eqs = _primitive_rows(eqs)
     if not normals and not eqs:
         return (), identity(dim)
     lin = integer_kernel(normals + eqs)
-    return tuple(_pointed_extreme_rays(normals, dim, fixed=lin + hnf_basis(eqs))), lin
+    fixed = lin + hnf_basis(eqs) if eqs else lin
+    return tuple(_pointed_extreme_rays(normals, dim, fixed)), lin
 
 
 def _canonical(rows, d, eqs=()):
@@ -171,11 +192,6 @@ def _dehomogenised_vkey(n, rays_h, lin_h):
     return tuple(verts) + tuple(sorted(g for g in rays_h if not g[n])), tuple(l[:n] for l in lin_h)
 
 
-def _vrep_dim(gens, lineality):
-    """Dimension of the polyhedron on gens: the rank of its homogenisation, minus one."""
-    return rank_int(list(gens) + [(*l, 0) for l in lineality]) - 1
-
-
 def _vrep_quotient(n, gens, lineality):
     """Z^n over the integer directions of aff(P), P given by its V-data key.
 
@@ -199,21 +215,42 @@ def _direction(n, g0, g):
 
 
 def _face_data_of(P, gens):
-    """Codim-one faces of the face of P on gens, cut by P's inequalities.
+    """Facets of the face F of P on gens, as V-data keys (gens, lineality).
 
-    Returns the V-data keys (gens, lineality) of those faces.  The V-data of
-    a face is a subset of the parent's canonical generators, so it is
-    canonical too; a face needs a vertex generator (last entry > 0).
+    Each inequality h of P is >= 0 on F, so F's generators on h = 0 (h's
+    on-set) are the canonical generators of the face F cap {h = 0}, which is
+    nonempty exactly when the on-set holds a vertex generator (last entry
+    > 0) and proper exactly when the on-set misses one of F's generators.
+    The facets of F are the inclusion-maximal proper nonempty on-sets, so no
+    rank test is needed:
+
+    - a facet G of F is a face of P, the intersection of P's facets that
+      contain it, and one of those, on h = 0, does not contain F (else F
+      would lie in G); F cap {h = 0} is then a proper face of F containing
+      G, which is G;
+    - every proper nonempty on-set is a face of F, so it lies in a facet
+      of F.
+
+    Facets come in the order of their first on-set among P's inequalities.
+    The V-data of a face is a subset of the parent's canonical generators,
+    so it is canonical too.
     """
-    out = {}
-    p = _vrep_dim(gens, P.lineality)
+    # sets of generators as bit masks: bit i stands for gens[i]
+    full = (1 << len(gens)) - 1
+    verts = sum(1 << i for i, g in enumerate(gens) if g[-1])
+    on_sets = {}
     for h in P._rows()[: len(P.ineqs)]:
-        on = tuple(g for g in gens if not dot(h, g))
-        if on == gens or not any(g[-1] for g in on):
-            continue
-        if _vrep_dim(on, P.lineality) == p - 1:
-            out[(on, P.lineality)] = True
-    return list(out)
+        on = 0
+        for i, g in enumerate(gens):
+            if not sum(map(mul, h, g)):
+                on |= 1 << i
+        if on != full and on & verts:
+            on_sets[on] = None
+    return [
+        (tuple(g for i, g in enumerate(gens) if on >> i & 1), P.lineality)
+        for on in on_sets
+        if not any(o != on and on & o == on for o in on_sets)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +400,6 @@ class Polyhedron:
         n = self.ambient_dim
         lin = [(*l, 0) for l in self.lineality]
         return Polyhedron._dehomogenise(n, (gens, lin), _h_cone_generators(gens, n + 1, eqs=lin))
-
-    def facets(self):
-        return [self._face(gens) for gens, _ in _face_data_of(self, self.gens)]
 
     def faces(self):
         """All faces, the polyhedron itself included, by decreasing dimension then key."""

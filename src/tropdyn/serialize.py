@@ -248,11 +248,11 @@ def cloud_to_csv(cloud: PointCloud) -> str:
     lines = ["dim,m,seed", f"{cloud.dim},{m},{seed}"]
     pts = cloud.points
     if np.issubdtype(pts.dtype, np.complexfloating):
-        for row in pts:
-            lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
+        for row in pts.tolist():
+            lines.append(",".join(f"{v.real!r},{v.imag!r}" for v in row))
     else:
-        for row in pts:
-            lines.append(",".join(repr(float(v)) for v in row))
+        for row in pts.astype(float, copy=False).tolist():
+            lines.append(",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

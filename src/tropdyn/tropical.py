@@ -266,7 +266,8 @@ def tropical_hypersurface(q: TropicalPolynomial) -> TropicalCycle:
         raise TropicalError("ambient dimension unsupported for hypersurfaces")
     terms = q.exact_terms()
     den = math.lcm(*(c.denominator for _, c in terms))
-    lifted = [(*e, c.numerator * (den // c.denominator)) for e, c in terms]
+    # int(): the numerator of a numpy integer coefficient is a numpy integer
+    lifted = [(*e, int(c.numerator) * (den // c.denominator)) for e, c in terms]
 
     def row(i, k):  # (D (e_i - e_k), D (c_k - c_i))
         d = vec_sub(lifted[i], lifted[k])

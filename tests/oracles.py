@@ -20,6 +20,7 @@ from tropdyn.lattice import (
     integer_kernel,
     is_zero_vector,
     primitive,
+    rank_int,
     saturate_and_complete,
     solve_rational,
     vec_neg,
@@ -30,10 +31,8 @@ from tropdyn.polyhedra import (
     PolyhedralError,
     Polyhedron,
     _check_dims,
-    _face_data_of,
     _h_cone_generators,
     _homogenised_vrep,
-    _vrep_dim,
 )
 from tropdyn.dynamics import ALL_MODE_BUDGET, DynamicsError, PointCloud
 from tropdyn.tropical import FLOAT_TIE_TOL, TropicalPolynomial, eval_tropical
@@ -227,6 +226,50 @@ def polyhedron_from_constraints_homogenised(ambient_dim, eqs=(), ineqs=()):
     return Polyhedron._dehomogenise(n, vrep, _h_cone_generators(vrep[0], n + 1, eqs=vrep[1]))
 
 
+def vrep_dim(gens, lineality):
+    """Dimension of the polyhedron on gens: the rank of its homogenisation, minus one."""
+    return rank_int(list(gens) + [(*l, 0) for l in lineality]) - 1
+
+
+def face_data_of_rank(P, gens):
+    """Codim-one faces of the face of P on gens, cut by P's inequalities.
+
+    Returns the V-data keys (gens, lineality) of those faces.  The V-data of
+    a face is a subset of the parent's canonical generators, so it is
+    canonical too; a face needs a vertex generator (last entry > 0).
+
+    Oracle for `_face_data_of`, which keeps the inclusion-maximal on-sets
+    instead of testing the rank of each.
+    """
+    out = {}
+    p = vrep_dim(gens, P.lineality)
+    for h in P._rows()[: len(P.ineqs)]:
+        on = tuple(g for g in gens if not dot(h, g))
+        if on == gens or not any(g[-1] for g in on):
+            continue
+        if vrep_dim(on, P.lineality) == p - 1:
+            out[(on, P.lineality)] = True
+    return list(out)
+
+
+def facets(P):
+    """The facets of P, each built by one V -> H conversion, in `face_data_of_rank` order."""
+    return [P._face(gens) for gens, _ in face_data_of_rank(P, P.gens)]
+
+
+def face_vkeys_rank(P):
+    """V-data keys of all faces of P (P included), closed under `face_data_of_rank`.
+
+    Oracle for `Polyhedron.face_vkeys`.
+    """
+    seen = {P.vkey()}
+    frontier = [P.vkey()]
+    while frontier:
+        frontier = [k for gens, _ in frontier for k in face_data_of_rank(P, gens) if k not in seen]
+        seen.update(frontier)
+    return seen
+
+
 def _gauss_jordan(mat, ncols) -> list[int]:
     """Reduce Fraction rows in place on their first ncols columns; return the pivot columns.
 
@@ -360,7 +403,7 @@ def balancing_violations_ambient(C):
     """
     groups = {}
     for cell, w in C.cells:
-        for k in _face_data_of(cell, cell.gens):
+        for k in face_data_of_rank(cell, cell.gens):
             groups.setdefault(k, []).append((cell, w))
     violations = []
     n = C.ambient_dim
@@ -401,9 +444,9 @@ def is_complete_ridge_pairing(F) -> bool:
         return False
     owners = {}
     for idx, c in enumerate(full):
-        for k in _face_data_of(c, c.gens):
+        for k in face_data_of_rank(c, c.gens):
             owners.setdefault(k, []).append(idx)
-    ridges = {k for c in F.maximal_cones for k in c.face_vkeys() if _vrep_dim(*k) == n - 1}
+    ridges = {k for c in F.maximal_cones for k in c.face_vkeys() if vrep_dim(*k) == n - 1}
     if any(len(owners.get(k, ())) != 2 for k in ridges):
         return False
     if any(len(v) != 2 for v in owners.values()):
@@ -544,3 +587,22 @@ def sample_tropical_support_per_cell(C, box, density: float) -> PointCloud:
         pts.extend(cand[keep])
     arr = np.asarray(pts, dtype=float) if pts else np.zeros((0, n))
     return PointCloud(n, arr)
+
+
+def cloud_to_csv_elementwise(cloud: PointCloud) -> str:
+    """The point-cloud CSV, each coordinate taken from the array by float().
+
+    Oracle for `serialize.cloud_to_csv`, which formats the rows of
+    `points.tolist()`.
+    """
+    m = "" if cloud.m is None else str(cloud.m)
+    seed = "" if cloud.seed is None else str(cloud.seed)
+    lines = ["dim,m,seed", f"{cloud.dim},{m},{seed}"]
+    pts = cloud.points
+    if np.issubdtype(pts.dtype, np.complexfloating):
+        for row in pts:
+            lines.append(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
+    else:
+        for row in pts:
+            lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@
 `bench/run.py --trace 1` reports a problem for a layer without calls on a
 workload that should reach it.  This runs each workload's seed-1 job list
 once under the same tracer and makes the same check, so a change that stops
-calling a traced kernel (`rank_int` through `_vrep_dim`, say) fails here.
+calling a traced kernel (`rank_int` through `_subdivision_edges`, say) fails here.
 The benchmark files are loaded, never changed.
 """
 

@@ -2,12 +2,18 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropdyn import cli, serialize
+from tropdyn.dynamics import PointCloud
 from tropdyn.cli import run
 from tropdyn.polyhedra import Cone, Fan, WeightedComplex
 from tropdyn.tropical import TropicalPolynomial, uniform_bergman_fan
+
+from oracles import cloud_to_csv_elementwise
 
 
 LINE_JSON = {
@@ -610,3 +616,28 @@ def test_cloud_csv_roundtrip():
     cplx = mth_roots([1.0, 8.0], 3)
     back = serialize.cloud_from_csv(serialize.cloud_to_csv(cplx))
     assert np.allclose(back.points, cplx.points)
+
+
+# signed zeros, subnormals and +-1e300 besides any finite float
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cloud_csv_matches_the_elementwise_formatter(data):
+    """Real and complex clouds, any finite coordinates, give the bytes of the float()-per-entry CSV."""
+    dim = data.draw(st.integers(1, 3), label="dim")
+    count = data.draw(st.integers(0, 6), label="points")
+    values = data.draw(st.lists(FINITE, min_size=2 * dim * count, max_size=2 * dim * count))
+    pairs = np.array(values, dtype=float).reshape(count, dim, 2)
+    pts = pairs[..., 0]
+    if data.draw(st.booleans(), label="complex"):  # parts set one by one, so -0.0 survives
+        pts = np.empty((count, dim), dtype=complex)
+        pts.real, pts.imag = pairs[..., 0], pairs[..., 1]
+    m = data.draw(st.none() | st.integers(1, 64), label="m")
+    seed = data.draw(st.none() | st.integers(0, 2**31), label="seed")
+    cloud = PointCloud(dim, pts, m=m, seed=seed)
+    assert serialize.cloud_to_csv(cloud) == cloud_to_csv_elementwise(cloud)

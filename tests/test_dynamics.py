@@ -263,6 +263,25 @@ def test_amoeba_torus_rotation_invariance():
     assert hausdorff(a, b) <= 2 * pitch
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_amoeba_solves_every_slice_of_a_line(data):
+    """On a z1 + b z2 + c every slice is degree 1: no slice fails and every kept point is finite.
+
+    Moduli e^U(-2, 2), phases uniform on the circle, m = 1 to 32.
+    """
+    log_modulus = st.floats(-2, 2)
+    phase = st.floats(0, 2 * math.pi, exclude_max=True)
+    a, b, c = (cmath.rect(math.exp(data.draw(log_modulus)), data.draw(phase)) for _ in range(3))
+    m = data.draw(st.integers(1, 32), label="m")
+    res = data.draw(st.tuples(st.integers(2, 9), st.integers(2, 9)), label="resolution")
+    grid = GridSpec(box=((-2, 2), (-2, 2)), resolution=res)
+    cloud = amoeba_sample(ComplexPolynomial({(1, 0): a, (0, 1): b, (0, 0): c}), grid, m)
+    assert cloud.counters["slices"] == 2 * res[0] * res[1]
+    assert cloud.counters["failed_slices"] == 0
+    assert np.isfinite(cloud.points).all()
+
+
 def test_amoeba_univariate_rejected():
     f = ComplexPolynomial({(1, 0): 1, (2, 0): 1})
     with pytest.raises(DynamicsError):

@@ -14,9 +14,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tropdyn.lattice import _integral, primitive
-from tropdyn.polyhedra import Cone, Polyhedron, _vrep_dim, _vrep_quotient
+from tropdyn.polyhedra import Cone, Polyhedron, _vrep_quotient
 
-from oracles import vertex_and_ray_views, vrep_quotient_fractions
+from oracles import vertex_and_ray_views, vrep_dim, vrep_quotient_fractions
 
 
 @st.composite
@@ -79,6 +79,6 @@ def test_face_dimension_and_quotient_match_the_fraction_formula(P):
     for k in P.face_vkeys():
         face = P._face(k[0])
         assert face.vkey() == k
-        assert _vrep_dim(*k) == face.dim
+        assert vrep_dim(*k) == face.dim
         # QuotientLattice equality compares both the sublattice and the complement basis
         assert _vrep_quotient(n, *k) == vrep_quotient_fractions(n, face.vertices, face.rays, face.lineality)

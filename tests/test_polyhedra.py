@@ -3,6 +3,9 @@ import math
 import random
 from fractions import Fraction
 
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,9 @@ from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_
 from oracles import (
     balancing_violations_ambient,
     check_common_faces_unfiltered,
+    face_data_of_rank,
+    face_vkeys_rank,
+    facets,
     h_cone_generators_reference,
     polyhedron_from_constraints_homogenised,
     relint_point,
@@ -124,7 +130,7 @@ def test_cone_is_the_origin_vertex_polyhedron():
     assert (c.eqs, c.ineqs) == (cell.eqs, cell.ineqs)
     assert c.ineq_normals == tuple(a for a, b in c.ineqs) and all(b == 0 for _, b in c.ineqs)
     assert {f.key for f in c.faces()} == {f.key for f in cell.faces()}
-    assert all(isinstance(f, Cone) for f in c.faces() + c.facets())
+    assert all(isinstance(f, Cone) for f in c.faces() + facets(c))
 
 
 def test_non_integral_generators_are_scaled_not_truncated():
@@ -489,7 +495,7 @@ def test_polyhedron_from_constraints_segment():
     assert seg.rays == ()
     pt = relint_point(seg)
     assert seg.contains(pt)
-    assert len(seg.facets()) == 2
+    assert len(facets(seg)) == 2
 
 
 def test_polyhedron_empty():
@@ -530,7 +536,7 @@ def test_polyhedron_affine_line():
     assert len(p.vertices) == 1
     assert p.contains((1, Fraction(22, 7)))
     assert not p.contains((0, 0))
-    assert p.facets() == []
+    assert facets(p) == []
 
 
 def test_polyhedron_roundtrip_generators():
@@ -833,6 +839,49 @@ def test_exposed_face_test_matches_face_lattice(data):
 
 
 @st.composite
+def face_lattice_cases(draw):
+    """(label, P) in R^1..R^4: polytopes, unbounded polyhedra and cones, some with
+    lineality, cells in a hyperplane, and constraint lists with duplicate rows."""
+    n = draw(st.integers(1, 4))
+    labels = ["polytope", "unbounded", "cone", "constraints"] + ["flat"] * (n > 1)
+    label = draw(st.sampled_from(labels))
+    vec = st.tuples(*[st.integers(-1, 1)] * n)
+    if label == "constraints":
+        row = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-2, 2))
+        ineqs = draw(st.lists(row, min_size=1, max_size=6))
+        a, b = draw(st.sampled_from(ineqs))
+        ineqs.append((tuple(2 * x for x in a), 2 * b))  # the same row, scaled
+        eqs = draw(st.lists(row, max_size=1))
+        return label, Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs)
+    size = 4 if n == 4 else 5
+    lin = [] if label == "polytope" else draw(st.lists(vec, max_size=1))
+    rays = draw(st.lists(vec, min_size=label in ("unbounded", "cone"), max_size=3))
+    if label == "cone":
+        return label, Cone.from_generators(rays + rays[:1], n, lineality=lin)
+    point = st.tuples(*[st.fractions(-2, 2, max_denominator=2)] * n)
+    vertices = draw(st.lists(point, min_size=1, max_size=size))
+    vertices.append(vertices[0])  # a repeated generator
+    if label == "polytope":
+        rays = []
+    if label == "flat":  # everything in the hyperplane x_1 = 1/2
+        vertices = [(Fraction(1, 2), *v[1:]) for v in vertices]
+        rays, lin = [(0, *r[1:]) for r in rays], [(0, *l[1:]) for l in lin]
+    return label, Polyhedron.from_generators(n, vertices=vertices, rays=rays, lineality=lin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(face_lattice_cases())
+def test_facets_by_incidence_match_the_rank_oracle(case):
+    """The facets of every face, in order, and the face lattice equal the rank-tested ones."""
+    label, P = case
+    faces = face_vkeys_rank(P)
+    event(f"{label}, dim {P.dim}, {len(faces)} faces")
+    assert P.face_vkeys() == faces
+    for gens, _ in faces:
+        assert polyhedra._face_data_of(P, gens) == face_data_of_rank(P, gens)
+
+
+@st.composite
 def containment_pairs(draw):
     """(P, Q, label) in R^1..R^3: cones and affine cells, with lineality, some empty, many nested."""
     n = draw(st.integers(1, 3))
@@ -857,6 +906,60 @@ def test_subset_by_generator_signs_matches_fraction_oracle(pair):
     expected = subset_fractions(P, Q)
     event(f"{label}: {'subset' if expected else 'not a subset'}")
     assert polyhedra._subset(P, Q) == expected
+
+
+def _entries(P):
+    """Every number of P's canonical data: equations, inequalities, generators, lineality."""
+    rows = [(*a, b) for a, b in P.eqs + P.ineqs]
+    return [x for v in rows + list(P.gens + P.lineality) for x in v]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_constructors_return_python_ints(data):
+    """Fraction, float and numpy.int64 input comes back as canonical data of Python ints.
+
+    Each public constructor's result equals the one built with the reference
+    conversion, which makes every row primitive by `primitive` itself.
+    """
+    n = data.draw(st.integers(1, 3), label="n")
+    kind = data.draw(st.sampled_from(["Fraction", "float", "numpy.int64"]), label="kind")
+    convert = {
+        "Fraction": lambda k: Fraction(k, data.draw(st.integers(1, 3))),
+        "float": lambda k: k / 2,
+        "numpy.int64": np.int64,
+    }[kind]
+    vec = st.tuples(*[st.integers(-2, 2)] * n).map(lambda v: tuple(map(convert, v)))
+    rhs = st.integers(-1, 1).map(convert)
+    ineqs = data.draw(st.lists(st.tuples(vec, rhs), max_size=4), label="ineqs")
+    eqs = data.draw(st.lists(st.tuples(vec, rhs), max_size=1), label="eqs")
+    if data.draw(st.booleans(), label="every right-hand side 0"):
+        ineqs, eqs = [(a, 0 * b) for a, b in ineqs], [(a, 0 * b) for a, b in eqs]
+    vertices = data.draw(st.lists(vec, min_size=1, max_size=3), label="vertices")
+    rays = data.draw(st.lists(vec, max_size=3), label="rays")
+    lin = data.draw(st.lists(vec, max_size=1), label="lineality")
+    builds = {
+        "Polyhedron.from_constraints": lambda: Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs),
+        "Polyhedron.from_generators": lambda: Polyhedron.from_generators(
+            n, vertices=vertices, rays=rays, lineality=lin
+        ),
+        "Cone.from_generators": lambda: Cone.from_generators(rays, n, lineality=lin),
+        "Cone.from_constraints": lambda: Cone.from_constraints(
+            [a for a, _ in ineqs], [a for a, _ in eqs], n
+        ),
+    }
+    for name, build in builds.items():
+        got = build()
+        with mock.patch.object(polyhedra, "_h_cone_generators", h_cone_generators_reference):
+            want = build()
+        assert all(type(x) is int for x in _entries(got)), (name, kind)
+        assert type(got) is type(want), name
+        assert (got.eqs, got.ineqs, got.gens, got.lineality) == (
+            want.eqs,
+            want.ineqs,
+            want.gens,
+            want.lineality,
+        ), name
 
 
 def test_exposed_face_test_fixed_cases():
