@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .lattice import Record
 from .polyhedra import Polyhedron, WeightedComplex
 from .tropical import (
     COMPLEX_SUM_COMPENSATES,
@@ -50,15 +50,13 @@ class RootFindingError(DynamicsError):
     """Never raised; bench/spans.py names it as polynomial_roots' failure type and fails without it."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record, frozen=True):
     """Sampling window: per-axis [lo, hi], per-axis resolution, exclusion radius."""
 
-    box: tuple[tuple[float, float], ...]
-    resolution: tuple[int, ...]
-    delta: float = 0.0
+    __slots__ = ("box", "resolution", "delta")
 
-    def __post_init__(self):
+    def __init__(self, box: tuple[tuple[float, float], ...], resolution: tuple[int, ...], delta: float = 0.0):
+        self._set(box, resolution, delta)
         if not self.box:
             raise DynamicsError("a grid needs at least one axis")
         if len(self.box) != len(self.resolution):
@@ -81,22 +79,17 @@ class GridSpec:
         return np.linspace(lo, hi, self.resolution[i])
 
 
-@dataclass
-class PointCloud:
+class PointCloud(Record):
     """Fixed-dimension samples; complex clouds are used for root/torus data.
 
     counters holds deterministic work counts of the sampler that made the
     cloud (amoeba_sample fills it); they never enter the CSV artifact.
     """
 
-    dim: int
-    points: np.ndarray
-    m: int | None = None
-    seed: int | None = None
-    counters: dict = field(default_factory=dict)
+    __slots__ = ("dim", "points", "m", "seed", "counters")
 
-    def __post_init__(self):
-        self.points = np.asarray(self.points)
+    def __init__(self, dim: int, points: np.ndarray, m: int | None = None, seed: int | None = None, counters=None):
+        self._set(dim, np.asarray(points), m, seed, {} if counters is None else counters)
         if self.points.size == 0:
             self.points = self.points.reshape(0, self.dim)
         if self.points.ndim != 2 or self.points.shape[1] != self.dim:
@@ -109,17 +102,16 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Per-m errors with a least-squares power-law fit errors ~ C * m^(-rho)."""
 
-    experiment: str
-    ms: tuple[int, ...]
-    errors: tuple[float, ...]
-    C: float
-    rho: float
-    seed: int
-    details: dict = field(default_factory=dict)
+    __slots__ = ("experiment", "ms", "errors", "C", "rho", "seed", "details")
+
+    def __init__(
+        self, experiment: str, ms: tuple[int, ...], errors: tuple[float, ...], C: float, rho: float, seed: int,
+        details=None,
+    ):
+        self._set(experiment, ms, errors, C, rho, seed, {} if details is None else details)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +172,7 @@ def star_discrepancy(cloud: PointCloud) -> float:
 # univariate roots: one batched kernel (closed form at degree 1, Aberth--Ehrlich above)
 
 
-@dataclass(frozen=True)
-class BatchRoots:
+class BatchRoots(Record, frozen=True):
     """Roots of a batch of polynomials of one degree d, one row per polynomial.
 
     roots[r] holds row r's d roots sorted by modulus, then phase.  Where
@@ -190,9 +181,10 @@ class BatchRoots:
     Aberth sweeps row r took (0 at degree 1).
     """
 
-    roots: np.ndarray
-    failed: np.ndarray
-    iterations: np.ndarray
+    __slots__ = ("roots", "failed", "iterations")
+
+    def __init__(self, roots: np.ndarray, failed: np.ndarray, iterations: np.ndarray):
+        self._set(roots, failed, iterations)
 
     def __len__(self):
         """The number of roots in rows that did not fail."""

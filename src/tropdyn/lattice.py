@@ -11,7 +11,6 @@ of row tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -21,6 +20,50 @@ IntMatrix = tuple[IntVector, ...]
 
 class LatticeError(ValueError):
     """Raised on invalid lattice-level input (zero vectors, non-faces, ...)."""
+
+
+class Record:
+    """A small value type whose fields are the names in its ``__slots__``.
+
+    Records print field by field and are equal when of the same class with
+    equal field tuples; ``__init__`` sets the fields with ``_set``.  They are
+    mutable and unhashable unless declared ``class C(Record, frozen=True)``,
+    which hashes the field tuple and refuses assignment and deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if frozen:
+            cls.__setattr__ = _refuse_assignment
+            cls.__delattr__ = _refuse_deletion
+            cls.__hash__ = lambda self: hash(self._values())
+
+    def _set(self, *values):
+        """Set the fields in ``__slots__`` order, a frozen record's included."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+
+def _refuse_assignment(record, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(record, name):
+    raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _as_int_vector(v) -> IntVector:
@@ -77,8 +120,7 @@ def identity(n) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record, frozen=True):
     """U * M * V = D for unimodular U, V and diagonal D, d_i | d_{i+1} >= 0.
 
     Only U_inv is kept, the one transform its one caller, saturate_and_complete,
@@ -86,8 +128,10 @@ class SmithDecomposition:
     of M's column span.
     """
 
-    D: IntMatrix
-    U_inv: IntMatrix
+    __slots__ = ("D", "U_inv")
+
+    def __init__(self, D: IntMatrix, U_inv: IntMatrix):
+        self._set(D, U_inv)
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -192,8 +236,7 @@ def smith_normal_form(M) -> SmithDecomposition:
     return SmithDecomposition(freeze(A), freeze(Ui))
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
+class QuotientLattice(Record, frozen=True):
     """Z^n = (H cap Z^n) + complement, presenting Z^n / (H cap Z^n).
 
     ``sublattice_basis`` is a saturated basis of H cap Z^n (so the quotient is
@@ -201,9 +244,12 @@ class QuotientLattice:
     Z^n (determinant +-1).
     """
 
-    ambient_dim: int
-    sublattice_basis: tuple[IntVector, ...]
-    complement_basis: tuple[IntVector, ...]
+    __slots__ = ("ambient_dim", "sublattice_basis", "complement_basis")
+
+    def __init__(
+        self, ambient_dim: int, sublattice_basis: tuple[IntVector, ...], complement_basis: tuple[IntVector, ...]
+    ):
+        self._set(ambient_dim, sublattice_basis, complement_basis)
 
     @property
     def rank(self) -> int:

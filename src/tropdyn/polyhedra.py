@@ -91,13 +91,11 @@ def _pointed_extreme_rays(rows, d, fixed=()):
     k = d - 1 - len(fixed)
     if k < 0:
         return []
-    found = set()
+    found = []
+    seen = set()  # both orientations of every ray found
     for S in itertools.combinations(rows, k):
         v = _cross_kernel(fixed + S, d)
-        if v is None or v in found:
-            continue
-        neg = vec_neg(v)
-        if neg in found:
+        if v is None or v in seen:
             continue
         sign = 0
         for r in rows:
@@ -111,7 +109,9 @@ def _pointed_extreme_rays(rows, d, fixed=()):
                     break
                 sign = -1
         else:
-            found.add(neg if sign < 0 else v)
+            neg = vec_neg(v)
+            seen.update((v, neg))
+            found.append(neg if sign < 0 else v)
     return sorted(found)
 
 

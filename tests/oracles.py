@@ -3,14 +3,16 @@
 import cmath
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
+from tropdyn import dynamics, lattice
 from tropdyn.lattice import (
+    IntMatrix,
     IntVector,
     LatticeError,
-    QuotientLattice,
     _as_int_vector,
     _det,
     _integral,
@@ -34,7 +36,7 @@ from tropdyn.polyhedra import (
     _h_cone_generators,
     _homogenised_vrep,
 )
-from tropdyn.dynamics import ALL_MODE_BUDGET, DynamicsError, PointCloud
+from tropdyn.dynamics import ALL_MODE_BUDGET, DynamicsError
 from tropdyn.tropical import FLOAT_TIE_TOL, TropicalPolynomial, eval_tropical
 
 
@@ -390,7 +392,7 @@ def vrep_quotient_fractions(n, vertices, rays, lineality):
         v0 = vertices[0]
         vecs += [primitive(_integral(vec_sub(v, v0)))[0] for v in vertices[1:]]
     if not vecs:
-        return QuotientLattice(n, (), identity(n))
+        return lattice.QuotientLattice(n, (), identity(n))
     return saturate_and_complete(vecs)
 
 
@@ -546,7 +548,7 @@ def clipped_cells_fractions(C, box):
             yield clipped
 
 
-def sample_tropical_support_per_cell(C, box, density: float) -> PointCloud:
+def sample_tropical_support_per_cell(C, box, density: float) -> dynamics.PointCloud:
     """Uniform samples on each cell of the complex clipped to the box, one cell at a time.
 
     Oracle for `sample_tropical_support`, which must equal it bit for bit:
@@ -586,10 +588,10 @@ def sample_tropical_support_per_cell(C, box, density: float) -> PointCloud:
             keep &= np.abs(cand @ np.asarray(a, dtype=float) - float(b)) <= 1e-9
         pts.extend(cand[keep])
     arr = np.asarray(pts, dtype=float) if pts else np.zeros((0, n))
-    return PointCloud(n, arr)
+    return dynamics.PointCloud(n, arr)
 
 
-def cloud_to_csv_elementwise(cloud: PointCloud) -> str:
+def cloud_to_csv_elementwise(cloud: dynamics.PointCloud) -> str:
     """The point-cloud CSV, each coordinate taken from the array by float().
 
     Oracle for `serialize.cloud_to_csv`, which formats the rows of
@@ -606,3 +608,158 @@ def cloud_to_csv_elementwise(cloud: PointCloud) -> str:
         for row in pts:
             lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The six value records as the dataclasses they were defined as, verbatim.
+# Oracles for the plain `lattice.Record` classes of the same names in
+# tropdyn.dynamics and tropdyn.lattice: same constructors, repr, ==, hash,
+# frozenness and errors.  Within this module the names mean these
+# dataclasses; the functions above use tropdyn's own classes.
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Sampling window: per-axis [lo, hi], per-axis resolution, exclusion radius."""
+
+    box: tuple[tuple[float, float], ...]
+    resolution: tuple[int, ...]
+    delta: float = 0.0
+
+    def __post_init__(self):
+        if not self.box:
+            raise DynamicsError("a grid needs at least one axis")
+        if len(self.box) != len(self.resolution):
+            raise DynamicsError("box and resolution must have the same length")
+        if not all(math.isfinite(x) for interval in self.box for x in interval):
+            raise DynamicsError("box bounds must be finite numbers")
+        if any(lo >= hi for lo, hi in self.box):
+            raise DynamicsError("box intervals need lo < hi")
+        if not all(math.isfinite(hi - lo) for lo, hi in self.box):
+            raise DynamicsError("box intervals need a finite width")
+        if any(r < 2 for r in self.resolution):
+            raise DynamicsError("resolution must be at least 2 per axis")
+        if math.prod(self.resolution) > ALL_MODE_BUDGET:
+            raise DynamicsError(f"a grid has at most {ALL_MODE_BUDGET} points")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise DynamicsError("exclusion radius must be a finite nonnegative number")
+
+    def axis(self, i):
+        lo, hi = self.box[i]
+        return np.linspace(lo, hi, self.resolution[i])
+
+
+@dataclass
+class PointCloud:
+    """Fixed-dimension samples; complex clouds are used for root/torus data.
+
+    counters holds deterministic work counts of the sampler that made the
+    cloud (amoeba_sample fills it); they never enter the CSV artifact.
+    """
+
+    dim: int
+    points: np.ndarray
+    m: int | None = None
+    seed: int | None = None
+    counters: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points)
+        if self.points.size == 0:
+            self.points = self.points.reshape(0, self.dim)
+        if self.points.ndim != 2 or self.points.shape[1] != self.dim:
+            raise DynamicsError("points must be an (N, dim) array")
+        if not np.issubdtype(self.points.dtype, np.complexfloating):
+            if not np.all(np.isfinite(self.points)):
+                raise DynamicsError("point coordinates must be finite")
+
+    def __len__(self):
+        return self.points.shape[0]
+
+
+@dataclass
+class ConvergenceReport:
+    """Per-m errors with a least-squares power-law fit errors ~ C * m^(-rho)."""
+
+    experiment: str
+    ms: tuple[int, ...]
+    errors: tuple[float, ...]
+    C: float
+    rho: float
+    seed: int
+    details: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class BatchRoots:
+    """Roots of a batch of polynomials of one degree d, one row per polynomial.
+
+    roots[r] holds row r's d roots sorted by modulus, then phase.  Where
+    failed[r] is set they are the last approximations (NaN for a row that
+    could not be started) and must not be used.  iterations[r] counts the
+    Aberth sweeps row r took (0 at degree 1).
+    """
+
+    roots: np.ndarray
+    failed: np.ndarray
+    iterations: np.ndarray
+
+    def __len__(self):
+        """The number of roots in rows that did not fail."""
+        return int(np.count_nonzero(~self.failed)) * self.roots.shape[1]
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """U * M * V = D for unimodular U, V and diagonal D, d_i | d_{i+1} >= 0.
+
+    Only U_inv is kept, the one transform its one caller, saturate_and_complete,
+    reads: M * V = U_inv * D, so its first rank columns span the saturation
+    of M's column span.
+    """
+
+    D: IntMatrix
+    U_inv: IntMatrix
+
+    @property
+    def invariant_factors(self) -> tuple[int, ...]:
+        k = min(len(self.D), len(self.D[0]) if self.D else 0)
+        return tuple(self.D[i][i] for i in range(k) if self.D[i][i] != 0)
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
+
+
+@dataclass(frozen=True)
+class QuotientLattice:
+    """Z^n = (H cap Z^n) + complement, presenting Z^n / (H cap Z^n).
+
+    ``sublattice_basis`` is a saturated basis of H cap Z^n (so the quotient is
+    torsion-free) and together with ``complement_basis`` it forms a Z-basis of
+    Z^n (determinant +-1).
+    """
+
+    ambient_dim: int
+    sublattice_basis: tuple[IntVector, ...]
+    complement_basis: tuple[IntVector, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.sublattice_basis)
+
+    @property
+    def quotient_rank(self) -> int:
+        return len(self.complement_basis)
+
+    def quotient_coords(self, v) -> IntVector:
+        """Coordinates of the class of ``v`` in Z^n/(H cap Z^n)."""
+        v = _as_int_vector(v)
+        basis = list(self.sublattice_basis) + list(self.complement_basis)
+        coeffs = solve_rational([list(col) for col in zip(*basis)], v)
+        out = []
+        for x in coeffs[self.rank:]:
+            if x.denominator != 1:
+                raise LatticeError("vector not integral in the chosen basis")
+            out.append(int(x))
+        return tuple(out)

@@ -117,6 +117,21 @@ print(built)
     assert _python(script, json.dumps(argv)) == "[0, 1]\n"
 
 
+def test_import_loads_no_code_introspection():
+    """`import tropdyn.cli` adds none of dataclasses and the introspection modules it drags in."""
+    script = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import tropdyn.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+    added = set(json.loads(_python(script)))
+    assert "tropdyn.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not any(name.startswith("numpy.") for name in added)
+
+
 def test_numpy_imported_first_is_used():
     script = """
 import sys
