@@ -88,6 +88,12 @@ def _parse_res(text, axes):
     return vals
 
 
+def _grid(args, axes, delta):
+    """The GridSpec of --box and --res for an input in axes variables, exclusion radius delta."""
+    box = _parse_box(args.box, axes)
+    return GridSpec(box=box, resolution=_parse_res(args.res, len(box)), delta=delta)
+
+
 def _read_json(path):
     with open(path) as fh:
         try:
@@ -187,21 +193,19 @@ def cmd_orbits(args):
 
 def cmd_amoeba(args):
     f = _as_complex(serialize.poly_from_json(_single_input(args)))
-    box = _parse_box(args.box, f.ambient_dim)
-    res = _parse_res(args.res, len(box))
-    grid = GridSpec(box=box, resolution=res)
+    grid = _grid(args, f.ambient_dim, 0.0)
     if not args.output:
         raise SchemaError("amoeba needs -o for its CSV artifact")
     many = len(args.ms) > 1
     if args.svg:
-        segs = spine_segments(tropical_hypersurface(tropicalize_poly(f)), box)
+        segs = spine_segments(tropical_hypersurface(tropicalize_poly(f)), grid.box)
     for m in args.ms:
-        cloud = clip_to_box(amoeba_sample(f, grid, m), box)
+        cloud = clip_to_box(amoeba_sample(f, grid, m), grid.box)
         cloud.seed = args.seed
         _write_text(_suffixed(args.output, m, many), serialize.cloud_to_csv(cloud))
         if args.svg:
             svg = svgplot.scatter_with_segments(
-                cloud.points, segs, box, title=f"scaled amoeba, m={m}"
+                cloud.points, segs, grid.box, title=f"scaled amoeba, m={m}"
             )
             _write_text(_suffixed(args.svg, m, many), svg)
     return 0
@@ -209,9 +213,7 @@ def cmd_amoeba(args):
 
 def cmd_dequantize(args):
     f = _as_complex(serialize.poly_from_json(_single_input(args)))
-    box = _parse_box(args.box, f.ambient_dim)
-    res = _parse_res(args.res, len(box))
-    grid = GridSpec(box=box, resolution=res, delta=args.delta)
+    grid = _grid(args, f.ambient_dim, args.delta)
     linfs, l1s = [], []
     for m in args.ms:
         linf, l1 = dequantization_error(f, m, grid, seed=args.seed)
@@ -236,9 +238,7 @@ def cmd_converge(args):
         f = _as_complex(serialize.poly_from_json(_single_input(args)))
     grid = None
     if f is not None and args.experiment in ("hausdorff-to-tropical", "dequantization"):
-        # only these sample a grid, on the input's axes
-        box = _parse_box(args.box, f.ambient_dim)
-        grid = GridSpec(box=box, resolution=_parse_res(args.res, len(box)), delta=args.delta)
+        grid = _grid(args, f.ambient_dim, args.delta)  # only these sample a grid, on the input's axes
     rep = convergence_report(
         args.experiment, args.ms, f=f, grid=grid, seed=args.seed, density=args.density
     )

@@ -320,7 +320,9 @@ def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, m: int) -> PointCloud:
     call only for such inputs.  Points keep the order of axis, slice value,
     phase, then root.  The cloud's counters give slices (rows solved),
     failed_slices (rows the kernel failed; their roots are dropped) and
-    aberth_iterations (sweeps summed over rows).
+    aberth_iterations (sweeps summed over rows).  Aberth iteration holds
+    (S, d, d) arrays for slices of degree d, so S d^2 may not exceed
+    ALL_MODE_BUDGET; degree-1 slices, solved in closed form, are exempt.
     """
     if f.ambient_dim != 2:
         raise DynamicsError("amoeba sampling is two-dimensional")
@@ -331,6 +333,13 @@ def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, m: int) -> PointCloud:
     for var in (0, 1):
         if all(exp[var] == 0 for exp, _ in f.terms):
             raise DynamicsError("polynomial is univariate in effect")
+    slices = math.prod(grid.resolution)  # per axis: slice values x phases
+    for var in (0, 1):
+        d = max(exp[var] for exp, _ in f.terms) - min(exp[var] for exp, _ in f.terms)
+        if d > 1 and slices * d * d > ALL_MODE_BUDGET:
+            raise DynamicsError(
+                f"slices x degree^2 = {slices} x {d}^2 exceeds ALL_MODE_BUDGET = {ALL_MODE_BUDGET}"
+            )
     counters = {"slices": 0, "failed_slices": 0, "aberth_iterations": 0}
     blocks = []
     for axis in (0, 1):

@@ -21,14 +21,14 @@ of R^4, and that of a hypersurface's lifted hull in R^3), and one pass over
 the inequalities keeps it, with its sign, or drops it at the first row of
 the opposite sign.  Equations and lineality are fixed rows of every kernel;
 the subsets are drawn from the inequalities only.  Each conversion makes
-its rows primitive once, by math.gcd alone: the public constructors hand it
-tuples of Python ints (`_integral`, `primitive`).  Cones are converted in
-their ambient dimension, other polyhedra homogenised one dimension higher:
-a measured choice, as cones sent through the homogenised path made the
-`exact` benchmark 27% slower (8% with a K x R>=0 product rule for them).
-`Polyhedron.from_constraints` with every right-hand side 0 (each cell of a
-hypersurface with constant coefficients) builds a cone, so it stays in
-dimension n too, and returns a Polyhedron all the same.
+its rows primitive once, by math.gcd alone: it is handed tuples of Python
+ints (`_integral`).  Two functions make every conversion, `_v_key` (H -> V)
+and `_h_key` (V -> H), and each decides from the data where to convert.  A
+set converts in R^n when its right-hand sides are all 0, or when its only
+vertex is the origin: a cone, whatever its Python type.  Any other set
+converts its homogenisation in R^(n+1).  This is a measured choice: cones
+sent through the homogenisation made the `exact` benchmark 27% slower (8%
+with a K x R>=0 product rule for them).
 
 Faces come by incidence, with no rank test: the facets of a face F are the
 inclusion-maximal proper on-sets that P's inequalities cut from F's
@@ -149,47 +149,49 @@ def _h_cone_generators(normals, dim, eqs=()):
     return tuple(_pointed_extreme_rays(normals, dim, fixed)), lin
 
 
-def _canonical(rows, d, eqs=()):
-    """Both canonical descriptions of the cone {x in R^d : r . x >= 0, e . x = 0}.
+def _v_key(n, eqs, ineqs):
+    """H -> V: the canonical (gens, lineality) of a set, or None when it is empty.
 
-    H -> V, then V -> H with the lineality as equations: returns
-    ((rays, lineality), (normals, equation normals)).  By duality, generators
-    and lineality in place of normals and equations give the H-description
-    first.
+    eqs and ineqs are (a, b) pairs of rationals, meaning a.x = b and
+    a.x >= b.  With every b = 0 the set is a cone, converted in R^n.
+    Otherwise its homogenisation, cut by t >= 0, is converted in R^(n+1);
+    vertex generators are then ordered as their points p/q: scaled to the
+    common denominator D, p (D/q) orders as p/q does.
     """
-    rays, lin = _h_cone_generators(rows, d, eqs)
-    return (rays, lin), _h_cone_generators(rays, d, eqs=lin)
-
-
-def _homogenised_vrep(n, eqs, ineqs):
-    """H -> V half of Polyhedron.from_constraints for {x in R^n : a . x >= b, e . x = c}.
-
-    Returns the canonical rays and lineality of the homogenisation in
-    R^(n+1), last coordinate t, or None when the polyhedron is empty.
-    """
+    if all(b == 0 for _, b in eqs) and all(b == 0 for _, b in ineqs):
+        rays, lin = _h_cone_generators([_integral(a) for a, _ in ineqs], n, [_integral(a) for a, _ in eqs])
+        return ((0,) * n + (1,),) + tuple((*r, 0) for r in rays), lin
     # a row with a zero normal is vacuous or, on its own, infeasible
     if any(b > 0 for a, b in ineqs if not any(a)) or any(b != 0 for a, b in eqs if not any(a)):
         return None
-    rows = [primitive(_integral((*a, -b)))[0] for a, b in ineqs if any(a)]
-    rows.append(tuple([0] * n + [1]))  # t >= 0
-    eq_rows = [primitive(_integral((*a, -b)))[0] for a, b in eqs if any(a)]
-    rays, lin = _h_cone_generators(rows, n + 1, eq_rows)
-    if all(r[n] == 0 for r in rays):
+    rows = [_integral((*a, -b)) for a, b in ineqs]
+    rows.append((0,) * n + (1,))  # t >= 0
+    gens, lin = _h_cone_generators(rows, n + 1, [_integral((*a, -b)) for a, b in eqs])
+    verts = [g for g in gens if g[n]]
+    if not verts:
         return None
-    return rays, lin
-
-
-def _dehomogenised_vkey(n, rays_h, lin_h):
-    """V-data key (gens, lineality) of P from the canonical V-data of its homogenisation.
-
-    Vertex generators are ordered as their points p/q: scaled to the common
-    denominator D, p (D/q) orders as p/q does.
-    """
-    verts = [g for g in rays_h if g[n]]
     den = math.lcm(*(g[n] for g in verts))
     verts.sort(key=lambda g: tuple(x * (den // g[n]) for x in g[:n]))
-    # t >= 0 (or t = 1 on every vertex generator) gives every lineality vector t = 0
-    return tuple(verts) + tuple(sorted(g for g in rays_h if not g[n])), tuple(l[:n] for l in lin_h)
+    # t >= 0 gives every lineality vector t = 0
+    return tuple(verts) + tuple(g for g in gens if not g[n]), tuple(l[:n] for l in lin)
+
+
+def _h_key(n, gens, lineality):
+    """V -> H: sorted (eqs, ineqs) of the nonempty set on gens and lineality.
+
+    gens are generators of the homogenisation, (p, q) with q > 0 for a
+    vertex p/q and (r, 0) for a ray r, tuples of ints, as is the lineality
+    in R^n.  When the origin is the only vertex the set is a cone, converted
+    in R^n.  Otherwise its homogenisation is converted in R^(n+1), and the
+    one row with a zero normal, t >= 0, is dropped: an equation with a zero
+    normal would hold t = 0 on every vertex generator.
+    """
+    if not any(any(g[:n]) for g in gens if g[n]):
+        normals, eq_normals = _h_cone_generators([g[:n] for g in gens if not g[n]], n, lineality)
+        return tuple(sorted((a, 0) for a in eq_normals)), tuple(sorted((a, 0) for a in normals))
+    rows, eq_rows = _h_cone_generators(gens, n + 1, [(*l, 0) for l in lineality])
+    eqs = sorted((a[:n], -a[n]) for a in eq_rows)
+    return tuple(eqs), tuple(sorted((a[:n], -a[n]) for a in rows if any(a[:n])))
 
 
 def _vrep_quotient(n, gens, lineality):
@@ -290,53 +292,25 @@ class Polyhedron:
         n = ambient_dim
         eqs, ineqs = tuple(eqs), tuple(ineqs)
         _check_dims(n, [a for a, _ in eqs + ineqs])
-        if all(b == 0 for _, b in eqs + ineqs):  # a cone: converted in dimension n
-            return cls._from_normals(n, [a for a, _ in ineqs], [a for a, _ in eqs])
-        vrep = _homogenised_vrep(n, eqs, ineqs)
-        if vrep is None:
+        vkey = _v_key(n, eqs, ineqs)
+        if vkey is None:
             return cls._empty(n)
-        return cls._dehomogenise(n, vrep, _h_cone_generators(vrep[0], n + 1, eqs=vrep[1]))
+        return cls(n, *_h_key(n, *vkey), *vkey)
 
     @classmethod
     def from_generators(cls, ambient_dim, vertices=(), rays=(), lineality=()):
-        _check_dims(ambient_dim, [*vertices, *rays, *lineality])
+        n = ambient_dim
+        _check_dims(n, [*vertices, *rays, *lineality])
         if not vertices:
-            return cls._empty(ambient_dim)
-        gens = [_integral((*v, 1)) for v in vertices]
-        gens += [_integral(r) + (0,) for r in rays]
-        lin = [_integral(l) + (0,) for l in lineality]
-        hrep, vrep = _canonical(gens, ambient_dim + 1, eqs=lin)
-        return cls._dehomogenise(ambient_dim, vrep, hrep)
-
-    @classmethod
-    def _from_normals(cls, n, ineq_normals, eq_normals):
-        """The cone {x in R^n : a . x >= 0, e . x = 0}, converted in dimension n."""
-        ineq_normals = [_integral(a) for a in ineq_normals]
-        eq_normals = [_integral(e) for e in eq_normals]
-        vrep, hrep = _canonical(ineq_normals, n, eqs=eq_normals)
-        return cls._through_origin(n, vrep, hrep)
-
-    @classmethod
-    def _through_origin(cls, n, vrep, hrep):
-        """A cone from the canonical descriptions of itself in R^n (no homogenising)."""
-        (rays, lin), (normals, eq_normals) = vrep, hrep
-        eqs = tuple(sorted((a, 0) for a in eq_normals))
-        ineqs = tuple(sorted((a, 0) for a in normals))
-        return cls(n, eqs, ineqs, _cone_gens(n, rays), lin)
+            return cls._empty(n)
+        gens = [_integral((*v, 1)) for v in vertices] + [_integral(r) + (0,) for r in rays]
+        eqs, ineqs = _h_key(n, gens, [_integral(l) for l in lineality])
+        return cls(n, eqs, ineqs, *_v_key(n, eqs, ineqs))
 
     @classmethod
     def _empty(cls, ambient_dim):
         zero = tuple([0] * ambient_dim)
         return cls(ambient_dim, ((zero, 1),), (), (), ())
-
-    @classmethod
-    def _dehomogenise(cls, n, vrep, hrep):
-        """P from the canonical descriptions of its homogenisation (last coordinate t)."""
-        # an equation (0, ..., 0, c) of a nonempty P has c = 0
-        ineq_h, eq_h = hrep
-        ineqs = [(a[:n], -a[n]) for a in ineq_h if not is_zero_vector(a[:n])]  # drops t >= 0
-        eqs = [(a[:n], -a[n]) for a in eq_h if not is_zero_vector(a[:n])]
-        return cls(n, tuple(sorted(eqs)), tuple(sorted(ineqs)), *_dehomogenised_vkey(n, *vrep))
 
     # -- queries
 
@@ -398,8 +372,7 @@ class Polyhedron:
     def _face(self, gens):
         """The face on a subset of our canonical generators, by one V -> H conversion."""
         n = self.ambient_dim
-        lin = [(*l, 0) for l in self.lineality]
-        return Polyhedron._dehomogenise(n, (gens, lin), _h_cone_generators(gens, n + 1, eqs=lin))
+        return type(self)(n, *_h_key(n, gens, self.lineality), gens, self.lineality)
 
     def faces(self):
         """All faces, the polyhedron itself included, by decreasing dimension then key."""
@@ -408,7 +381,7 @@ class Polyhedron:
     def intersect(self, other):
         if self.ambient_dim != other.ambient_dim:
             raise PolyhedralError("mixed ambient dimensions")
-        if isinstance(self, Cone) and isinstance(other, Cone):  # stays in dimension n
+        if isinstance(self, Cone) and isinstance(other, Cone):  # a Cone, as Fan needs
             return Cone.from_constraints(
                 self.ineq_normals + other.ineq_normals,
                 self.eq_normals + other.eq_normals,
@@ -436,26 +409,30 @@ class Polyhedron:
 class Cone(Polyhedron):
     """Rational polyhedral cone: the Polyhedron whose only vertex is the origin.
 
-    Its descriptions are computed in the ambient dimension itself, without
-    homogenising; every equation and inequality has right-hand side 0.
+    Its descriptions, like those of any set whose only vertex is the origin,
+    are computed in the ambient dimension itself, without homogenising;
+    every equation and inequality has right-hand side 0.
     """
 
     @classmethod
     def from_generators(cls, generators, ambient_dim=None, lineality=()):
-        gens = [primitive(_integral(g))[0] for g in generators if not is_zero_vector(g)]
-        lin = [primitive(_integral(l))[0] for l in lineality if not is_zero_vector(l)]
+        rays = [_integral(g) for g in generators if not is_zero_vector(g)]
+        lin = [_integral(l) for l in lineality if not is_zero_vector(l)]
         if ambient_dim is None:
-            if not gens and not lin:
+            if not rays and not lin:
                 raise PolyhedralError("ambient dimension required for the zero cone")
-            ambient_dim = len((gens + lin)[0])
-        _check_dims(ambient_dim, gens + lin)
-        hrep, vrep = _canonical(gens, ambient_dim, eqs=lin)
-        return cls._through_origin(ambient_dim, vrep, hrep)
+            ambient_dim = len((rays + lin)[0])
+        n = ambient_dim
+        _check_dims(n, rays + lin)
+        eqs, ineqs = _h_key(n, [(0,) * n + (1,)] + [(*r, 0) for r in rays], lin)
+        return cls(n, eqs, ineqs, *_v_key(n, eqs, ineqs))
 
     @classmethod
     def from_constraints(cls, ineq_normals, eq_normals, ambient_dim):
-        _check_dims(ambient_dim, [*ineq_normals, *eq_normals])
-        return cls._from_normals(ambient_dim, ineq_normals, eq_normals)
+        n = ambient_dim
+        _check_dims(n, [*ineq_normals, *eq_normals])
+        gens, lin = _v_key(n, [(e, 0) for e in eq_normals], [(a, 0) for a in ineq_normals])
+        return cls(n, *_h_key(n, gens, lin), gens, lin)
 
     @property
     def ineq_normals(self):
@@ -469,11 +446,6 @@ class Cone(Polyhedron):
     def is_pointed(self):
         return not self.lineality
 
-    def _face(self, gens):
-        rays = tuple(g[:-1] for g in gens if not g[-1])
-        hrep = _h_cone_generators(rays, self.ambient_dim, eqs=self.lineality)
-        return Cone._through_origin(self.ambient_dim, (rays, self.lineality), hrep)
-
 
 def _check_dims(n, vectors):
     """Raise unless n is a supported ambient dimension and every vector has n entries."""
@@ -481,11 +453,6 @@ def _check_dims(n, vectors):
         raise PolyhedralError("ambient dimension unsupported")
     if any(len(v) != n for v in vectors):
         raise PolyhedralError("mixed ambient dimensions")
-
-
-def _cone_gens(n, rays):
-    """Canonical generators of a cone: the origin (0, ..., 0, 1), then each ray r as (r, 0)."""
-    return ((0,) * n + (1,),) + tuple((*r, 0) for r in rays)
 
 
 def _facet_owners(cells):
@@ -539,13 +506,7 @@ def _subset(P, Q):
 
 def _meet_vkey(P, Q):
     """V-data key of P cap Q by one H -> V conversion, or None when it is empty."""
-    n = P.ambient_dim
-    if isinstance(P, Cone) and isinstance(Q, Cone):  # stays in dimension n
-        normals, eq_normals = P.ineq_normals + Q.ineq_normals, P.eq_normals + Q.eq_normals
-        rays, lin = _h_cone_generators(normals, n, eq_normals)
-        return _cone_gens(n, rays), lin
-    vrep = _homogenised_vrep(n, P.eqs + Q.eqs, P.ineqs + Q.ineqs)
-    return None if vrep is None else _dehomogenised_vkey(n, *vrep)
+    return _v_key(P.ambient_dim, P.eqs + Q.eqs, P.ineqs + Q.ineqs)
 
 
 def _is_face(P, k):

@@ -40,10 +40,11 @@ def _number(parse, x, what):
     """parse(x) when it gives a finite number, else a SchemaError.
 
     A number that parse would change is refused, not rounded: int(1.5) is 1,
-    so an integer field holding 1.5 is a SchemaError.
+    so an integer field holding 1.5 is a SchemaError.  JSON true and false
+    are not numbers, though Python's bool is an int.
     """
     try:
-        value = parse(x)
+        value = None if isinstance(x, bool) else parse(x)
     except (TypeError, ValueError, ArithmeticError):
         value = None
     if value is None or (isinstance(value, float) and not math.isfinite(value)):

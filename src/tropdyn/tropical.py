@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .lattice import dot, identity, primitive, rank_int, vec_sub
-from .polyhedra import Polyhedron, WeightedComplex, _h_cone_generators
+from .polyhedra import MAX_AMBIENT_DIM, PolyhedralError, Polyhedron, WeightedComplex, _h_cone_generators
 
 
 def _lazy_numpy():
@@ -319,6 +319,8 @@ def uniform_bergman_fan(p: int, n: int) -> TropicalCycle:
     """
     if not 1 <= p <= n:
         raise TropicalError("need 1 <= p <= n")
+    if n > MAX_AMBIENT_DIM:  # before the C(n + 1, p) subsets are listed
+        raise PolyhedralError("ambient dimension unsupported")
     rays = list(identity(n))
     rays.append(tuple(-1 for _ in range(n)))
     cells = [

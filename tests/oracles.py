@@ -34,7 +34,6 @@ from tropdyn.polyhedra import (
     Polyhedron,
     _check_dims,
     _h_cone_generators,
-    _homogenised_vrep,
 )
 from tropdyn.dynamics import ALL_MODE_BUDGET, DynamicsError
 from tropdyn.tropical import FLOAT_TIE_TOL, TropicalPolynomial, eval_tropical
@@ -216,16 +215,29 @@ def h_cone_generators_reference(normals, dim, eqs=()):
 def polyhedron_from_constraints_homogenised(ambient_dim, eqs=(), ineqs=()):
     """Polyhedron.from_constraints by the homogenisation in R^(n+1), for cones too.
 
-    Oracle for `Polyhedron.from_constraints`, which converts a cone (every
-    right-hand side 0) in dimension n instead.
+    Oracle for every polyhedron build (`_v_key` then `_h_key`), which
+    converts a cone (every right-hand side 0, or the origin its only vertex)
+    in dimension n instead.
     """
     n = ambient_dim
     eqs, ineqs = tuple(eqs), tuple(ineqs)
     _check_dims(n, [a for a, _ in eqs + ineqs])
-    vrep = _homogenised_vrep(n, eqs, ineqs)
-    if vrep is None:
+    if any(b > 0 for a, b in ineqs if not any(a)) or any(b != 0 for a, b in eqs if not any(a)):
         return Polyhedron._empty(n)
-    return Polyhedron._dehomogenise(n, vrep, _h_cone_generators(vrep[0], n + 1, eqs=vrep[1]))
+    rows = [primitive(_integral((*a, -b)))[0] for a, b in ineqs if any(a)]
+    rows.append(tuple([0] * n + [1]))  # t >= 0
+    eq_rows = [primitive(_integral((*a, -b)))[0] for a, b in eqs if any(a)]
+    rays_h, lin_h = _h_cone_generators(rows, n + 1, eq_rows)
+    if all(r[n] == 0 for r in rays_h):
+        return Polyhedron._empty(n)
+    ineq_h, eq_h = _h_cone_generators(rays_h, n + 1, eqs=lin_h)
+    ineqs = [(a[:n], -a[n]) for a in ineq_h if not is_zero_vector(a[:n])]  # drops t >= 0
+    eqs = [(a[:n], -a[n]) for a in eq_h if not is_zero_vector(a[:n])]
+    verts = [g for g in rays_h if g[n]]
+    den = math.lcm(*(g[n] for g in verts))
+    verts.sort(key=lambda g: tuple(x * (den // g[n]) for x in g[:n]))
+    gens = tuple(verts) + tuple(sorted(g for g in rays_h if not g[n]))
+    return Polyhedron(n, tuple(sorted(eqs)), tuple(sorted(ineqs)), gens, tuple(l[:n] for l in lin_h))
 
 
 def vrep_dim(gens, lineality):

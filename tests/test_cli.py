@@ -379,6 +379,30 @@ MALFORMED_CASES = {
         [],
         "exponent is not an integer: 1.5",
     ),
+    "weight-boolean": (
+        "balance",
+        {"ambient_dim": 2, "dim": 1, "cells": [{"rays": [[1, 0]], "weight": True}]},
+        [],
+        "cell weight is not a finite number: True",
+    ),
+    "exp-boolean": (
+        "hypersurface",
+        {"terms": [{"exp": [True, False], "coeff": 0.0}, {"exp": [0, 1], "coeff": 0.0}]},
+        [],
+        "exponent is not a finite number: True",
+    ),
+    "re-boolean": (
+        "tropicalize", {"terms": [{"exp": [1], "re": True}]}, [], "real part is not a finite number: True"
+    ),
+    "ambient-dim-boolean": (
+        "balance", {"ambient_dim": True, "dim": 0, "cells": []}, [], "ambient_dim is not a finite number: True"
+    ),
+    "amoeba-slice-degree-over-budget": (
+        "amoeba",
+        {"terms": [{"exp": [0, 0], "re": 1.0}, {"exp": [1, 0], "re": 1.0}, {"exp": [0, 300], "re": 1.0}]},
+        ["--ms", "4", "--res", "5", "-o", "x.csv"],
+        "slices x degree^2 = 25 x 300^2 exceeds ALL_MODE_BUDGET = 1000000",
+    ),
     "box-not-numeric": (
         "amoeba", LINE_JSON, ["--ms", "2", "--box", "a,b", "-o", "x.csv"], "--box needs numbers"
     ),

@@ -23,7 +23,7 @@ from tropdyn.polyhedra import (
     is_complete,
     is_unimodular,
 )
-from tropdyn.lattice import primitive, rank_int, smith_normal_form, vec_sub
+from tropdyn.lattice import dot, primitive, rank_int, smith_normal_form, vec_sub
 from tropdyn.tropical import TropicalPolynomial, tropical_hypersurface, uniform_bergman_fan
 
 from oracles import (
@@ -250,10 +250,14 @@ def test_h_cone_generators_match_two_pass_reference(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_zero_rhs_constraints_match_the_homogenised_route(data):
-    """A cone given by Polyhedron.from_constraints, built in R^n, equals the homogenised build.
+    """Cones converted in R^n, from either description, equal the homogenised build.
 
     Every right-hand side 0, n = 0 to 4, with equations, Fraction entries,
-    duplicate rows and zero rows; both give a Polyhedron, not a Cone.
+    duplicate rows and zero rows.  The same cone from its generators, as a
+    Polyhedron with the origin as its only vertex and as a Cone, and each
+    face of the cone cut by one halfspace a.x >= b with b < 0, which keeps
+    the origin a vertex beside others, match the homogenised build too, in
+    every description and in type.
     """
     n = data.draw(st.integers(0, 4), label="n")
     entry = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=3)
@@ -266,13 +270,25 @@ def test_zero_rhs_constraints_match_the_homogenised_route(data):
         ineqs.append((0,) * n)
     eqs = [(e, 0) for e in eqs]
     ineqs = [(a, 0) for a in ineqs]
-    got = Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs)
+
+    def descriptions(P):
+        return type(P), P.eqs, P.ineqs, P.gens, P.lineality
+
     want = polyhedron_from_constraints_homogenised(n, eqs=eqs, ineqs=ineqs)
-    assert type(got) is type(want) is Polyhedron
-    assert (got.eqs, got.ineqs, got.gens, got.lineality) == (
-        want.eqs, want.ineqs, want.gens, want.lineality
-    )
-    event(f"dim {got.dim}, lineality {len(got.lineality)}")
+    assert type(want) is Polyhedron
+    assert descriptions(Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs)) == descriptions(want)
+    from_gens = Polyhedron.from_generators(n, [(0,) * n], want.rays, want.lineality)
+    assert descriptions(from_gens) == descriptions(want)
+    cone = Cone.from_generators(want.rays, n, want.lineality)
+    assert descriptions(cone) == (Cone, *descriptions(want)[1:])
+    cut = (data.draw(vec, label="cut normal"), data.draw(st.fractions(-3, -1, max_denominator=3)))
+    P = Polyhedron.from_constraints(n, eqs=eqs, ineqs=ineqs + [cut])
+    assert descriptions(P) == descriptions(polyhedron_from_constraints_homogenised(n, eqs, ineqs + [cut]))
+    for gens, _ in P.face_vkeys():
+        tight = tuple((a, b) for a, b in P.ineqs if not any(dot((*a, -b), g) for g in gens))
+        face = polyhedron_from_constraints_homogenised(n, P.eqs + tight, P.ineqs)
+        assert descriptions(P._face(gens)) == descriptions(face)
+    event(f"dim {want.dim}, lineality {len(want.lineality)}, {len(P.vertices)} vertices after the cut")
 
 
 def test_zero_rhs_constraints_stay_in_dimension_n(monkeypatch):

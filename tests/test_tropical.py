@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropdyn.polyhedra import add_cycles, check_balancing
+from tropdyn import tropical
+from tropdyn.lattice import identity
+from tropdyn.polyhedra import PolyhedralError, add_cycles, check_balancing
 from tropdyn.tropical import (
     COMPLEX_SUM_COMPENSATES,
     ComplexPolynomial,
@@ -333,6 +335,20 @@ def test_bergman_counts():
     assert len(uniform_bergman_fan(2, 3).cells) == 6
     for n in (2, 3):
         assert len(uniform_bergman_fan(n, n).cells) == n + 1
+
+
+def test_bergman_checks_the_ambient_dimension_first(monkeypatch):
+    """A large n is refused before identity(n) and the C(n + 1, p) subsets are built."""
+
+    def small_identity(n):
+        assert n <= 4, f"identity({n}) built before the ambient dimension check"
+        return identity(n)
+
+    monkeypatch.setattr(tropical, "identity", small_identity)
+    with pytest.raises(PolyhedralError, match="ambient dimension unsupported"):
+        uniform_bergman_fan(1, 10**5)
+    with pytest.raises(PolyhedralError, match="ambient dimension unsupported"):
+        uniform_bergman_fan(2, 5)
 
 
 def test_bergman_fan_is_tropical_linear_hypersurface():
