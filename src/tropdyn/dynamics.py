@@ -14,7 +14,6 @@ from fractions import Fraction
 from .lattice import Record
 from .polyhedra import Polyhedron, WeightedComplex
 from .tropical import (
-    COMPLEX_SUM_COMPENSATES,
     ComplexPolynomial,
     builtin_max,
     builtin_sum,
@@ -650,8 +649,8 @@ def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
     top + log|sum_a exp(L_a - top + i phi_a)|.  The exponentials are one map
     of cmath.exp, the scalar formula's own function: for a finite argument
     with real part <= 0 it returns exactly e^a cos b + i e^a sin b from
-    libm's exp, cos and sin.  The sums run term by term in f.terms order as
-    sum() would add them, and abs and log are libm's (see _libm), so each
+    libm's exp, cos and sin.  The sums run term by term in f.terms order,
+    left to right from 0, and abs and log are libm's (see _libm), so each
     row equals that formula bit for bit.
     """
     X, T = np.asarray(x, dtype=float), np.asarray(theta, dtype=float)
@@ -664,8 +663,8 @@ def log_abs_power_pullback(f: ComplexPolynomial, x, theta, m: int):
     arg.real = L - top[:, None]
     arg.imag = np.array([math.atan2(c.imag, c.real) for _, c in f.terms]) + m * exponent_dots(exps, T)
     parts = np.fromiter(map(cmath.exp, arg.ravel().tolist()), complex, count=arg.size).reshape(arg.shape)
-    re = builtin_sum(parts.real.T, COMPLEX_SUM_COMPENSATES)
-    im = builtin_sum(parts.imag.T, COMPLEX_SUM_COMPENSATES)
+    re = builtin_sum(parts.real.T)
+    im = builtin_sum(parts.imag.T)
     val = np.empty(len(X), dtype=complex)
     val.real, val.imag = re, im
     modulus = _libm(abs, val)
@@ -780,7 +779,7 @@ EXPERIMENTS = ("hausdorff-to-tropical", "dequantization", "equidistribution-disc
 
 def _fit_power_law(ms, errors):
     logm = np.log(np.asarray(ms, dtype=float))
-    loge = np.log(np.maximum(np.asarray(errors, dtype=float), 1e-300))
+    loge = np.log(np.asarray(errors, dtype=float))
     A = np.stack([np.ones_like(logm), -logm], axis=-1)
     (logC, rho), *_ = np.linalg.lstsq(A, loge, rcond=None)
     return float(np.exp(logC)), float(rho)
@@ -830,5 +829,8 @@ def convergence_report(
             for key, count in sample.counters.items():
                 details.setdefault(key, []).append(count)
             errors.append(hausdorff(clip_to_box(sample, grid.box), spine))
+    for m, e in zip(ms, errors):
+        if not e > 0:  # the fit is linear in log(error)
+            raise DynamicsError(f"error at m = {m} is {e}, not positive: no power law fits it")
     C, rho = _fit_power_law(ms, errors)
     return ConvergenceReport(experiment, ms, tuple(float(e) for e in errors), C, rho, seed, details)

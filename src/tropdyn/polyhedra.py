@@ -281,8 +281,6 @@ class Polyhedron:
         self.vertices = tuple(tuple(Fraction(x, g[n]) for x in g[:n]) for g in gens if g[n])
         self.rays = tuple(g[:n] for g in gens if not g[n])
         self.key = (n, self.vertices, self.rays, lineality)
-        self._quotient = None
-        self._faces = None
         self._row_cache = None
 
     # -- construction
@@ -323,15 +321,9 @@ class Polyhedron:
         # eqs is a basis of the affine hull's equations: n - dim independent rows
         return -1 if self.is_empty else self.ambient_dim - len(self.eqs)
 
-    def quotient(self):
-        """Z^n over the integer directions of aff(P), as a QuotientLattice."""
-        if self._quotient is None:
-            self._quotient = _vrep_quotient(self.ambient_dim, *self.vkey())
-        return self._quotient
-
     def direction_basis(self):
         """Saturated integer basis of the linear space parallel to aff(P)."""
-        return self.quotient().sublattice_basis
+        return _vrep_quotient(self.ambient_dim, *self.vkey()).sublattice_basis
 
     def contains(self, x):
         return all(dot(a, x) == b for a, b in self.eqs) and all(
@@ -355,19 +347,17 @@ class Polyhedron:
 
     def face_vkeys(self):
         """V-data keys of all faces (the polyhedron itself included)."""
-        if self._faces is None:
-            seen = {self.vkey()}
-            frontier = [self.vkey()]
-            while frontier:
-                nxt = []
-                for gens, _ in frontier:
-                    for sub in _face_data_of(self, gens):
-                        if sub not in seen:
-                            seen.add(sub)
-                            nxt.append(sub)
-                frontier = nxt
-            self._faces = seen
-        return self._faces
+        seen = {self.vkey()}
+        frontier = [self.vkey()]
+        while frontier:
+            nxt = []
+            for gens, _ in frontier:
+                for sub in _face_data_of(self, gens):
+                    if sub not in seen:
+                        seen.add(sub)
+                        nxt.append(sub)
+            frontier = nxt
+        return seen
 
     def _face(self, gens):
         """The face on a subset of our canonical generators, by one V -> H conversion."""
@@ -441,10 +431,6 @@ class Cone(Polyhedron):
     @property
     def eq_normals(self):
         return tuple(a for a, _ in self.eqs)
-
-    @property
-    def is_pointed(self):
-        return not self.lineality
 
 
 def _check_dims(n, vectors):
@@ -587,8 +573,6 @@ def common_refinement(A: Fan, B: Fan) -> Fan:
     """Fan of all pairwise intersections; its support is |A| intersect |B|."""
     if A.ambient_dim != B.ambient_dim:
         raise PolyhedralError("mismatched ambient dimensions")
-    if A.ambient_dim > MAX_AMBIENT_DIM:
-        raise PolyhedralError("ambient dimension unsupported")
     pieces = [c1.intersect(c2) for c1 in A.maximal_cones for c2 in B.maximal_cones]
     return Fan(pieces, A.ambient_dim, validate=False)
 
@@ -603,7 +587,7 @@ def is_unimodular(x) -> bool:
         return all(is_unimodular(c) for c in x.maximal_cones)
     if not isinstance(x, Cone):
         raise PolyhedralError("expected a Cone or Fan")
-    if not x.is_pointed:
+    if x.lineality:
         raise PolyhedralError("unimodularity is defined for pointed cones")
     if not x.rays:
         return True
@@ -622,8 +606,6 @@ def is_complete(F: Fan) -> bool:
     then a closed pseudomanifold around the origin, which can only be R^n.
     """
     n = F.ambient_dim
-    if n > MAX_AMBIENT_DIM:
-        raise PolyhedralError("ambient dimension unsupported")
     full = [c for c in F.maximal_cones if c.dim == n]
     return bool(full) and all(len(o) == 2 for o in _facet_owners(full).values())
 

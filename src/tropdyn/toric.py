@@ -1,9 +1,9 @@
 """Combinatorial toric layer: orbits of fans, distinguished points, powering maps.
 
-Orbits are carried purely by quotient-lattice coordinates: the orbit of a
-cone sigma is the torus on Z^n/(H_sigma cap Z^n), with coordinates read off a
-complement basis.  The powering map t -> t^m acts componentwise there, and
-its fibers are the m-th root combinations.
+The orbit of a cone sigma is the torus on Z^n/(H_sigma cap Z^n), of
+dimension n - dim(sigma); points carry one nonzero coordinate per quotient
+direction.  The powering map t -> t^m acts componentwise there, and its
+fibers are the m-th root combinations.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ class Orbit:
 
     def __init__(self, cone: Cone):
         self.cone = cone
-        self.quotient = cone.quotient()
-        self.dim = self.quotient.quotient_rank
+        self.dim = cone.ambient_dim - cone.dim
 
     def __repr__(self):
         return f"Orbit(cone_dim={self.cone.dim}, dim={self.dim})"

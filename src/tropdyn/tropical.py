@@ -95,28 +95,12 @@ class TropicalPolynomial:
 
 TropicalValue = namedtuple("TropicalValue", ["value", "argmax"])
 
-#: whether the builtin sum() adds floats with Neumaier compensation (Python 3.12 on)
-SUM_COMPENSATES = sum([1.0, 1e100, 1.0, -1e100]) == 2.0
-#: the same for complex numbers, part by part (Python 3.14 on)
-COMPLEX_SUM_COMPENSATES = sum([1 + 0j, 1e100 + 0j, 1 + 0j, -1e100 + 0j]).real == 2.0
 
-
-def builtin_sum(columns, compensated=SUM_COMPENSATES):
-    """Elementwise sum of equal-shape float arrays, in order, bit-equal to sum().
-
-    sum() starts from the int 0 and, where compensated, carries a Neumaier
-    term that it adds at the end when nonzero and finite; the flag says
-    whether the running interpreter's sum() does that for these values.
-    """
+def builtin_sum(columns):
+    """Elementwise sum of equal-shape float arrays, left to right from 0.0, uncompensated."""
     total = 0.0 + columns[0]
-    comp = np.zeros_like(total)
     for x in columns[1:]:
-        t = total + x
-        if compensated:
-            comp += np.where(np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total)
-        total = t
-    if compensated:
-        total = np.where((comp != 0) & np.isfinite(comp), total + comp, total)
+        total = total + x
     return total
 
 
@@ -131,8 +115,8 @@ def builtin_max(columns):
 def exponent_dots(exps, X):
     """(N, T) array of sum(e_j * x_j) for each row x of the float array X and each exponent e.
 
-    Each entry equals the builtin sum() of the products over j in order, so a
-    batch agrees bit for bit with the same dot product taken one point at a time.
+    Each entry sums the products over j left to right from 0.0, so a batch
+    agrees bit for bit with the same dot product taken one point at a time.
     """
     out = np.empty((X.shape[0], len(exps)))
     for t, e in enumerate(exps):

@@ -66,11 +66,11 @@ def log_abs_power_pullback_scalar(f, x, theta, m: int) -> float:
     """
     parts = []
     for exp, coeff in f.terms:
-        L = math.log(abs(coeff)) - m * sum(e * xj for e, xj in zip(exp, x))
-        ph = math.atan2(coeff.imag, coeff.real) + m * sum(e * tj for e, tj in zip(exp, theta))
+        L = math.log(abs(coeff)) - m * fold_sum(e * xj for e, xj in zip(exp, x))
+        ph = math.atan2(coeff.imag, coeff.real) + m * fold_sum(e * tj for e, tj in zip(exp, theta))
         parts.append((L, ph))
     top = max(L for L, _ in parts)
-    val = sum(cmath.exp(complex(L - top, ph)) for L, ph in parts)
+    val = fold_sum((cmath.exp(complex(L - top, ph)) for L, ph in parts), 0j)
     if abs(val) < 1e-280:
         raise ZeroDivisionError("hit a zero of f(z^m)")
     return top + math.log(abs(val))
@@ -103,24 +103,24 @@ def eval_tropical_float_scalar(q, x):
 
     Oracle for the batched float path of `eval_tropical`.
     """
-    vals = [(sum(float(xi) * e_i for xi, e_i in zip(x, e)) + float(c), e) for e, c in q.terms]
+    vals = [(fold_sum(float(xi) * e_i for xi, e_i in zip(x, e)) + float(c), e) for e, c in q.terms]
     top = max(v for v, _ in vals)
     tol = FLOAT_TIE_TOL * max(1.0, abs(top))
     return top, tuple(sorted(e for v, e in vals if top - v <= tol))
 
 
-def compensated_sum(values) -> float:
-    """sum() of floats as Python 3.12 and later add them (Neumaier compensation).
+def fold_sum(values, start=0.0):
+    """values added left to right to start, with no compensation.
 
-    Oracle for `builtin_sum(..., compensated=True)` on interpreters whose own
-    sum() does not compensate.
+    Oracle for `builtin_sum`.  The builtin sum() compensates floats from
+    Python 3.12 on and complex numbers from 3.14 on, so the scalar oracles
+    fold by hand to agree with the library on every interpreter.  Complex
+    values fold from 0j: complex + complex adds part by part everywhere.
     """
-    total, comp = 0.0 + values[0], 0.0
-    for x in values[1:]:
-        t = total + x
-        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
-    return total + comp if comp and math.isfinite(comp) else total
+    total = start
+    for x in values:
+        total = total + x
+    return total
 
 
 def integer_kernel_hermite(rows):
@@ -397,7 +397,7 @@ def vrep_quotient_fractions(n, vertices, rays, lineality):
 
     Spans by the rays, the lineality and the primitive integer multiple of
     v - v0 for each vertex v after the first v0.  Oracle for
-    `Polyhedron.quotient`, which reads the same vectors off the generators.
+    `polyhedra._vrep_quotient`, which reads the same vectors off the generators.
     """
     vecs = list(rays) + list(lineality)
     if vertices:
@@ -481,6 +481,31 @@ def is_complete_ridge_pairing(F) -> bool:
                     nxt.append(j)
         frontier = nxt
     return len(seen) == len(full)
+
+
+def tropical_product(q1, q2):
+    """q1 ⊙ q2: the max over term pairs of <x, a1 + a2> + c1 + c2, equal exponents merged by max."""
+    terms = {}
+    for (e1, c1), (e2, c2) in itertools.product(q1.terms, q2.terms):
+        e = tuple(a + b for a, b in zip(e1, e2))
+        terms[e] = max(terms.get(e, c1 + c2), c1 + c2)
+    return TropicalPolynomial(terms, q1.ambient_dim)
+
+
+def weight_at(q, x):
+    """Weight of trop(q) at a rational point x of R^2, from the terms attaining the max.
+
+    The lattice length of the segment the argmax exponents span
+    (Maclagan-Sturmfels, Prop. 3.1.6), 0 when a single term attains the max.
+    Raises at a vertex of trop(q), where they span a polygon.
+    """
+    vals = [(sum(Fraction(xi) * e_i for xi, e_i in zip(x, e)) + Fraction(c), e) for e, c in q.terms]
+    top = max(v for v, _ in vals)
+    tying = sorted(e for v, e in vals if v == top)
+    d = vec_sub(tying[-1], tying[0])
+    if any(d[0] * w[1] - d[1] * w[0] for w in (vec_sub(e, tying[0]) for e in tying)):
+        raise ValueError(f"{x} is a vertex of trop(q)")
+    return math.gcd(*d)
 
 
 def hypersurface_cells_all_pairs(q):

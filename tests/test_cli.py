@@ -258,6 +258,15 @@ def test_converge_command(tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_converge_rejects_a_zero_error(line_path, capsys):
+    # at m = 256 the dequantization error of the line is 0.0 at float resolution: no power law fits it
+    argv = ["converge", "-i", line_path, "--experiment", "dequantization", "--ms", "8,64,256"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("tropdyn: ")
+    assert "m = 256" in err
+
+
 @pytest.mark.parametrize("flag", ["--box=1,0", "--res=1"])
 def test_converge_without_grid_ignores_grid_flags(tmp_path, flag):
     # the equidistribution experiment samples no grid, so grid flags are not read

@@ -10,15 +10,13 @@ is checked on other rationals too.
 The `hausdorff-line` and `dequantize` artifacts hold floats computed with
 numpy and libm (exp, log, cos, sin, atan2), so their digests depend on the
 host's numpy and libm: the pins, at seeds 1-3, were taken with numpy 2.4 on
-x86-64 Linux with glibc 2.36, under Python 3.11.  The `dequantize` pin also depends on
-the interpreter: its complex sums follow the running sum(), which adds
-complex numbers with compensation from Python 3.14 on
-(`tropical.COMPLEX_SUM_COMPENSATES`); forcing that flag to True moves the
-seed-1 digest to `cc9fa54c...`, while forcing the float compensation of
-Python 3.12+ leaves it equal.  On another host or interpreter a failure of
-that test alone may be a platform difference rather than a change of the
-program; recompute the pins from an unchanged checkout there before reading
-it as a regression.
+x86-64 Linux with glibc 2.36, under Python 3.11.  They do not depend on the
+interpreter's sum(), which compensates floats from Python 3.12 on and
+complex numbers from 3.14 on: the library never calls sum() on floats, and
+its own sums run left to right from 0.0 (`tropical.builtin_sum`).  On
+another host a failure of that test alone may be a platform difference
+rather than a change of the program; recompute the pins from an unchanged
+checkout there before reading it as a regression.
 """
 
 import hashlib

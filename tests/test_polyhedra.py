@@ -480,7 +480,7 @@ def test_unimodular_matches_smith_invariant_factors(data):
     n = data.draw(st.integers(1, 4))
     vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple)
     cone = Cone.from_generators(data.draw(st.lists(vec, max_size=5)), n)
-    assume(cone.is_pointed)
+    assume(not cone.lineality)
     factors = smith_normal_form(cone.rays).invariant_factors if cone.rays else ()
     event(f"unimodular {is_unimodular(cone)}")
     assert is_unimodular(cone) == (len(factors) == len(cone.rays) and set(factors) <= {1})

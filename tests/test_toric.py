@@ -2,7 +2,7 @@ import cmath
 
 import pytest
 
-from tropdyn import toric
+from tropdyn import polyhedra, toric
 from tropdyn.polyhedra import Cone, Fan
 from tropdyn.toric import (
     ToricError,
@@ -42,7 +42,16 @@ def test_orbits_p2():
     assert sorted(o.dim for o in obs) == [0, 0, 0, 1, 1, 1, 2]
     for o in obs:
         assert o.dim + o.cone.dim == 2
-        assert o.quotient.quotient_rank == o.dim
+
+
+def test_orbit_dimension_needs_no_quotient_lattice(monkeypatch):
+    """An orbit's dimension is n - dim(cone), read without presenting Z^n/(H_sigma cap Z^n)."""
+
+    def no_quotient(*args):
+        raise AssertionError("an orbit built a quotient lattice")
+
+    monkeypatch.setattr(polyhedra, "_vrep_quotient", no_quotient)
+    assert sorted(o.dim for o in orbits(p2_fan())) == [0, 0, 0, 1, 1, 1, 2]
 
 
 def test_orbits_trivial_fan():

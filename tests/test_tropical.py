@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from tropdyn import tropical
 from tropdyn.lattice import identity
 from tropdyn.polyhedra import PolyhedralError, add_cycles, check_balancing
 from tropdyn.tropical import (
-    COMPLEX_SUM_COMPENSATES,
     ComplexPolynomial,
     TropicalError,
     TropicalPolynomial,
@@ -24,7 +23,7 @@ from tropdyn.tropical import (
     uniform_bergman_fan,
 )
 
-from oracles import compensated_sum, eval_tropical_float_scalar
+from oracles import eval_tropical_float_scalar, fold_sum, relint_point, tropical_product, weight_at
 
 
 def cycle_rays(cycle):
@@ -130,11 +129,10 @@ def test_eval_batch_matches_scalar_float_path(data):
 @settings(max_examples=300)
 @given(st.lists(st.one_of(st.floats(-1e200, 1e200), st.floats(-1, 1)), min_size=1, max_size=6))
 def test_builtin_sum_matches_sum(values):
-    """Elementwise sums repeat the running interpreter's sum(), compensated or not."""
+    """Elementwise sums are the left-to-right fold from 0.0, whatever the interpreter's sum() does."""
     columns = [np.array([v]) for v in values]
-    assert builtin_sum(columns)[0] == sum(values)
-    assert builtin_sum(columns, COMPLEX_SUM_COMPENSATES)[0] == sum(complex(v, 1.0) for v in values).real
-    assert builtin_sum(columns, compensated=True)[0] == compensated_sum(values)
+    assert builtin_sum(columns)[0] == fold_sum(values)
+    assert builtin_sum(columns)[0] == fold_sum((complex(v, 1.0) for v in values), 0j).real
 
 
 def test_dequantized_examples():
@@ -302,6 +300,54 @@ def test_hypersurface_product_is_cycle_sum():
     lhs = tropical_hypersurface(tropicalize_poly(f_prod))
     rhs = add_cycles(tropical_hypersurface(tropicalize_poly(f_mono)), h)
     assert lhs == rhs
+
+
+def _weights_holding(C, x):
+    return [w for cell, w in C.cells if cell.contains(x)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trop_of_a_product_is_the_sum_of_the_factors(data):
+    """Trop(q1 ⊙ q2) = Trop(q1) + Trop(q2) in R^2 (Maclagan-Sturmfels, §3.3), weight by weight.
+
+    Each weight is checked against the pointwise one, the lattice length of
+    the argmax exponents: at a relative interior point of every cell of the
+    sum and of the product, and at random rational points.  The sum refines
+    its cells along whole lines, so a point of a product cell can be a vertex
+    of the sum; the sum is read only where one of its cells holds the point.
+    """
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coeffs = st.integers(-16, 16).map(lambda k: Fraction(k, 8))
+    poly = st.dictionaries(exps, coeffs, min_size=3, max_size=5).map(lambda t: TropicalPolynomial(t, 2))
+    q1, q2 = data.draw(poly), data.draw(poly)
+    product = tropical_product(q1, q2)
+    total = add_cycles(tropical_hypersurface(q1), tropical_hypersurface(q2))
+    trop = tropical_hypersurface(product)
+
+    def pointwise(x):
+        w = weight_at(q1, x) + weight_at(q2, x)
+        assert weight_at(product, x) == w
+        return w
+
+    for cell, w in total.cells:
+        assert w == pointwise(relint_point(cell))
+    for cell, w in trop.cells:
+        x = relint_point(cell)
+        assert w == pointwise(x)
+        holding = _weights_holding(total, x)
+        assert holding
+        if len(holding) == 1:
+            assert holding == [w]
+    point = st.tuples(*[st.integers(-64, 64).map(lambda k: Fraction(k, 16))] * 2)
+    for x in data.draw(st.lists(point, min_size=5, max_size=5)):
+        for C in (total, trop):
+            holding = _weights_holding(C, x)
+            event(f"random point on {min(len(holding), 2)} cells")
+            if not holding:
+                assert pointwise(x) == 0
+            elif len(holding) == 1:  # a vertex lies on two cells or more
+                assert holding == [pointwise(x)]
 
 
 def random_tropical_polynomial(rng, n):
