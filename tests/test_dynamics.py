@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tropdyn.dynamics
@@ -268,21 +268,32 @@ def test_amoeba_torus_rotation_invariance():
 def test_amoeba_solves_every_slice_of_a_line(data):
     """On a z1 + b z2 + c every slice is degree 1: no slice fails and every kept point is finite.
 
-    Moduli e^U(-2, 2), phases uniform on the circle, m = 1 to 32.  Lines
-    where |a| e^(-m s) = |c| or |b| e^(-m s) = |c| at a slice value s are
-    left out: there a phase step can cancel the slice's constant term, and
-    that slice, with no nonzero root, is not solved.
+    Moduli e^U(-2, 2), phases uniform on the circle, m = 1 to 32.  Where
+    |a| e^(-m s) = |c| or |b| e^(-m s) = |c| at a slice value s, a phase step
+    can cancel the slice's constant term exactly; that slice has no nonzero
+    root and is not solved, so exactly those slices are missing from the count.
     """
     log_modulus = st.floats(-2, 2)
     phase = st.floats(0, 2 * math.pi, exclude_max=True)
-    (la, pa), (lb, pb), (lc, pc) = ((data.draw(log_modulus), data.draw(phase)) for _ in range(3))
-    a, b, c = (cmath.rect(math.exp(l), p) for l, p in ((la, pa), (lb, pb), (lc, pc)))
+    a, b, c = (cmath.rect(math.exp(data.draw(log_modulus)), data.draw(phase)) for _ in range(3))
     m = data.draw(st.integers(1, 32), label="m")
     res = data.draw(st.tuples(st.integers(2, 9), st.integers(2, 9)), label="resolution")
     grid = GridSpec(box=((-2, 2), (-2, 2)), resolution=res)
-    assume(all(abs(l - m * s - lc) > 1e-9 for axis, l in ((0, la), (1, lb)) for s in grid.axis(axis)))
-    cloud = amoeba_sample(ComplexPolynomial({(1, 0): a, (0, 1): b, (0, 0): c}), grid, m)
-    assert cloud.counters["slices"] == 2 * res[0] * res[1]
+    f = ComplexPolynomial({(1, 0): a, (0, 1): b, (0, 0): c})
+    cancelled = 0
+    for axis, coeff in ((0, a), (1, b)):
+        nphi = res[1 - axis]
+        s = np.repeat(grid.axis(axis), nphi)
+        phis = np.tile(2 * np.pi * np.arange(nphi) / nphi, res[axis])
+        _, _, present = tropdyn.dynamics._slice_matrix(f, axis, -m * s, phis)
+        assert present[:, 1].all()
+        gone = ~present[:, 0]
+        assert np.all(np.abs(np.log(abs(coeff)) - m * s[gone] - np.log(abs(c))) < 1e-9)
+        cancelled += int(np.count_nonzero(gone))
+    if cancelled:
+        event("constant term cancels")
+    cloud = amoeba_sample(f, grid, m)
+    assert cloud.counters["slices"] == 2 * res[0] * res[1] - cancelled
     assert cloud.counters["failed_slices"] == 0
     assert np.isfinite(cloud.points).all()
 

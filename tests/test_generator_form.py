@@ -75,7 +75,8 @@ def test_face_dimension_and_quotient_match_the_fraction_formula(P):
     n = P.ambient_dim
     if P.is_empty:
         return
-    for k in P.face_vkeys():  # P itself among them
+    assert _vrep_quotient(n, *P.vkey()) == vrep_quotient_fractions(n, P.vertices, P.rays, P.lineality)
+    for k in P.face_vkeys():
         face = P._face(k[0])
         assert face.vkey() == k
         assert vrep_dim(*k) == face.dim

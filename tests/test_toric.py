@@ -36,22 +36,18 @@ def quadrant_fan():
     )
 
 
-def test_orbits_p2():
-    obs = orbits(p2_fan())
-    assert len(obs) == 7
-    assert sorted(o.dim for o in obs) == [0, 0, 0, 1, 1, 1, 2]
-    for o in obs:
-        assert o.dim + o.cone.dim == 2
-
-
-def test_orbit_dimension_needs_no_quotient_lattice(monkeypatch):
+def test_orbits_p2(monkeypatch):
     """An orbit's dimension is n - dim(cone), read without presenting Z^n/(H_sigma cap Z^n)."""
 
     def no_quotient(*args):
         raise AssertionError("an orbit built a quotient lattice")
 
     monkeypatch.setattr(polyhedra, "_vrep_quotient", no_quotient)
-    assert sorted(o.dim for o in orbits(p2_fan())) == [0, 0, 0, 1, 1, 1, 2]
+    obs = orbits(p2_fan())
+    assert len(obs) == 7
+    assert sorted(o.dim for o in obs) == [0, 0, 0, 1, 1, 1, 2]
+    for o in obs:
+        assert o.dim + o.cone.dim == 2
 
 
 def test_orbits_trivial_fan():
