@@ -36,7 +36,8 @@ def draw(args):
     f = ComplexPolynomial({(1, 0): 1, (0, 1): 1, (0, 0): 1})
     box = ((-3.0, 3.0), (-3.0, 3.0))
     grid = GridSpec(box=box, resolution=(args.res, args.res))
-    cloud = clip_to_box(amoeba_sample(f, grid, args.m), box)
+    (cloud,) = amoeba_sample(f, grid, (args.m,))
+    cloud = clip_to_box(cloud, box)
     spine = spine_segments(tropical_hypersurface(tropicalize_poly(f)), box)
     out = Path(args.out.format(m=args.m))
     out.write_text(

@@ -57,6 +57,8 @@ def parse_ms(text):
         raise argparse.ArgumentTypeError(f"needs comma-separated integers: {text!r}") from None
     if not ms:
         raise argparse.ArgumentTypeError("needs at least one value of m")
+    if len(set(ms)) < len(ms):
+        raise argparse.ArgumentTypeError(f"repeats a value of m: {text!r}")
     return ms
 
 
@@ -199,15 +201,15 @@ def cmd_amoeba(args):
     many = len(args.ms) > 1
     if args.svg:
         segs = spine_segments(tropical_hypersurface(tropicalize_poly(f)), grid.box)
-    for m in args.ms:
-        cloud = clip_to_box(amoeba_sample(f, grid, m), grid.box)
+    for sample in amoeba_sample(f, grid, args.ms):
+        cloud = clip_to_box(sample, grid.box)
         cloud.seed = args.seed
-        _write_text(_suffixed(args.output, m, many), serialize.cloud_to_csv(cloud))
+        _write_text(_suffixed(args.output, cloud.m, many), serialize.cloud_to_csv(cloud))
         if args.svg:
             svg = svgplot.scatter_with_segments(
-                cloud.points, segs, grid.box, title=f"scaled amoeba, m={m}"
+                cloud.points, segs, grid.box, title=f"scaled amoeba, m={cloud.m}"
             )
-            _write_text(_suffixed(args.svg, m, many), svg)
+            _write_text(_suffixed(args.svg, cloud.m, many), svg)
     return 0
 
 

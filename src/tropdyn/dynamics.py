@@ -34,6 +34,10 @@ ALL_MODE_BUDGET = 10 ** 6
 ROOT_TOL = 1e-12
 MAX_SWEEPS = 200
 
+#: most rows of one amoeba slice batch: below it a batch saves per-call
+#: overhead, above it larger temporaries cost more than they save (see _slice_batches)
+SLICE_BATCH_ROWS = 4096
+
 #: most phase redraws of one grid point where f(z^m) is near zero
 MAX_RETRIES = 20
 
@@ -267,41 +271,138 @@ def polynomial_roots(coeffs) -> BatchRoots:
 # amoeba sampling
 
 
-def _slice_matrix(f: ComplexPolynomial, axis: int, log_w, phi):
-    """Log-scale coefficients of every slice of f along axis, one row per slice.
+def _exponent_spreads(f: ComplexPolynomial):
+    """Per variable, its largest minus its least exponent: the degree of the slices along the other axis."""
+    return tuple(max(e[v] for e, _ in f.terms) - min(e[v] for e, _ in f.terms) for v in (0, 1))
 
-    Row r sets z_axis = exp(log_w[r] + i phi[r]).  Returns (logmag, phase,
-    present): column j is the coefficient of z_other^(k_min + j) as
-    exp(logmag + i phase); present is False where no term has that degree or
-    its terms cancel exactly.  Everything stays in log scale so slices at
-    |z_axis| = e^(+-3m) do not overflow.
+
+def _slice_matrix(f: ComplexPolynomial, axis, log_w, phi):
+    """Log-scale coefficients of every slice of f, one row per slice.
+
+    log_w and phi are (S,) or (B, S): B blocks of S slices, block b slicing
+    along axis[b] (a scalar serves every block).  Slice (b, r) sets
+    z_axis = exp(log_w[b, r] + i phi[b, r]).  Returns (logmag, phase,
+    present), each of shape log_w.shape + (columns,): column j is the
+    coefficient of z_other^(k_min + j), k_min the least exponent of z_other
+    in f, as exp(logmag + i phase); present is False where no term has that
+    degree or its terms cancel exactly.  There are as many columns as the
+    wider axis needs.  Each coefficient sums its terms in term order, and
+    everything stays in log scale so slices at |z_axis| = e^(+-3m) do not
+    overflow.
     """
-    other = 1 - axis
-    exps = np.array([exp for exp, _ in f.terms])
+    exps = [exp for exp, _ in f.terms]
     coeffs = np.array([coeff for _, coeff in f.terms])
-    L = np.log(np.abs(coeffs)) + exps[:, axis] * log_w[:, None]
-    theta = np.angle(coeffs) + exps[:, axis] * phi[:, None]
-    ks = exps[:, other]
-    k_min = int(ks.min())
-    shape = (len(log_w), int(ks.max()) - k_min + 1)
+    logc, argc = np.log(np.abs(coeffs)), np.angle(coeffs)
+    blocks = np.broadcast_to(axis, np.shape(log_w)[:-1])
+    shape = np.shape(log_w) + (max(_exponent_spreads(f)) + 1,)
     logmag, phase = np.full(shape, -np.inf), np.zeros(shape)
-    present = np.zeros(shape, dtype=bool)
-    for k in np.unique(ks):
-        terms = np.flatnonzero(ks == k)
-        top = np.max(L[:, terms], axis=1)
-        val = 0j
-        for j in terms:  # in term order
-            val = val + np.exp((L[:, j] - top) + 1j * theta[:, j])
-        col = k - k_min
-        present[:, col] = val != 0
+    for a in (0, 1):
+        on = blocks == a  # the blocks that slice along axis a
+        if not on.any():
+            continue
+        on = slice(None) if on.all() else on  # a slice takes views, not copies
+        k_min = min(e[1 - a] for e in exps)
+        columns = {}  # column -> its terms, in term order
+        for j, e in enumerate(exps):
+            columns.setdefault(e[1 - a] - k_min, []).append(j)
+        E = np.array([e[a] for e in exps])
+        L = logc + E * log_w[on][..., None]
+        theta = argc + E * phi[on][..., None]
         with np.errstate(divide="ignore"):
-            logmag[:, col] = np.where(present[:, col], top + np.log(np.abs(val)), -np.inf)
-        phase[:, col] = np.angle(val)
-    return logmag, phase, present
+            for col, terms in columns.items():
+                top = np.max(L[..., terms], axis=-1) if len(terms) > 1 else L[..., terms[0]]
+                val = 0j
+                for j in terms:  # in term order
+                    val = val + np.exp((L[..., j] - top) + 1j * theta[..., j])
+                logmag[on, ..., col] = np.where(val != 0, top + np.log(np.abs(val)), -np.inf)
+                phase[on, ..., col] = np.angle(val)
+    return logmag, phase, logmag > -np.inf
 
 
-def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, m: int) -> PointCloud:
-    """Sample of the 1/m-scaled amoeba of V(f) on the slice lines of the grid.
+class _Slices(Record, frozen=True):
+    """One batch of an amoeba sweep's slice rows: each row's polynomial, roots and kernel result.
+
+    Row r slices f along axis[r] at z_axis = exp(-m[r] s[r] + i phi), as in
+    amoeba_sample; logmag[r] and phase[r] are its coefficients as
+    _slice_matrix gives them.  span[r] = (lo, hi) are its lowest and highest
+    present columns, with lo == hi where the row has no finite nonzero roots
+    and is not solved.  A solved row of degree d = hi - lo goes to
+    polynomial_roots as the d + 1 coefficients exp(logmag + j shift + i phase),
+    j = 0..d from column lo, divided by the largest; the balancing shift
+    (logmag[lo] - logmag[hi]) / d keeps them finite.  roots[r, :d] are that
+    call's roots, so the slice's nonzero roots are exp(shift[r]) roots[r, :d];
+    the other entries are NaN.  failed[r] and iterations[r] are the kernel's
+    (False and 0 where the row is not solved).
+    """
+
+    __slots__ = ("m", "axis", "s", "logmag", "phase", "span", "shift", "roots", "failed", "iterations")
+
+    def __init__(self, m, axis, s, logmag, phase, span, shift, roots, failed, iterations):
+        self._set(m, axis, s, logmag, phase, span, shift, roots, failed, iterations)
+
+
+def _slice_batch(f: ComplexPolynomial, m, axis, s, phi) -> _Slices:
+    """The _Slices record of B blocks of S slices: s and phi are (B, S), m and axis (B,).
+
+    Slice (b, r) sets z_axis = exp(-m[b] s[b, r] + i phi[b, r]) on axis[b].
+    One _slice_matrix call builds every row, and one polynomial_roots call
+    solves the rows of each degree span.
+    """
+    logmag, phase, present = (x.reshape(s.size, -1) for x in _slice_matrix(f, axis, -m[:, None] * s, phi))
+    width = present.shape[1]
+    k_lo = np.argmax(present, axis=1)
+    k_hi = width - 1 - np.argmax(present[:, ::-1], axis=1)
+    # rows with no term or a single degree have no finite nonzero roots
+    solvable = present.any(axis=1) & (k_hi > k_lo)
+    code = k_lo * width + k_hi  # each row's degree span as one integer
+    shift = np.zeros(s.size)
+    roots = np.full((s.size, width - 1), np.nan, dtype=complex)
+    failed = np.zeros(s.size, dtype=bool)
+    iterations = np.zeros(s.size, dtype=np.int64)
+    for c in np.flatnonzero(np.bincount(code[solvable], minlength=1)):
+        lo, hi = divmod(int(c), width)
+        deg = hi - lo
+        rows = np.flatnonzero(solvable & (code == c))
+        L, theta = logmag[rows, lo:hi + 1], phase[rows, lo:hi + 1]
+        # balance the exponent spread so the scaled coefficients are finite
+        t = (L[:, 0] - L[:, -1]) / deg
+        L = L + np.arange(deg + 1) * t[:, None]
+        top = np.max(L, axis=1, keepdims=True)
+        solved = polynomial_roots(np.exp((L - top) + 1j * theta))
+        shift[rows], roots[rows, :deg] = t, solved.roots
+        failed[rows], iterations[rows] = solved.failed, solved.iterations
+    span = np.stack([k_lo, np.where(solvable, k_hi, k_lo)], axis=1)
+    m, axis = np.repeat(m, s.shape[1]), np.repeat(axis, s.shape[1])  # per row
+    return _Slices(m, axis, s.ravel(), logmag, phase, span, shift, roots, failed, iterations)
+
+
+def _slice_batches(f: ComplexPolynomial, grid: GridSpec, ms):
+    """The slice rows of an amoeba sweep over ms, one _Slices record per batch.
+
+    The rows of each m and axis form a block, in amoeba_sample's order; the
+    blocks go, in (m, axis) order, into batches of at most SLICE_BATCH_ROWS
+    rows, and a larger block goes alone.  Batching saves numpy's per-call
+    overhead, which dominates small grids; past a few thousand rows the
+    batch's larger temporaries cost more than that saves.  So a sweep of
+    three m over 11 x 11 is one batch, and one over 61 x 61 (the CLI's
+    default) a batch per block, as when each m was solved alone.
+    """
+    slices = math.prod(grid.resolution)  # rows per block: slice values x phases
+    per_batch = max(1, SLICE_BATCH_ROWS // slices)
+    s, phi = np.empty((2, slices)), np.empty((2, slices))  # per axis: each row's slice value and phase
+    for axis in (0, 1):
+        nphi = grid.resolution[1 - axis]
+        phis = 2 * np.pi * np.arange(nphi) / nphi
+        values = grid.axis(axis)
+        s[axis], phi[axis] = np.repeat(values, nphi), np.tile(phis, len(values))
+    blocks = np.array([(m, axis) for m in ms for axis in (0, 1)])
+    for start in range(0, len(blocks), per_batch):
+        m, axis = blocks[start:start + per_batch].T
+        yield _slice_batch(f, m, axis, s[axis], phi[axis])
+
+
+def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, ms) -> tuple[PointCloud, ...]:
+    """Samples of the 1/m-scaled amoeba of V(f) on the slice lines of the grid, one cloud per m in ms.
 
     For each slice value s on an axis the slice variable is set to
     exp(-m*s + i*phi) and the roots of the resulting univariate polynomial are
@@ -312,71 +413,98 @@ def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, m: int) -> PointCloud:
     Log(preimage) = (1/m) Log(Z).  Only the slice coordinate lies in the
     window; the root coordinate is not clipped, so callers apply clip_to_box.
 
-    All slices of an axis go to polynomial_roots as one (S, d+1) batch, with
-    S = slice values x phases, each row balanced by its exponent-spread shift.
-    A row whose lowest or highest coefficient cancels exactly has a smaller
-    degree and is solved in its own batch, so an axis needs more than one
-    call only for such inputs.  Points keep the order of axis, slice value,
-    phase, then root.  The cloud's counters give slices (rows solved),
-    failed_slices (rows the kernel failed; their roots are dropped) and
-    aberth_iterations (sweeps summed over rows).  Aberth iteration holds
-    (S, d, d) arrays for slices of degree d, so S d^2 may not exceed
-    ALL_MODE_BUDGET; degree-1 slices, solved in closed form, are exempt.
+    The slices of every m and both axes are solved together, in batches of
+    at most SLICE_BATCH_ROWS rows (see _slice_batches): one _slice_matrix
+    call builds a batch's rows, and its rows of one degree span (lowest and
+    highest present coefficient) go to polynomial_roots as one (S, d+1)
+    array, each balanced by its own exponent-spread shift and scaled back by
+    its own m.  So a small sweep of a line takes one root-finder call; a row
+    whose lowest or highest coefficient cancels exactly, or an axis of
+    another degree, adds one call per span.  Aberth iteration holds
+    (S, d, d) arrays, so the rows of one m and axis (slice values x phases)
+    times d^2 may not exceed ALL_MODE_BUDGET (degree-1 slices, solved in
+    closed form, are exempt).  No row reads another, so each cloud equals,
+    bit for bit, the one amoeba_sample(f, grid, (m,)) gives.
+
+    Points keep the order of axis, slice value, phase, then root.  Each
+    cloud's counters give slices (rows solved), failed_slices (rows the
+    kernel failed; their roots are dropped) and aberth_iterations (sweeps
+    summed over rows).
     """
     if f.ambient_dim != 2:
         raise DynamicsError("amoeba sampling is two-dimensional")
-    if m < 1:
+    ms = tuple(ms)
+    if not ms:
+        raise DynamicsError("need at least one value of m")
+    if any(m < 1 for m in ms):
         raise DynamicsError("m must be a positive integer")
     if len(grid.box) != 2:
         raise DynamicsError("need a two-axis grid")
     for var in (0, 1):
         if all(exp[var] == 0 for exp, _ in f.terms):
             raise DynamicsError("polynomial is univariate in effect")
-    slices = math.prod(grid.resolution)  # per axis: slice values x phases
-    for var in (0, 1):
-        d = max(exp[var] for exp, _ in f.terms) - min(exp[var] for exp, _ in f.terms)
+    slices = math.prod(grid.resolution)  # per m and axis: slice values x phases
+    for d in _exponent_spreads(f):
         if d > 1 and slices * d * d > ALL_MODE_BUDGET:
             raise DynamicsError(
                 f"slices x degree^2 = {slices} x {d}^2 exceeds ALL_MODE_BUDGET = {ALL_MODE_BUDGET}"
             )
-    counters = {"slices": 0, "failed_slices": 0, "aberth_iterations": 0}
-    blocks = []
-    for axis in (0, 1):
-        other = 1 - axis
-        nphi = grid.resolution[other]
-        phis = 2 * np.pi * np.arange(nphi) / nphi
-        values = grid.axis(axis)
-        s = np.repeat(values, nphi)  # row r: slice value r // nphi, phase r % nphi
-        logmag, phase, present = _slice_matrix(f, axis, -m * s, np.tile(phis, len(values)))
-        width = present.shape[1]
-        k_lo = np.argmax(present, axis=1)
-        k_hi = width - 1 - np.argmax(present[:, ::-1], axis=1)
-        # rows with no term or a single degree have no finite nonzero roots
-        solvable = present.any(axis=1) & (k_hi > k_lo)
-        coord = np.full((len(s), width - 1), np.nan)
-        for span in np.unique(k_lo[solvable] * width + k_hi[solvable]):
-            lo, hi = divmod(int(span), width)
-            deg = hi - lo
-            rows = np.flatnonzero(solvable & (k_lo == lo) & (k_hi == hi))
-            L, theta = logmag[rows, lo:hi + 1], phase[rows, lo:hi + 1]
-            # balance the exponent spread so the scaled coefficients are finite
-            t = (L[:, 0] - L[:, -1]) / deg
-            L = L + np.arange(deg + 1) * t[:, None]
-            top = np.max(L, axis=1, keepdims=True)
-            batch = polynomial_roots(np.exp((L - top) + 1j * theta))
-            good = ~batch.failed
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_root = t[good, None] + np.log(np.abs(batch.roots[good]))
-            coord[rows[good], :deg] = LOG_SIGN * log_root / m
-            counters["slices"] += len(rows)
-            counters["failed_slices"] += int(np.count_nonzero(batch.failed))
-            counters["aberth_iterations"] += int(batch.iterations.sum())
-        keep = np.isfinite(coord)  # drops unfilled entries and zero or infinite roots
-        pts = np.empty((int(keep.sum()), 2))
-        pts[:, axis] = np.broadcast_to(s[:, None], coord.shape)[keep]
-        pts[:, other] = coord[keep]
-        blocks.append(pts)
-    return PointCloud(2, np.concatenate(blocks), m=m, counters=counters)
+    names = ("slices", "failed_slices", "aberth_iterations")
+    clouds, halves = [], []  # halves: the points and counters of the axis blocks of the next m
+    for batch in _slice_batches(f, grid, ms):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coord = np.log(np.abs(batch.roots))
+        coord += batch.shift[:, None]  # in place, the float operations of (shift + log|root|) * LOG_SIGN / m
+        coord *= LOG_SIGN
+        coord /= batch.m[:, None]
+        # drops unfilled entries, zero or infinite roots and the roots of failed rows
+        keep = np.isfinite(coord) & ~batch.failed[:, None]
+        solved = batch.span[:, 1] > batch.span[:, 0]
+        for start in range(0, len(batch.s), slices):  # one (m, axis) block
+            rows, axis = slice(start, start + slices), batch.axis[start]
+            pts = np.empty((np.count_nonzero(keep[rows]), 2))
+            pts[:, axis] = np.broadcast_to(batch.s[rows, None], coord[rows].shape)[keep[rows]]
+            pts[:, 1 - axis] = coord[rows][keep[rows]]
+            tally = (solved[rows].sum(), batch.failed[rows].sum(), batch.iterations[rows].sum())
+            halves.append((pts, tally))
+            if len(halves) == 2:
+                (p0, t0), (p1, t1) = halves
+                counters = {name: int(a + b) for name, a, b in zip(names, t0, t1)}
+                clouds.append(PointCloud(2, np.concatenate([p0, p1]), m=ms[len(clouds)], counters=counters))
+                halves = []
+        del batch, coord, keep, solved  # free this batch's rows before the next is built
+    return tuple(clouds)
+
+
+def slice_windings(logmag, phase, log_r, P: int):
+    """Winding numbers around 0 of theta -> p(exp(log_r + i theta)), one per circle in log_r.
+
+    p(z) = sum_j exp(logmag[j] + i phase[j]) z^j is one log-scale slice row
+    (as _slice_matrix gives it; logmag is -inf where a coefficient is
+    absent), and log_r is the log of a radius or an array of them.  By the
+    argument principle the winding number is the number of roots of p in
+    |z| < exp(log_r), with multiplicity, when none lies on the circle; it is
+    counted without finding them.  p is read at P equally spaced phases,
+    each term shifted by the circle's largest term log-modulus, so circles
+    at |z| = e^(+-3m) do not overflow.  The phase increments between
+    consecutive readings are summed; the count is right when p's phase turns
+    by less than pi between them, which holds when the circle stays at a
+    log-distance delta from every root and P > 2 k / (1 - exp(-delta)),
+    k the degree.
+    """
+    logmag = np.asarray(logmag, dtype=float)
+    phase = np.asarray(phase, dtype=float)
+    if logmag.ndim != 1 or logmag.shape != phase.shape or not np.isfinite(logmag).any():
+        raise DynamicsError("a slice row needs matching 1-D logmag and phase with a finite entry")
+    if P < 3:
+        raise DynamicsError("a winding number needs at least 3 phases")
+    j = np.arange(len(logmag))
+    L = logmag + np.multiply.outer(log_r, j)  # (..., terms)
+    L = L - np.max(L, axis=-1, keepdims=True)
+    theta = phase + np.multiply.outer(2 * np.pi * np.arange(P) / P, j)  # (P, terms)
+    values = np.sum(np.exp(L[..., None, :] + 1j * theta), axis=-1)  # (..., P)
+    turns = np.angle(np.roll(values, -1, axis=-1) / values)
+    return np.rint(np.sum(turns, axis=-1) / (2 * np.pi)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +923,10 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Run a named experiment for each m and fit errors ~ C * m^(-rho).
 
-    A hausdorff-to-tropical report also lists, per m, the amoeba sampler's
-    deterministic counters in details: slices, failed_slices and
+    A hausdorff-to-tropical report samples the amoebas of every m in one
+    amoeba_sample call, so the slices of the sweep are solved in batches
+    of up to SLICE_BATCH_ROWS rows, and lists, per m, the
+    sampler's deterministic counters in details: slices, failed_slices and
     aberth_iterations (see amoeba_sample).  No timing enters a report.
     """
     ms = tuple(int(m) for m in ms)
@@ -824,8 +954,7 @@ def convergence_report(
         details["grid_pitch"] = max(
             (hi - lo) / (r - 1) for (lo, hi), r in zip(grid.box, grid.resolution)
         )
-        for m in ms:
-            sample = amoeba_sample(f, grid, m)
+        for sample in amoeba_sample(f, grid, ms):
             for key, count in sample.counters.items():
                 details.setdefault(key, []).append(count)
             errors.append(hausdorff(clip_to_box(sample, grid.box), spine))

@@ -325,11 +325,6 @@ class Polyhedron:
         """Saturated integer basis of the linear space parallel to aff(P)."""
         return _vrep_quotient(self.ambient_dim, *self.vkey()).sublattice_basis
 
-    def contains(self, x):
-        return all(dot(a, x) == b for a, b in self.eqs) and all(
-            dot(a, x) >= b for a, b in self.ineqs
-        )
-
     def vkey(self):
         return (self.gens, self.lineality)
 
@@ -555,9 +550,6 @@ class Fan:
         """Face closure, sorted by decreasing dimension then key."""
         return _faces_of(self.maximal_cones)
 
-    def support_contains(self, v):
-        return any(c.contains(v) for c in self.maximal_cones)
-
     def __eq__(self, other):
         return (
             isinstance(other, Fan)
@@ -650,9 +642,6 @@ class WeightedComplex:
     @property
     def is_empty(self):
         return not self.cells
-
-    def support_contains(self, x):
-        return any(c.contains(x) for c, _ in self.cells)
 
     def scale(self, k):
         k = int(k)

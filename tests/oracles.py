@@ -30,6 +30,7 @@ from tropdyn.lattice import (
 )
 from tropdyn.polyhedra import (
     MAX_AMBIENT_DIM,
+    Fan,
     PolyhedralError,
     Polyhedron,
     _check_dims,
@@ -47,6 +48,17 @@ def relint_point(P):
     return tuple(
         sum(v[i] for v in P.vertices) / k + sum(r[i] for r in P.rays) for i in range(P.ambient_dim)
     )
+
+
+def contains(P, x):
+    """Whether the point x lies in the polyhedron P: every equation and inequality holds exactly."""
+    return all(dot(a, x) == b for a, b in P.eqs) and all(dot(a, x) >= b for a, b in P.ineqs)
+
+
+def support_contains(X, x):
+    """Whether x lies in a maximal cone of the Fan X, or in a cell of the WeightedComplex X."""
+    members = X.maximal_cones if isinstance(X, Fan) else [cell for cell, _ in X.cells]
+    return any(contains(P, x) for P in members)
 
 
 def weyl_sum_bruteforce(m: int, nu) -> complex:
@@ -559,8 +571,8 @@ def subset_fractions(P, Q) -> bool:
     when r points out of the facet.
     """
     directions = list(P.rays) + list(P.lineality) + [vec_neg(l) for l in P.lineality]
-    return all(Q.contains(v) for v in P.vertices) and all(
-        Q.contains(tuple(x + y for x, y in zip(w, d))) for w in Q.vertices for d in directions
+    return all(contains(Q, v) for v in P.vertices) and all(
+        contains(Q, tuple(x + y for x, y in zip(w, d))) for w in Q.vertices for d in directions
     )
 
 

@@ -214,9 +214,8 @@ def test_criterion_07_hausdorff_convergence():
         spine = clip_to_box(sample_tropical_support(cycle, box, density=60.0), box)
         pitch = 6.0 / 120
         values = []
-        for m in ms:
-            cloud = clip_to_box(amoeba_sample(LINE, grid, m), box)
-            values.append(hausdorff(cloud, spine))
+        for cloud in amoeba_sample(LINE, grid, ms):
+            values.append(hausdorff(clip_to_box(cloud, box), spine))
         for a, b in zip(values, values[1:]):
             assert b <= a + 2 * pitch, values
         assert values[-1] <= (values[0] / 4) * 1.3, values

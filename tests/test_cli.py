@@ -539,6 +539,26 @@ def test_empty_ms_is_usage_error(argv, line_path, capsys):
     assert "argument --ms: needs at least one value of m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["amoeba", "--ms", "4,4", "-o", "a.csv"],
+        ["dequantize", "--ms", "4,8,4"],
+        ["converge", "--experiment", "equidistribution-discrepancy", "--ms", "8,8"],
+    ],
+)
+def test_repeated_m_is_usage_error(argv, line_path, tmp_path, monkeypatch, capsys):
+    """A repeated m would write the same file twice, report it twice and solve its rows twice."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    if argv[0] in ("amoeba", "dequantize"):
+        argv = argv + ["-i", line_path]
+    assert run(argv) == 2
+    assert "argument --ms: repeats a value of m" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+
+
 def test_usage_error_exit_two(capsys):
     assert run(["hypersurface", "--definitely-not-a-flag"]) == 2
     assert run(["not-a-command"]) == 2

@@ -164,7 +164,7 @@ NUMERIC_VALID = {
 # flag -> negative, empty, non-finite and oversized replacement values
 FLAG_VALUES = {
     "--seed": ["-1", "", "nan", str(2**70)],
-    "--ms": ["-4", "0", "", ",", "nan", "16,4", str(10**9), "4,x"],
+    "--ms": ["-4", "0", "", ",", "nan", "16,4", "4,4", str(10**9), "4,x"],
     "--res": ["-7", "1", "", "nan", "7,7,7", str(10**7)],
     "--box": ["-2,-3", "", "1", "nan,1", "-inf,inf", "-1e308,1e308", "1,2,3"],
     "--delta": ["-0.5", "0", "", "nan", "inf", "1e300", "1e-300"],

@@ -23,6 +23,7 @@ from tropdyn.dynamics import (
     mth_roots,
     polynomial_roots,
     sample_tropical_support,
+    slice_windings,
     star_discrepancy,
     weyl_sum,
 )
@@ -224,12 +225,13 @@ def test_log_map_convention():
     log_root = [-math.log(abs(1 + z)) / m for z in z1]
     expected = [(s, y) for s, y in zip(slice_s, log_root)] + [(y, s) for s, y in zip(slice_s, log_root)]
     assert tropdyn.dynamics.LOG_SIGN == -1.0
-    assert amoeba_sample(LINE, grid, m).points == pytest.approx(np.array(expected), abs=1e-12)
+    (cloud,) = amoeba_sample(LINE, grid, (m,))
+    assert cloud.points == pytest.approx(np.array(expected), abs=1e-12)
 
 
 def test_amoeba_slice_example():
     grid = GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3))
-    cloud = amoeba_sample(LINE, grid, 1)
+    (cloud,) = amoeba_sample(LINE, grid, (1,))
     target = np.array([0.0, -math.log(2)])
     dists = np.linalg.norm(cloud.points - target, axis=1)
     assert dists.min() < 1e-9
@@ -238,7 +240,7 @@ def test_amoeba_slice_example():
 def test_amoeba_diagonal():
     f = ComplexPolynomial({(1, 0): 1, (0, 1): -1})
     grid = GridSpec(box=((-2, 2), (-2, 2)), resolution=(9, 9))
-    cloud = amoeba_sample(f, grid, 1)
+    (cloud,) = amoeba_sample(f, grid, (1,))
     assert len(cloud) > 0
     assert np.max(np.abs(cloud.points[:, 0] - cloud.points[:, 1])) < 1e-9
 
@@ -246,8 +248,8 @@ def test_amoeba_diagonal():
 def test_amoeba_scaling_identity():
     grid = GridSpec(box=((-2, 2), (-2, 2)), resolution=(5, 5))
     grid8 = GridSpec(box=((-16, 16), (-16, 16)), resolution=(5, 5))
-    c_m = amoeba_sample(LINE, grid, 8)
-    c_1 = amoeba_sample(LINE, grid8, 1)
+    (c_m,) = amoeba_sample(LINE, grid, (8,))
+    (c_1,) = amoeba_sample(LINE, grid8, (1,))
     assert np.array_equal(np.sort(c_m.points, axis=0), np.sort(c_1.points / 8, axis=0))
 
 
@@ -256,8 +258,8 @@ def test_amoeba_torus_rotation_invariance():
     grid = GridSpec(box=((-2, 2), (-2, 2)), resolution=(41, 41))
     turn = cmath.exp(0.3j)
     rotated = ComplexPolynomial({(1, 0): turn, (0, 1): turn, (0, 0): 1})
-    a = amoeba_sample(LINE, grid, 1)
-    b = amoeba_sample(rotated, grid, 1)
+    (a,) = amoeba_sample(LINE, grid, (1,))
+    (b,) = amoeba_sample(rotated, grid, (1,))
     assert not np.array_equal(a.points, b.points)
     pitch = 4 / 40
     assert hausdorff(a, b) <= 2 * pitch
@@ -292,7 +294,7 @@ def test_amoeba_solves_every_slice_of_a_line(data):
         cancelled += int(np.count_nonzero(gone))
     if cancelled:
         event("constant term cancels")
-    cloud = amoeba_sample(f, grid, m)
+    (cloud,) = amoeba_sample(f, grid, (m,))
     assert cloud.counters["slices"] == 2 * res[0] * res[1] - cancelled
     assert cloud.counters["failed_slices"] == 0
     assert np.isfinite(cloud.points).all()
@@ -301,11 +303,17 @@ def test_amoeba_solves_every_slice_of_a_line(data):
 def test_amoeba_univariate_rejected():
     f = ComplexPolynomial({(1, 0): 1, (2, 0): 1})
     with pytest.raises(DynamicsError):
-        amoeba_sample(f, GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3)), 1)
+        amoeba_sample(f, GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3)), (1,))
 
 
-def test_amoeba_calls_root_finder_once_per_axis(monkeypatch):
-    """The slices of an axis form one batch, so the root finder runs once or twice per call."""
+@pytest.mark.parametrize("ms, message", [((), "at least one value of m"), ((4, 0), "positive integer")])
+def test_amoeba_rejects_a_sweep_without_valid_ms(ms, message):
+    with pytest.raises(DynamicsError, match=message):
+        amoeba_sample(LINE, GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3)), ms)
+
+
+def test_amoeba_sweep_calls_root_finder_once(monkeypatch):
+    """Every slice of a line, over all ms and both axes, is one degree-1 batch: one root-finder call."""
     calls = []
     inner = tropdyn.dynamics.polynomial_roots
 
@@ -314,35 +322,55 @@ def test_amoeba_calls_root_finder_once_per_axis(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(tropdyn.dynamics, "polynomial_roots", counting)
-    cloud = amoeba_sample(LINE, GridSpec(box=((-3, 3), (-3, 3)), resolution=(11, 11)), 4)
-    assert len(cloud) > 0
-    assert 1 <= len(calls) <= 2
+    clouds = amoeba_sample(LINE, GridSpec(box=((-3, 3), (-3, 3)), resolution=(11, 11)), (4, 8, 16))
+    assert [cloud.m for cloud in clouds] == [4, 8, 16]
+    assert all(len(cloud) > 0 for cloud in clouds)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("res, shapes", [(45, [(2 * 2025, 2)] * 2), (61, [(3721, 2)] * 4)])
+def test_amoeba_batches_stay_under_the_row_cap(monkeypatch, res, shapes):
+    """(m, axis) blocks share a batch only up to SLICE_BATCH_ROWS rows; a larger block goes alone."""
+    solve = tropdyn.dynamics.polynomial_roots
+    seen = []
+
+    def recording(c):
+        seen.append(np.shape(c))
+        return solve(c)
+
+    monkeypatch.setattr(tropdyn.dynamics, "polynomial_roots", recording)
+    amoeba_sample(LINE, GridSpec(box=((-3, 3), (-3, 3)), resolution=(res, res)), (4, 8))
+    assert tropdyn.dynamics.SLICE_BATCH_ROWS == 4096
+    assert seen == shapes
 
 
 def test_amoeba_cancelled_bucket_keeps_degree(monkeypatch):
-    """A row whose top coefficient cancels exactly is solved in its own, lower-degree batch."""
+    """A row whose top coefficient cancels exactly joins the batch of its lower degree."""
     slice_matrix = tropdyn.dynamics._slice_matrix
     solve = tropdyn.dynamics.polynomial_roots
     shapes = []
 
-    def cancel_first_top(f, axis, log_w, phi):
+    def cancel_first_tops(f, axis, log_w, phi):
         logmag, phase, present = slice_matrix(f, axis, log_w, phi)
-        logmag[0, -1], present[0, -1] = -np.inf, False
+        for block in range(len(axis)):  # the first row of each (m, axis) block
+            top = np.flatnonzero(present[block, 0])[-1]
+            logmag[block, 0, top], present[block, 0, top] = -np.inf, False
         return logmag, phase, present
 
     def recording(c):
         shapes.append(np.shape(c))
         return solve(c)
 
-    monkeypatch.setattr(tropdyn.dynamics, "_slice_matrix", cancel_first_top)
+    monkeypatch.setattr(tropdyn.dynamics, "_slice_matrix", cancel_first_tops)
     monkeypatch.setattr(tropdyn.dynamics, "polynomial_roots", recording)
     f = ComplexPolynomial({(0, 2): 1, (1, 1): 1, (0, 0): 1})  # z2^2 + z1 z2 + 1
     grid = GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3))
-    cloud = amoeba_sample(f, grid, 2)
+    (cloud,) = amoeba_sample(f, grid, (2,))
     S = 3 * 3
     # axis 0: row 0 is z1 z2 + 1 (degree 1), the rest quadratic in z2; axis 1:
-    # row 0 keeps only its constant coefficient (no roots), the rest linear in z1
-    assert sorted(shapes) == sorted([(S - 1, 3), (1, 2), (S - 1, 2)])
+    # row 0 keeps only its constant coefficient (no roots), the rest linear in z1;
+    # the degree-1 rows of both axes form one batch
+    assert sorted(shapes) == sorted([(S - 1, 3), (S, 2)])
     assert cloud.counters["slices"] == 2 * S - 1
     # z2 = -1/z1 with |z1| = e^(-m s): the scaled point is (s, -s)
     assert cloud.points[0].tolist() == [-1.0, 1.0]
@@ -371,13 +399,94 @@ def test_amoeba_points_satisfy_gap_bound(degree, m, seed):
     """
     f = _random_curve(np.random.default_rng(seed), degree)
     grid = GridSpec(box=((-3, 3), (-3, 3)), resolution=(13, 13))
-    cloud = amoeba_sample(f, grid, m)
+    (cloud,) = amoeba_sample(f, grid, (m,))
     assert cloud.counters["slices"] > 0
     exps = np.array([e for e, _ in f.terms], dtype=float)
     logc = np.log(np.abs(np.array([c for _, c in f.terms])))
     vals = logc[None, :] / m - cloud.points @ exps.T
     top2 = -np.partition(-vals, 1, axis=1)[:, :2]
     assert np.all(top2[:, 0] - top2[:, 1] <= math.log(len(f.terms) - 1) / m + 1e-6)
+
+
+@pytest.mark.parametrize("blocks_per_batch", [None, 1, 3])
+@settings(max_examples=40, deadline=None)
+@given(
+    degree=st.integers(1, 3),
+    res=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+    ms=st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]), min_size=1, max_size=4, unique=True),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_amoeba_sweep_equals_each_m_alone(blocks_per_batch, degree, res, ms, seed):
+    """Cloud i of a sweep over ms is the sweep of ms[i] alone, points and counters bit for bit.
+
+    At the default SLICE_BATCH_ROWS these sweeps are one batch.  With it at
+    exactly one (m, axis) block every block is solved alone, and at three
+    blocks the two axes of some m fall in different batches.
+    """
+    f = _random_curve(np.random.default_rng(seed), degree)
+    grid = GridSpec(box=((-3, 2), (-2, 3)), resolution=res)
+    slice_matrix = tropdyn.dynamics._slice_matrix
+    batches = []
+
+    def counting(*args):
+        batches.append(args)
+        return slice_matrix(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tropdyn.dynamics, "_slice_matrix", counting)
+        if blocks_per_batch:
+            mp.setattr(tropdyn.dynamics, "SLICE_BATCH_ROWS", blocks_per_batch * math.prod(res))
+        clouds = amoeba_sample(f, grid, ms)
+    assert len(batches) == -(-2 * len(ms) // (blocks_per_batch or 2 * len(ms)))
+    assert [cloud.m for cloud in clouds] == ms
+    for m, cloud in zip(ms, clouds):
+        (alone,) = amoeba_sample(f, grid, (m,))
+        assert np.array_equal(cloud.points, alone.points)
+        assert cloud.counters == alone.counters
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    degree=st.integers(1, 4),
+    ms=st.lists(st.sampled_from([4, 8, 16, 32]), min_size=1, max_size=3, unique=True),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_kept_slice_roots_match_their_winding_numbers(degree, ms, seed):
+    """Argument principle: on a circle clear of a row's roots, the roots inside are its winding number.
+
+    Every row an amoeba sweep keeps (solved, not failed) is checked on the
+    grid's circles |z| = exp(-m x), x on the other axis, that lie more than
+    0.05 + 0.05 m/8 in log from each of its returned roots; at m >= 4, 128
+    phases resolve such a winding up to degree 4 (see slice_windings).  No root
+    finder enters the winding number, so this checks the roots themselves.
+    """
+    f = _random_curve(np.random.default_rng(seed), degree)
+    grid = GridSpec(box=((-3, 3), (-3, 3)), resolution=(11, 11))
+    circles = 0
+    for batch in tropdyn.dynamics._slice_batches(f, grid, ms):
+        lo, hi = batch.span.T
+        for r in np.flatnonzero((hi > lo) & ~batch.failed):
+            m, span = batch.m[r], slice(lo[r], hi[r] + 1)
+            log_root = batch.shift[r] + np.log(np.abs(batch.roots[r, :hi[r] - lo[r]]))
+            log_r = -m * grid.axis(1 - batch.axis[r])
+            clear = np.all(np.abs(log_r[:, None] - log_root) > 0.05 + 0.05 * m / 8, axis=1)
+            inside = np.count_nonzero(log_root < log_r[clear, None], axis=1)
+            winding = slice_windings(batch.logmag[r, span], batch.phase[r, span], log_r[clear], 128)
+            assert np.array_equal(inside, winding), (m, batch.axis[r], batch.s[r])
+            circles += len(inside)
+    assert circles > 0
+
+
+def test_slice_windings_at_extreme_radii():
+    """(z - e^100)(z - e^-100) in log scale: 0, 1 and 2 roots inside, with no overflow."""
+    # coefficients 1, -(e^100 + e^-100), 1 of z^0, z^1, z^2
+    logmag, phase = np.array([0.0, 100.0, 0.0]), np.array([0.0, np.pi, 0.0])
+    with np.errstate(all="raise"):
+        assert slice_windings(logmag, phase, np.array([-150.0, 0.0, 150.0]), 16).tolist() == [0, 1, 2]
+    with pytest.raises(DynamicsError):
+        slice_windings(logmag, phase, 0.0, 2)
+    with pytest.raises(DynamicsError):
+        slice_windings(np.full(3, -np.inf), phase, 0.0, 16)
 
 
 # -- support sampling and Hausdorff
@@ -517,7 +626,8 @@ def test_hausdorff_prunes_most_pairs(monkeypatch, m):
     line = ComplexPolynomial({(1, 0): 2, (0, 1): 3j, (0, 0): -1})
     box = ((-3.0, 3.0), (-3.0, 3.0))
     spine = clip_to_box(sample_tropical_support(tropical_hypersurface(tropicalize_poly(line)), box, 80.0), box)
-    cloud = clip_to_box(amoeba_sample(line, GridSpec(box=box, resolution=(11, 11)), m), box)
+    (cloud,) = amoeba_sample(line, GridSpec(box=box, resolution=(11, 11)), (m,))
+    cloud = clip_to_box(cloud, box)
     pairs = []
     kernel = tropdyn.dynamics._nearest_distances
 
