@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from tropdyn import serialize, svgplot
 from tropdyn.cli import DOMAIN_ERRORS
-from tropdyn.dynamics import GridSpec, amoeba_sample, clip_to_box, spine_segments
+from tropdyn.dynamics import GridSpec, amoeba_sample, spine_segments
 from tropdyn.tropical import ComplexPolynomial, tropical_hypersurface, tropicalize_poly
 
 
@@ -37,7 +37,6 @@ def draw(args):
     box = ((-3.0, 3.0), (-3.0, 3.0))
     grid = GridSpec(box=box, resolution=(args.res, args.res))
     (cloud,) = amoeba_sample(f, grid, (args.m,))
-    cloud = clip_to_box(cloud, box)
     spine = spine_segments(tropical_hypersurface(tropicalize_poly(f)), box)
     out = Path(args.out.format(m=args.m))
     out.write_text(

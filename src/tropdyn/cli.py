@@ -18,7 +18,6 @@ from .dynamics import (
     DynamicsError,
     GridSpec,
     amoeba_sample,
-    clip_to_box,
     convergence_report,
     dequantization_error,
     spine_segments,
@@ -201,8 +200,7 @@ def cmd_amoeba(args):
     many = len(args.ms) > 1
     if args.svg:
         segs = spine_segments(tropical_hypersurface(tropicalize_poly(f)), grid.box)
-    for sample in amoeba_sample(f, grid, args.ms):
-        cloud = clip_to_box(sample, grid.box)
+    for cloud in amoeba_sample(f, grid, args.ms):
         cloud.seed = args.seed
         _write_text(_suffixed(args.output, cloud.m, many), serialize.cloud_to_csv(cloud))
         if args.svg:

@@ -341,54 +341,23 @@ class _Slices(Record, frozen=True):
         self._set(m, axis, s, logmag, phase, span, shift, roots, failed, iterations)
 
 
-def _slice_batch(f: ComplexPolynomial, m, axis, s, phi) -> _Slices:
-    """The _Slices record of B blocks of S slices: s and phi are (B, S), m and axis (B,).
-
-    Slice (b, r) sets z_axis = exp(-m[b] s[b, r] + i phi[b, r]) on axis[b].
-    One _slice_matrix call builds every row, and one polynomial_roots call
-    solves the rows of each degree span.
-    """
-    logmag, phase, present = (x.reshape(s.size, -1) for x in _slice_matrix(f, axis, -m[:, None] * s, phi))
-    width = present.shape[1]
-    k_lo = np.argmax(present, axis=1)
-    k_hi = width - 1 - np.argmax(present[:, ::-1], axis=1)
-    # rows with no term or a single degree have no finite nonzero roots
-    solvable = present.any(axis=1) & (k_hi > k_lo)
-    code = k_lo * width + k_hi  # each row's degree span as one integer
-    shift = np.zeros(s.size)
-    roots = np.full((s.size, width - 1), np.nan, dtype=complex)
-    failed = np.zeros(s.size, dtype=bool)
-    iterations = np.zeros(s.size, dtype=np.int64)
-    for c in np.flatnonzero(np.bincount(code[solvable], minlength=1)):
-        lo, hi = divmod(int(c), width)
-        deg = hi - lo
-        rows = np.flatnonzero(solvable & (code == c))
-        L, theta = logmag[rows, lo:hi + 1], phase[rows, lo:hi + 1]
-        # balance the exponent spread so the scaled coefficients are finite
-        t = (L[:, 0] - L[:, -1]) / deg
-        L = L + np.arange(deg + 1) * t[:, None]
-        top = np.max(L, axis=1, keepdims=True)
-        solved = polynomial_roots(np.exp((L - top) + 1j * theta))
-        shift[rows], roots[rows, :deg] = t, solved.roots
-        failed[rows], iterations[rows] = solved.failed, solved.iterations
-    span = np.stack([k_lo, np.where(solvable, k_hi, k_lo)], axis=1)
-    m, axis = np.repeat(m, s.shape[1]), np.repeat(axis, s.shape[1])  # per row
-    return _Slices(m, axis, s.ravel(), logmag, phase, span, shift, roots, failed, iterations)
-
-
 def _slice_batches(f: ComplexPolynomial, grid: GridSpec, ms):
     """The slice rows of an amoeba sweep over ms, one _Slices record per batch.
 
-    The rows of each m and axis form a block, in amoeba_sample's order; the
+    The rows of each m and axis form a block, in amoeba_sample's order.  The
     blocks go, in (m, axis) order, into batches of at most SLICE_BATCH_ROWS
-    rows, and a larger block goes alone.  Batching saves numpy's per-call
-    overhead, which dominates small grids; past a few thousand rows the
-    batch's larger temporaries cost more than that saves.  So a sweep of
-    three m over 11 x 11 is one batch, and one over 61 x 61 (the CLI's
-    default) a batch per block, as when each m was solved alone.
+    rows and at most ALL_MODE_BUDGET // d^2 rows, d the largest slice degree
+    of f, so Aberth's (S, d, d) arrays keep to the budget in every batch; a
+    larger block goes alone.  Batching saves numpy's per-call overhead, which
+    dominates small grids; past a few thousand rows the batch's larger
+    temporaries cost more than that saves.  So a sweep of three m over
+    11 x 11 is one batch, and one over 61 x 61 (the CLI's default) a batch
+    per block.  One _slice_matrix call builds a batch's rows, and one
+    polynomial_roots call solves its rows of each degree span.
     """
     slices = math.prod(grid.resolution)  # rows per block: slice values x phases
-    per_batch = max(1, SLICE_BATCH_ROWS // slices)
+    d = max(1, *_exponent_spreads(f))
+    per_batch = max(1, min(SLICE_BATCH_ROWS, ALL_MODE_BUDGET // (d * d)) // slices)
     s, phi = np.empty((2, slices)), np.empty((2, slices))  # per axis: each row's slice value and phase
     for axis in (0, 1):
         nphi = grid.resolution[1 - axis]
@@ -398,7 +367,33 @@ def _slice_batches(f: ComplexPolynomial, grid: GridSpec, ms):
     blocks = np.array([(m, axis) for m in ms for axis in (0, 1)])
     for start in range(0, len(blocks), per_batch):
         m, axis = blocks[start:start + per_batch].T
-        yield _slice_batch(f, m, axis, s[axis], phi[axis])
+        sb, n = s[axis], len(m) * slices  # row (b, r) sets z_axis = exp(-m[b] sb[b, r] + i phi[axis][b, r])
+        logmag, phase, present = (x.reshape(n, -1) for x in _slice_matrix(f, axis, -m[:, None] * sb, phi[axis]))
+        width = present.shape[1]
+        k_lo = np.argmax(present, axis=1)
+        k_hi = width - 1 - np.argmax(present[:, ::-1], axis=1)
+        # rows with no term or a single degree have no finite nonzero roots
+        solvable = present.any(axis=1) & (k_hi > k_lo)
+        code = k_lo * width + k_hi  # each row's degree span as one integer
+        shift = np.zeros(n)
+        roots = np.full((n, width - 1), np.nan, dtype=complex)
+        failed = np.zeros(n, dtype=bool)
+        iterations = np.zeros(n, dtype=np.int64)
+        for c in np.flatnonzero(np.bincount(code[solvable], minlength=1)):
+            lo, hi = divmod(int(c), width)
+            deg = hi - lo
+            rows = np.flatnonzero(solvable & (code == c))
+            L, theta = logmag[rows, lo:hi + 1], phase[rows, lo:hi + 1]
+            # balance the exponent spread so the scaled coefficients are finite
+            t = (L[:, 0] - L[:, -1]) / deg
+            L = L + np.arange(deg + 1) * t[:, None]
+            top = np.max(L, axis=1, keepdims=True)
+            solved = polynomial_roots(np.exp((L - top) + 1j * theta))
+            shift[rows], roots[rows, :deg] = t, solved.roots
+            failed[rows], iterations[rows] = solved.failed, solved.iterations
+        span = np.stack([k_lo, np.where(solvable, k_hi, k_lo)], axis=1)
+        m, axis = np.repeat(m, slices), np.repeat(axis, slices)  # per row
+        yield _Slices(m, axis, sb.ravel(), logmag, phase, span, shift, roots, failed, iterations)
 
 
 def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, ms) -> tuple[PointCloud, ...]:
@@ -410,21 +405,21 @@ def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, ms) -> tuple[PointCloud,
     are as many equal steps of the circle, from 0, as the other axis has
     grid points.  The grid box is the window in the scaled Log
     coordinates, so larger m slices at modulus e^(-m*s), matching
-    Log(preimage) = (1/m) Log(Z).  Only the slice coordinate lies in the
-    window; the root coordinate is not clipped, so callers apply clip_to_box.
+    Log(preimage) = (1/m) Log(Z).  The slice coordinate lies in the window
+    by construction and a root outside it is dropped, so every cloud does.
 
-    The slices of every m and both axes are solved together, in batches of
-    at most SLICE_BATCH_ROWS rows (see _slice_batches): one _slice_matrix
-    call builds a batch's rows, and its rows of one degree span (lowest and
-    highest present coefficient) go to polynomial_roots as one (S, d+1)
-    array, each balanced by its own exponent-spread shift and scaled back by
-    its own m.  So a small sweep of a line takes one root-finder call; a row
-    whose lowest or highest coefficient cancels exactly, or an axis of
-    another degree, adds one call per span.  Aberth iteration holds
-    (S, d, d) arrays, so the rows of one m and axis (slice values x phases)
-    times d^2 may not exceed ALL_MODE_BUDGET (degree-1 slices, solved in
-    closed form, are exempt).  No row reads another, so each cloud equals,
-    bit for bit, the one amoeba_sample(f, grid, (m,)) gives.
+    The slices of every m and both axes are solved together, in the batches
+    of _slice_batches: one _slice_matrix call builds a batch's rows, and its
+    rows of one degree span (lowest and highest present coefficient) go to
+    polynomial_roots as one (S, d+1) array, each balanced by its own
+    exponent-spread shift and scaled back by its own m.  So a small sweep of
+    a line takes one root-finder call; a row whose lowest or highest
+    coefficient cancels exactly, or an axis of another degree, adds one call
+    per span.  Aberth iteration holds (S, d, d) arrays, so the rows of one m
+    and axis (slice values x phases) times d^2 may not exceed
+    ALL_MODE_BUDGET (degree-1 slices, solved in closed form, are exempt).
+    No row reads another, so each cloud equals, bit for bit, the one
+    amoeba_sample(f, grid, (m,)) gives.
 
     Points keep the order of axis, slice value, phase, then root.  Each
     cloud's counters give slices (rows solved), failed_slices (rows the
@@ -449,31 +444,30 @@ def amoeba_sample(f: ComplexPolynomial, grid: GridSpec, ms) -> tuple[PointCloud,
             raise DynamicsError(
                 f"slices x degree^2 = {slices} x {d}^2 exceeds ALL_MODE_BUDGET = {ALL_MODE_BUDGET}"
             )
-    names = ("slices", "failed_slices", "aberth_iterations")
-    clouds, halves = [], []  # halves: the points and counters of the axis blocks of the next m
+    lo, hi = np.array(grid.box, dtype=float).T  # the window, per axis
+    parts = []  # per (m, axis) block, in order: its points and counters
     for batch in _slice_batches(f, grid, ms):
+        other = 1 - batch.axis[:, None]  # the axis of each row's roots
         with np.errstate(divide="ignore", invalid="ignore"):
             coord = np.log(np.abs(batch.roots))
-        coord += batch.shift[:, None]  # in place, the float operations of (shift + log|root|) * LOG_SIGN / m
-        coord *= LOG_SIGN
-        coord /= batch.m[:, None]
-        # drops unfilled entries, zero or infinite roots and the roots of failed rows
-        keep = np.isfinite(coord) & ~batch.failed[:, None]
+            coord += batch.shift[:, None]  # in place, the float operations of (shift + log|root|) * LOG_SIGN / m
+            coord *= LOG_SIGN
+            coord /= batch.m[:, None]
+            # drops unfilled entries, zero or infinite roots, the roots of failed rows and those outside the window
+            keep = ~batch.failed[:, None] & (coord >= lo[other]) & (coord <= hi[other])
         solved = batch.span[:, 1] > batch.span[:, 0]
         for start in range(0, len(batch.s), slices):  # one (m, axis) block
             rows, axis = slice(start, start + slices), batch.axis[start]
             pts = np.empty((np.count_nonzero(keep[rows]), 2))
             pts[:, axis] = np.broadcast_to(batch.s[rows, None], coord[rows].shape)[keep[rows]]
             pts[:, 1 - axis] = coord[rows][keep[rows]]
-            tally = (solved[rows].sum(), batch.failed[rows].sum(), batch.iterations[rows].sum())
-            halves.append((pts, tally))
-            if len(halves) == 2:
-                (p0, t0), (p1, t1) = halves
-                counters = {name: int(a + b) for name, a, b in zip(names, t0, t1)}
-                clouds.append(PointCloud(2, np.concatenate([p0, p1]), m=ms[len(clouds)], counters=counters))
-                halves = []
+            parts.append((pts, (solved[rows].sum(), batch.failed[rows].sum(), batch.iterations[rows].sum())))
         del batch, coord, keep, solved  # free this batch's rows before the next is built
-    return tuple(clouds)
+    names = ("slices", "failed_slices", "aberth_iterations")
+    return tuple(
+        PointCloud(2, np.concatenate([p0, p1]), m=m, counters={k: int(a + b) for k, a, b in zip(names, t0, t1)})
+        for m, (p0, t0), (p1, t1) in zip(ms, parts[::2], parts[1::2])
+    )
 
 
 def slice_windings(logmag, phase, log_r, P: int):
@@ -870,7 +864,7 @@ def dequantization_error(f: ComplexPolynomial, m: int, grid: GridSpec, seed: int
         raise DynamicsError("dequantization grids need a positive exclusion radius")
     if m < 1:
         raise DynamicsError("m must be a positive integer")
-    if seed is not None and seed < 0:  # numpy seeds a generator from a nonnegative integer only
+    if seed is None or seed < 0:  # numpy seeds a generator from a nonnegative integer only, or from the OS
         raise DynamicsError(f"seed must be a nonnegative integer, got {seed}")
     q = tropicalize_poly(f)
     cycle = tropical_hypersurface(q)
@@ -924,10 +918,10 @@ def convergence_report(
     """Run a named experiment for each m and fit errors ~ C * m^(-rho).
 
     A hausdorff-to-tropical report samples the amoebas of every m in one
-    amoeba_sample call, so the slices of the sweep are solved in batches
-    of up to SLICE_BATCH_ROWS rows, and lists, per m, the
-    sampler's deterministic counters in details: slices, failed_slices and
-    aberth_iterations (see amoeba_sample).  No timing enters a report.
+    amoeba_sample call, so the slices of the sweep are solved in the batches
+    of _slice_batches, and lists, per m, the sampler's deterministic
+    counters in details: slices, failed_slices and aberth_iterations (see
+    amoeba_sample).  No timing enters a report.
     """
     ms = tuple(int(m) for m in ms)
     if len(ms) < 2 or any(b <= a for a, b in zip(ms, ms[1:])):
@@ -957,7 +951,7 @@ def convergence_report(
         for sample in amoeba_sample(f, grid, ms):
             for key, count in sample.counters.items():
                 details.setdefault(key, []).append(count)
-            errors.append(hausdorff(clip_to_box(sample, grid.box), spine))
+            errors.append(hausdorff(sample, spine))
     for m, e in zip(ms, errors):
         if not e > 0:  # the fit is linear in log(error)
             raise DynamicsError(f"error at m = {m} is {e}, not positive: no power law fits it")

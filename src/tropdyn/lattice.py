@@ -67,7 +67,17 @@ def _refuse_deletion(record, name):
 
 
 def _as_int_vector(v) -> IntVector:
-    return tuple(map(int, v))
+    """v as a tuple of Python ints; LatticeError on an entry that is not an integer, such as 1.5 (2.0 is one)."""
+    if type(v) is tuple and all(type(x) is int for x in v):
+        return v
+    v = tuple(v)
+    try:
+        out = tuple(map(int, v))
+    except (TypeError, ValueError, OverflowError):  # nan, inf, a string
+        out = None
+    if out != v:
+        raise LatticeError(f"expected an integer vector, got {v}")
+    return out
 
 
 def _integral(v) -> IntVector:

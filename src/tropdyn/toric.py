@@ -13,7 +13,7 @@ import itertools
 import math
 
 from .dynamics import ALL_MODE_BUDGET
-from .lattice import dot
+from .lattice import _as_int_vector, dot
 from .polyhedra import Cone, Fan
 
 
@@ -46,7 +46,7 @@ def distinguished_point(sigma: Cone, probes) -> tuple[int, ...]:
     """
     out = []
     for u in probes:
-        u = tuple(int(x) for x in u)
+        u = _as_int_vector(u)
         pair_rays = [dot(u, r) for r in sigma.rays]
         pair_lin = [dot(u, l) for l in sigma.lineality]
         if any(p < 0 for p in pair_rays) or any(p != 0 for p in pair_lin):

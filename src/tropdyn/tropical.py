@@ -15,7 +15,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import dot, identity, primitive, rank_int, vec_sub
+from .lattice import _as_int_vector, dot, identity, primitive, rank_int, vec_sub
 from .polyhedra import MAX_AMBIENT_DIM, PolyhedralError, Polyhedron, WeightedComplex, _h_cone_generators
 
 
@@ -56,7 +56,7 @@ class TropicalPolynomial:
     def __init__(self, terms, ambient_dim=None):
         merged = {}
         for exp, coeff in dict(terms).items():
-            exp = tuple(int(e) for e in exp)
+            exp = _as_int_vector(exp)
             if exp in merged:
                 merged[exp] = max(merged[exp], coeff)
             else:
@@ -180,7 +180,7 @@ class ComplexPolynomial:
     def __init__(self, terms, ambient_dim=None):
         cleaned = {}
         for exp, coeff in dict(terms).items():
-            exp = tuple(int(e) for e in exp)
+            exp = _as_int_vector(exp)
             coeff = complex(coeff)
             if coeff == 0:
                 raise TropicalError("zero coefficients are not stored")
@@ -320,7 +320,7 @@ def fiber_binomial(beta, c) -> tuple[ComplexPolynomial, int]:
     normal beta; c on the unit circle encodes the circle translation.  Returns
     the binomial and the lattice-length weight w.
     """
-    beta = tuple(int(b) for b in beta)
+    beta = _as_int_vector(beta)
     if not any(beta):
         raise TropicalError("zero normal has no fiber binomial")
     alpha, weight = primitive(beta)

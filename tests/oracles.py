@@ -520,6 +520,53 @@ def weight_at(q, x):
     return math.gcd(*d)
 
 
+def slice_tropical_roots(q, axis, s):
+    """(y, jump) for each breakpoint y of y -> q on the line x_axis = s of R^2, sorted by y.
+
+    On that line q is max over k of k y + C_k, where C_k is the largest
+    e_axis s + c over the terms with e_other = k.  Its breakpoints are the
+    edges of the upper hull of the points (k, C_k), the tropical Newton
+    polygon: consecutive hull vertices (k1, C1), (k2, C2) tie at
+    y = (C1 - C2) / (k2 - k1), where the slope jumps by k2 - k1.  Exact for
+    rational q and s.
+    """
+    top = {}
+    for e, c in q.exact_terms():
+        k, value = e[1 - axis], e[axis] * Fraction(s) + c
+        top[k] = max(top.get(k, value), value)
+    hull = []
+    for point in sorted(top.items()):
+        # drop the last vertex while it lies on or below the chord to the new point
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (point[1] - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (point[0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(point)
+    return sorted(((c1 - c2) / (k2 - k1), k2 - k1) for (k1, c1), (k2, c2) in zip(hull, hull[1:]))
+
+
+def slice_crossings(C, axis, s):
+    """(y, multiplicity) for each point where the plane tropical curve C crosses x_axis = s, sorted by y.
+
+    Each cell meets the line in one H -> V conversion.  A cell of weight w
+    whose equation has the primitive normal nu crosses with multiplicity
+    w |nu_other|, summed over the cells through a point; cells parallel to
+    the line (nu_other = 0) are skipped.
+    """
+    line = (tuple(int(i == axis) for i in range(2)), Fraction(s))
+    found = {}
+    for cell, w in C.cells:
+        ((a, _),) = cell.eqs
+        nu, _ = primitive(a)
+        if nu[1 - axis] == 0:
+            continue
+        meet = Polyhedron.from_constraints(2, eqs=tuple(cell.eqs) + (line,), ineqs=cell.ineqs)
+        for v in meet.vertices:
+            found[v[1 - axis]] = found.get(v[1 - axis], 0) + w * abs(nu[1 - axis])
+    return sorted(found.items())
+
+
 def hypersurface_cells_all_pairs(q):
     """(cell, weight) of each cell of q's tropical hypersurface, sorted by tie set.
 

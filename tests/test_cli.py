@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -694,3 +695,30 @@ def test_cloud_csv_matches_the_elementwise_formatter(data):
     seed = data.draw(st.none() | st.integers(0, 2**31), label="seed")
     cloud = PointCloud(dim, pts, m=m, seed=seed)
     assert serialize.cloud_to_csv(cloud) == cloud_to_csv_elementwise(cloud)
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    """Every `tropdyn` line of the README's command block exits 0 and writes its -o and --svg files."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("tropdyn ")]
+    assert len(lines) == 11
+    monkeypatch.chdir(tmp_path)
+    quadrants = [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]
+    diagonals = [((1, 1), (1, -1)), ((1, 1), (-1, 1)), ((-1, -1), (-1, 1)), ((-1, -1), (1, -1))]
+    quads, diag = (Fan([Cone.from_generators(rays) for rays in fan]) for fan in (quadrants, diagonals))
+    inputs = {
+        "line.json": LINE_JSON,
+        "fan.json": serialize.fan_to_json(quads),
+        "fanA.json": serialize.fan_to_json(quads),
+        "fanB.json": serialize.fan_to_json(diag),
+        "cycleA.json": serialize.cycle_to_json(uniform_bergman_fan(1, 2)),
+        "cycleB.json": serialize.cycle_to_json(uniform_bergman_fan(1, 2).scale(2)),
+    }
+    for name, data in inputs.items():
+        Path(name).write_text(json.dumps(data))
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert run(argv) == 0, (line, capsys.readouterr().err)
+        written = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("-o", "--svg")]
+        assert all(Path(name).stat().st_size > 0 for name in written), line

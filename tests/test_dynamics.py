@@ -218,12 +218,18 @@ def test_batch_roots_unstartable_rows_fail():
 
 
 def test_log_map_convention():
-    """Points land at -(1/m) log|root|: on 1 + z1 + z2 the root of a slice z1 is -(1 + z1)."""
+    """Points land at -(1/m) log|root|: on 1 + z1 + z2 the root of a slice z1 is -(1 + z1).
+
+    Roots outside the window [-1, 1]^2 are dropped: at s = -1 the phase 0
+    puts the root at -log(1 + e^2)/2 = -1.06.
+    """
     m, grid = 2, GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3))
     z1 = [cmath.exp(complex(-m * s, 2 * math.pi * k / 3)) for s in (-1, 0, 1) for k in range(3)]
     slice_s = [s for s in (-1, 0, 1) for _ in range(3)]
     log_root = [-math.log(abs(1 + z)) / m for z in z1]
-    expected = [(s, y) for s, y in zip(slice_s, log_root)] + [(y, s) for s, y in zip(slice_s, log_root)]
+    inside = [(s, y) for s, y in zip(slice_s, log_root) if -1 <= y <= 1]
+    assert len(inside) == 8
+    expected = inside + [(y, s) for s, y in inside]
     assert tropdyn.dynamics.LOG_SIGN == -1.0
     (cloud,) = amoeba_sample(LINE, grid, (m,))
     assert cloud.points == pytest.approx(np.array(expected), abs=1e-12)
@@ -344,6 +350,38 @@ def test_amoeba_batches_stay_under_the_row_cap(monkeypatch, res, shapes):
     assert seen == shapes
 
 
+def test_amoeba_batches_keep_to_the_aberth_budget(monkeypatch):
+    """A batch's rows times d^2 stay within ALL_MODE_BUDGET, d the largest slice degree.
+
+    A degree-16 curve over 32 x 32 has 1,024 rows per (m, axis) block; four
+    blocks (4,096 rows, the row cap) would hold 4,096 x 16^2 > 10^6 entries,
+    so a batch takes three.  The root finder is stubbed with failed rows:
+    only the shapes it is called with matter here.
+    """
+    batches = []
+    slice_matrix = tropdyn.dynamics._slice_matrix
+
+    def opening(*args):
+        batches.append([])
+        return slice_matrix(*args)
+
+    def recording(c):
+        batches[-1].append(np.shape(c))
+        S, d = len(c), np.shape(c)[1] - 1
+        return tropdyn.dynamics.BatchRoots(np.full((S, d), np.nan + 0j), np.ones(S, bool), np.zeros(S, np.int64))
+
+    monkeypatch.setattr(tropdyn.dynamics, "_slice_matrix", opening)
+    monkeypatch.setattr(tropdyn.dynamics, "polynomial_roots", recording)
+    f = ComplexPolynomial({(0, 0): 1, (16, 0): 1, (0, 16): 1, (1, 1): 1})
+    clouds = amoeba_sample(f, GridSpec(box=((-3, 3), (-3, 3)), resolution=(32, 32)), (4, 8, 16))
+    assert [c.counters["failed_slices"] for c in clouds] == [2 * 1024] * 3
+    for shapes in batches:
+        d = max(cols - 1 for _, cols in shapes)
+        assert d == 16
+        assert sum(rows for rows, _ in shapes) * d * d <= tropdyn.dynamics.ALL_MODE_BUDGET
+    assert [sum(rows for rows, _ in shapes) for shapes in batches] == [3 * 1024, 3 * 1024]
+
+
 def test_amoeba_cancelled_bucket_keeps_degree(monkeypatch):
     """A row whose top coefficient cancels exactly joins the batch of its lower degree."""
     slice_matrix = tropdyn.dynamics._slice_matrix
@@ -374,7 +412,9 @@ def test_amoeba_cancelled_bucket_keeps_degree(monkeypatch):
     assert cloud.counters["slices"] == 2 * S - 1
     # z2 = -1/z1 with |z1| = e^(-m s): the scaled point is (s, -s)
     assert cloud.points[0].tolist() == [-1.0, 1.0]
-    assert len(cloud) == 1 + 2 * (S - 1) + (S - 1)
+    # all 1 + 2 (S - 1) + (S - 1) = 25 roots are solved; the window [-1, 1]^2 drops 5 of them
+    assert len(cloud) == 1 + 2 * (S - 1) + (S - 1) - 5
+    assert np.all(np.abs(cloud.points) <= 1)
 
 
 def _random_curve(rng, degree):
@@ -669,6 +709,16 @@ def test_dequantization_needs_exclusion():
     grid = GridSpec(box=((-1, 1), (-1, 1)), resolution=(3, 3))
     with pytest.raises(DynamicsError):
         dequantization_error(LINE, 2, grid)
+
+
+@pytest.mark.parametrize("seed", [None, -1])
+def test_dequantization_refuses_an_unseeded_or_negative_seed(seed):
+    """seed=None would seed numpy from OS entropy: two calls would give different errors."""
+    grid = GridSpec(box=((-2, 2), (-2, 2)), resolution=(9, 9), delta=0.2)
+    with pytest.raises(DynamicsError, match="seed must be a nonnegative integer"):
+        dequantization_error(LINE, 4, grid, seed=seed)
+    with pytest.raises(DynamicsError, match="seed must be a nonnegative integer"):
+        convergence_report("dequantization", (4, 8), f=LINE, grid=grid, seed=seed)
 
 
 def test_dequantization_halving_near_set():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,9 @@ from oracles import (
     solve_gauss_jordan,
 )
 from tropdyn import lattice
+from tropdyn.polyhedra import Cone
+from tropdyn.toric import distinguished_point
+from tropdyn.tropical import ComplexPolynomial, TropicalPolynomial, fiber_binomial
 from tropdyn.lattice import (
     LatticeError,
     QuotientLattice,
@@ -404,3 +408,32 @@ def test_outward_generator_vector_level():
     # a sample in H_tau has no side
     with pytest.raises(LatticeError, match="lies in H_tau"):
         quotient_outward_generator(ql, (Fraction(1, 2), Fraction(1, 2)))
+
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TropicalPolynomial({(1.5, 0): 0, (0, 1): 0}),
+        lambda: ComplexPolynomial({(2.7, 0): 1, (0, 1): 1}),
+        lambda: distinguished_point(Cone.from_generators([(1, 0)], 2), [(0, 1.9)]),
+        lambda: fiber_binomial((1.5, 3), 1),
+        lambda: primitive((1.5, 3)),
+        lambda: integer_kernel([(0.5, 1)]),
+        lambda: primitive((float("nan"), 1)),
+    ],
+    ids=["tropical exponent", "complex exponent", "probe", "normal", "primitive", "kernel row", "nan"],
+)
+def test_non_integral_entries_are_refused_not_truncated(build):
+    """1.5 was once read as 1, and the kernel of (0.5, 1) as (1, 0), not the line of (2, -1)."""
+    with pytest.raises(LatticeError, match="expected an integer vector"):
+        build()
+
+
+def test_integral_entries_of_any_type_are_accepted():
+    assert primitive((Fraction(4, 2), np.int64(6), 2.0)) == ((1, 3, 1), 2)
+    assert all(type(x) is int for x in primitive(np.array([2, 4]))[0])
+    assert integer_kernel([(Fraction(2), np.int32(-1))]) == ((1, 2),)
+    assert TropicalPolynomial({(np.int64(1), Fraction(4, 2)): 0}).terms == (((1, 2), 0),)
+    v = (3, -1)
+    assert lattice._as_int_vector(v) is v

@@ -23,7 +23,16 @@ from tropdyn.tropical import (
     uniform_bergman_fan,
 )
 
-from oracles import contains, eval_tropical_float_scalar, fold_sum, relint_point, tropical_product, weight_at
+from oracles import (
+    contains,
+    eval_tropical_float_scalar,
+    fold_sum,
+    relint_point,
+    slice_crossings,
+    slice_tropical_roots,
+    tropical_product,
+    weight_at,
+)
 
 
 def cycle_rays(cycle):
@@ -348,6 +357,42 @@ def test_trop_of_a_product_is_the_sum_of_the_factors(data):
                 assert pointwise(x) == 0
             elif len(holding) == 1:  # a vertex lies on two cells or more
                 assert holding == [pointwise(x)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trop_weights_are_the_slices_tropical_root_multiplicities(data):
+    """Every line x_axis = s crosses Trop(q) where q's slice has its tropical roots, with their multiplicities.
+
+    On the line, q is a tropical polynomial in the other coordinate y; its
+    roots and their multiplicities are the edges of its tropical Newton
+    polygon (slice_tropical_roots).  Where the line crosses a cell of weight
+    w and primitive normal nu, the slope in y jumps by w |nu_other|
+    (slice_crossings), so the two lists agree exactly, weights included.
+    Slices through a vertex are skipped: there the jump is not one cell's.
+    """
+    degree = data.draw(st.integers(1, 4), label="degree")
+    exps = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    coeffs = st.integers(-16, 16).map(lambda k: Fraction(k, 4))
+    terms = data.draw(
+        st.dictionaries(st.sampled_from(exps), coeffs, min_size=3, max_size=min(8, len(exps))).filter(
+            lambda t: all(any(e[v] for e in t) for v in (0, 1))
+        ),
+        label="terms",
+    )
+    q = TropicalPolynomial(terms, 2)
+    C = tropical_hypersurface(q)
+    slices = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([3, 5, 7, 9]))
+    for axis in (0, 1):
+        corners = {v[axis] for cell, _ in C.cells for v in cell.vertices}
+        for s in data.draw(st.lists(slices, min_size=4, max_size=4), label=f"slices along {axis}"):
+            if s in corners:
+                event("slice through a vertex")
+                continue
+            crossings = slice_crossings(C, axis, s)
+            assert crossings == slice_tropical_roots(q, axis, s)
+            if any(k > 1 for _, k in crossings):
+                event("a crossing of multiplicity > 1")
 
 
 def random_tropical_polynomial(rng, n):
